@@ -1,389 +1,118 @@
-(* The benchmark harness: one experiment per table/figure of the paper
-   plus the ablations called out in DESIGN.md §8.
+(* The benchmark driver over Workloads.Experiment's table: one
+   experiment per table/figure of the paper plus the stress workloads.
 
-     dune exec bench/main.exe               — run everything
-     dune exec bench/main.exe -- table2     — one experiment
-     dune exec bench/main.exe -- --bechamel — host-time Bechamel suite
+     dune exec bench/main.exe                  — the whole table, full scale
+     dune exec bench/main.exe -- --smoke       — the whole table, tiny scale
+     dune exec bench/main.exe -- table2        — one experiment
+     dune exec bench/main.exe -- ab A B [--threshold 0.05]
+     dune exec bench/main.exe -- --bechamel    — host-time Bechamel suite
 
-   Paper reference values are printed beside every measurement; absolute
-   agreement is not expected (the substrate is a simulator, not the
-   authors' testbed), the shape is what must hold. *)
+   Every result prints through one renderer, paper reference values
+   beside the measurements; absolute agreement is not expected (the
+   substrate is a simulator), the shape is what must hold.  A whole-table
+   run also writes BENCH_check.json from the same runs' Machcheck
+   reports.  Exit status 1 means a failed gate or a finding. *)
+
+module E = Workloads.Experiment
+module J = Bench_json
 
 let hr title =
   Printf.printf "\n==== %s %s\n" title
     (String.make (max 1 (66 - String.length title)) '=')
 
-(* --- E1: Table 1 ----------------------------------------------------------- *)
+let cell = function
+  | J.Str s -> s
+  | J.Null -> "-"
+  | v -> String.trim (J.to_string v)
 
-let paper_table1 =
-  [
-    ("File Intensive 1", 2.96); ("File Intensive 2", 2.97);
-    ("Graphics Low", 0.91); ("Graphics Medium", 0.87);
-    ("Graphics High", 0.71); ("PM Tasking Medium", 0.82);
-    ("PM Tasking High", 1.02);
-  ]
+let nested = function J.Obj (_ :: _) | J.Arr (_ :: _) -> true | _ -> false
 
-let fresh_wpos_api () = Workloads.Api.of_wpos (Wpos.boot ())
+(* An array of rows prints as a table over the union of their keys, an
+   object holding containers one member per line, anything else as
+   [key: value]. *)
+let rec render indent (key, v) =
+  match v with
+  | J.Arr (J.Obj _ :: _ as rows) ->
+      let keys = function J.Obj fs -> List.map fst fs | _ -> [] in
+      let add acc k = if List.mem k acc then acc else acc @ [ k ] in
+      let cols =
+        List.fold_left (fun acc r -> List.fold_left add acc (keys r)) [] rows
+      in
+      let field row c = cell (Option.value (J.member c row) ~default:J.Null) in
+      let lines = cols :: List.map (fun r -> List.map (field r) cols) rows in
+      let width i =
+        List.fold_left (fun w l -> max w (String.length (List.nth l i))) 0 lines
+      in
+      let widths = List.mapi (fun i _ -> width i) cols in
+      Printf.printf "%s%s:\n" indent key;
+      List.iter
+        (fun l ->
+          List.iteri
+            (fun i (w, s) ->
+              if i = 0 then Printf.printf "%s%-*s" indent w s
+              else Printf.printf " %*s" w s)
+            (List.combine widths l);
+          print_newline ())
+        lines
+  | J.Obj fields when List.exists (fun (_, x) -> nested x) fields ->
+      Printf.printf "%s%s:\n" indent key;
+      List.iter (render (indent ^ "  ")) fields
+  | J.Str s when String.contains s '\n' ->
+      Printf.printf "%s%s:\n%s\n" indent key s
+  | v -> Printf.printf "%s%s: %s\n" indent key (cell v)
 
-let fresh_native_api () =
-  (* OS/2 Warp on a 16 MB Pentium *)
-  let m = Machine.create Machine.Config.pentium_133 in
-  Workloads.Api.of_monolithic (Monolithic.boot m ~fs_format:`Hpfs ())
+let write file doc =
+  let oc = open_out file in
+  output_string oc (J.to_string doc);
+  close_out oc;
+  Printf.printf "wrote %s\n" file
 
-let table1 () =
-  hr "E1 / Table 1: OS/2 performance, WPOS-to-native elapsed-time ratio";
-  Printf.printf "%-20s %-24s %14s %14s %7s %7s\n" "Test" "Application content"
-    "WPOS cycles" "native cycles" "ratio" "paper";
-  let rows =
-    List.map
-      (fun spec ->
-        let row =
-          Workloads.Table1.compare_systems ~wpos:(fresh_wpos_api ())
-            ~native:(fresh_native_api ()) spec
-        in
-        let paper = List.assoc spec.Workloads.Table1.id paper_table1 in
-        Printf.printf "%-20s %-24s %14d %14d %7.2f %7.2f\n%!"
-          row.Workloads.Table1.row_id spec.Workloads.Table1.app
-          row.Workloads.Table1.wpos_cycles row.Workloads.Table1.native_cycles
-          row.Workloads.Table1.ratio paper;
-        row)
-      Workloads.Table1.all
+let run_one scale (e : E.t) =
+  hr e.name;
+  let o = e.run scale in
+  (match o.json with
+  | J.Obj fields -> List.iter (render "") fields
+  | j -> render "" ("result", j));
+  (* the checker's nonzero counters and its first findings *)
+  let shown = function
+    | "findings", J.Arr (_ :: _ as fs) ->
+        Some ("findings", J.Arr (List.filteri (fun i _ -> i < 5) fs))
+    | _, (J.Num 0. | J.Arr []) -> None
+    | kv -> Some kv
   in
-  Printf.printf "%-20s %-24s %14s %14s %7.2f %7.2f\n" "Overall" "" "" ""
-    (Workloads.Table1.overall rows)
-    1.21
-
-(* --- E2: Table 2 ------------------------------------------------------------ *)
-
-let table2 () =
-  hr "E2 / Table 2: trap versus RPC (Pentium performance counters)";
-  let trap, rpc = Workloads.Micro.table2 () in
-  let open Workloads.Micro in
-  Printf.printf "%-14s %12s %12s %12s %8s\n" "" "instructions" "cycles"
-    "bus cycles" "CPI";
-  let line (r : table2_row) =
-    Printf.printf "%-14s %12.0f %12.0f %12.0f %8.2f\n" r.t2_label
-      r.t2_instructions r.t2_cycles r.t2_bus_cycles r.t2_cpi
-  in
-  line trap;
-  line rpc;
-  Printf.printf "%-14s %12.2f %12.2f %12.2f %8.2f\n" "ratio"
-    (rpc.t2_instructions /. trap.t2_instructions)
-    (rpc.t2_cycles /. trap.t2_cycles)
-    (rpc.t2_bus_cycles /. trap.t2_bus_cycles)
-    (rpc.t2_cpi /. trap.t2_cpi);
-  Printf.printf
-    "paper:         trap 465 / 970 / 218 / 2.0; RPC 1317 / 5163 / 1849 / 3.9;\n\
-    \               ratios 2.83 / 5.32 / 8.48 / 1.95\n"
-
-(* --- E3: the 2-10x IPC improvement ------------------------------------------ *)
-
-let figure_ipc () =
-  hr "E3: message passing, Mach 3.0 mach_msg vs the IBM RPC rework";
-  let sizes = [ 0; 32; 128; 512; 1024; 4096; 16384; 65536 ] in
-  let points = Workloads.Micro.ipc_sweep ~sizes () in
-  Printf.printf "%10s %18s %18s %12s %16s\n" "bytes" "mach_msg cycles"
-    "IBM RPC cycles" "improvement" "reply-port cache";
+  Option.iter
+    (fun rep ->
+      match Check.to_json rep with
+      | J.Obj fs -> render "" ("machcheck", J.Obj (List.filter_map shown fs))
+      | j -> render "" ("machcheck", j))
+    o.check;
   List.iter
-    (fun p ->
-      let open Workloads.Micro in
-      Printf.printf "%10d %18.0f %18.0f %11.2fx %9d/%-6d\n" p.sw_bytes
-        p.sw_mach_ipc_cycles p.sw_ibm_rpc_cycles p.sw_improvement
-        p.sw_reply_hits p.sw_reply_misses)
-    points;
-  Printf.printf "(reply-port cache column: hits/misses on the mach_msg side)\n";
-  Printf.printf
-    "paper: \"a two to ten times improvement in message-passing performance\n\
-    \       with the improvement's magnitude depending primarily on the\n\
-    \       number of bytes transmitted\"\n"
+    (fun (name, ok) ->
+      Printf.printf "  %-4s %s\n" (if ok then "ok" else "FAIL") name)
+    o.gates;
+  Option.iter (fun f -> write f (E.document e o)) e.file;
+  o
 
-(* --- ipc-stress: sustained throughput, machine-readable ----------------------- *)
+let report_failures = function
+  | [] -> ()
+  | failed ->
+      List.iter (Printf.eprintf "FAIL %s\n") failed;
+      exit 1
 
-let ipc_stress () =
-  hr "ipc-stress: sustained round-trip throughput under worker load";
-  let r = Workloads.Ipc_stress.run () in
-  let open Workloads.Ipc_stress in
-  Printf.printf "%d worker pairs x %d round trips per point\n\n" r.r_workers
-    r.r_iters;
-  Printf.printf "%-10s %8s %20s %18s\n" "system" "bytes" "sim cycles/op"
-    "host ns/op";
-  List.iter
-    (fun p ->
-      Printf.printf "%-10s %8d %20.1f %18.1f\n" p.pt_system p.pt_bytes
-        p.pt_sim_cycles_per_op p.pt_host_ns_per_op)
-    r.r_points;
-  Printf.printf
-    "\nreply-port cache: %d hits / %d misses\n\
-     kernel msg buffers: %d allocs, %d frees, %d arena recycles, peak %d bytes\n"
-    r.r_reply_hits r.r_reply_misses r.r_kbuf_allocs r.r_kbuf_frees
-    r.r_kbuf_recycles r.r_kbuf_peak_bytes;
-  let json = to_json r in
-  let oc = open_out "BENCH_ipc.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_ipc.json\n"
-
-(* --- fault-sweep: resilience under injected server crashes ------------------- *)
-
-let fault_sweep () =
-  hr "fault-sweep: E1-style file workload under injected file-server crashes";
-  let r = Workloads.Fault_sweep.run () in
-  let open Workloads.Fault_sweep in
-  Printf.printf
-    "%d clients x %d edit sessions per point; seed %d; baseline %.0f cycles/op\n\n"
-    r.r_clients r.r_sessions r.r_seed r.r_baseline_cycles_per_op;
-  Printf.printf "%10s %10s %10s %10s %8s %8s %9s %8s %14s %12s\n" "crash_ppm"
-    "completed" "crashes" "disk_flts" "restarts" "retries" "reopens" "gave_up"
-    "cycles/op" "added/op";
-  List.iter
-    (fun p ->
-      Printf.printf "%10d %6d/%-3d %10d %10d %8d %8d %9d %8b %14.0f %12.0f\n"
-        p.p_crash_ppm p.p_completed p.p_ops p.p_injected_crashes
-        p.p_disk_faults p.p_restarts p.p_retries p.p_reopens p.p_gave_up
-        p.p_cycles_per_op
-        (p.p_cycles_per_op -. r.r_baseline_cycles_per_op))
-    r.r_points;
-  let json = to_json r in
-  let oc = open_out "BENCH_faults.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_faults.json\n"
-
-(* --- recovery-sweep: crash-point enumeration over the journalled FS ----------- *)
-
-let recovery_sweep () =
-  hr "recovery-sweep: power cut at every disk write, recover, verify";
-  (* exhaustive: the cap sits far above the script's write count, so
-     every single crash point is enumerated, none sampled *)
-  let r = Workloads.Recovery_sweep.run ~max_points:1024 () in
-  let open Workloads.Recovery_sweep in
-  Printf.printf
-    "%d scripted ops issue %d disk writes; %d crash point(s) checked%s\n\
-     lost acknowledged writes: %d   torn recovered states: %d   (expected 0/0)\n\n"
-    r.r_ops r.r_total_writes r.r_points_checked
-    (if r.r_exhaustive then " (exhaustive)" else " (sampled)")
-    r.r_lost_writes r.r_torn_states;
-  Printf.printf "%8s %8s %10s %10s %10s %6s %6s %14s\n" "write" "acked"
-    "replayed" "blocks" "discarded" "lost" "torn" "recovery_cyc";
-  List.iter
-    (fun p ->
-      Printf.printf "%8d %8d %10d %10d %10d %6d %6d %14d\n" p.cp_write
-        p.cp_acked p.cp_replayed_txns p.cp_replayed_blocks p.cp_discarded
-        p.cp_lost p.cp_torn p.cp_recovery_cycles)
-    r.r_points;
-  Printf.printf "\njournal overhead vs the same engine without a journal:\n";
-  Printf.printf "%6s %16s %16s %10s %12s %12s %10s\n" "ops" "plain cyc/op"
-    "jfs cyc/op" "overhead" "plain wr" "jfs wr" "jrecords";
-  List.iter
-    (fun p ->
-      Printf.printf "%6d %16.0f %16.0f %9.1f%% %12d %12d %10d\n" p.ov_ops
-        p.ov_plain_cycles_per_op p.ov_jfs_cycles_per_op
-        (if p.ov_plain_cycles_per_op > 0.0 then
-           (p.ov_jfs_cycles_per_op -. p.ov_plain_cycles_per_op)
-           /. p.ov_plain_cycles_per_op *. 100.0
-         else 0.0)
-        p.ov_plain_disk_writes p.ov_jfs_disk_writes p.ov_journal_records)
-    r.r_overhead;
-  Printf.printf "\nrecovery latency vs journal fill:\n";
-  Printf.printf "%6s %10s %10s %10s %14s\n" "ops" "jrecords" "replayed"
-    "blocks" "recovery_cyc";
-  List.iter
-    (fun p ->
-      Printf.printf "%6d %10d %10d %10d %14d\n" p.lt_ops p.lt_journal_records
-        p.lt_replayed_txns p.lt_replayed_blocks p.lt_recovery_cycles)
-    r.r_latency;
-  let json = to_json r in
-  let oc = open_out "BENCH_recovery.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_recovery.json\n";
-  if r.r_lost_writes > 0 || r.r_torn_states > 0 then exit 1
-
-(* --- smp-scaling: throughput vs cores on the multi-CPU machine ---------------- *)
-
-let smp_scaling () =
-  hr "smp-scaling: ipc-stress and the file-server workload at 1/2/4/8 CPUs";
-  let r = Workloads.Smp_scaling.run () in
-  let open Workloads.Smp_scaling in
-  Printf.printf
-    "ipc: %d pairs x %d round trips of %d bytes; fileserver: %d clients x %d \
-     sessions\n\n"
-    r.r_pairs r.r_iters r.r_bytes r.r_clients r.r_sessions;
-  Printf.printf "%-10s %-10s %5s %12s %12s %8s %7s %7s %7s %8s %12s\n"
-    "workload" "placement" "ncpus" "wall cycles" "ops/Mcycle" "speedup"
-    "ipis" "xmsgs" "steals" "coh" "bus stall";
-  List.iter
-    (fun p ->
-      Printf.printf "%-10s %-10s %5d %12d %12.1f %7.2fx %7d %7d %7d %8d %12d\n"
-        p.sp_workload p.sp_placement p.sp_ncpus p.sp_wall_cycles
-        p.sp_throughput p.sp_speedup p.sp_ipis p.sp_xmsgs p.sp_steals
-        p.sp_coherence_misses p.sp_bus_stall_cycles)
-    r.r_points;
-  Printf.printf "\nmachine state (per-CPU caches/TLBs plus shared directory):\n";
-  List.iter
-    (fun (s : Machine.Footprint.machine_state) ->
-      Printf.printf
-        "  %d cpu(s): %d B/cpu cache + %d B/cpu tlb + %d B directory = %d B\n"
-        s.Machine.Footprint.ms_ncpus s.Machine.Footprint.ms_cache_bytes_per_cpu
-        s.Machine.Footprint.ms_tlb_bytes_per_cpu
-        s.Machine.Footprint.ms_bus_directory_bytes
-        s.Machine.Footprint.ms_total_bytes)
-    r.r_state;
-  let headline = ipc_speedup r ~ncpus:4 in
-  Printf.printf "\ncolocated ipc speedup at 4 CPUs: %.2fx (acceptance: > 1.50x)\n"
-    headline;
-  let json = to_json r in
-  let oc = open_out "BENCH_smp.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_smp.json\n";
-  if headline < 1.5 then exit 1
-
-(* --- vfs-walk: path resolution through the vnode layer and name cache --------- *)
-
-let vfs_walk () =
-  hr "vfs-walk: path walks through the vnode layer and the name cache";
-  let r = Workloads.Vfs_walk.run ~checks:true () in
-  let open Workloads.Vfs_walk in
-  Printf.printf
-    "%d-deep chain, %d wide files, %d hot repeats, %d concurrent CPUs\n\n"
-    r.r_depth r.r_files r.r_repeats r.r_cpus;
-  Printf.printf "%-12s %8s %14s %14s %10s %10s %9s\n" "phase" "ops" "cycles"
-    "cycles/op" "hits" "misses" "hit rate";
-  List.iter
-    (fun p ->
-      Printf.printf "%-12s %8d %14d %14.1f %10d %10d %8.1f%%\n" p.ph_name
-        p.ph_ops p.ph_cycles p.ph_cycles_per_op p.ph_hits p.ph_misses
-        (p.ph_hit_rate *. 100.0))
-    r.r_phases;
-  Printf.printf
-    "\nhot hit rate: %.1f%% (acceptance: >= 90%%)\n\
-     deep path: %.0f cycles/op cached vs %.0f raw -> %.2fx (acceptance: >= 2x)\n\
-     concurrent lookups: %d/%d ok; compromises: %d\n"
-    (r.r_hot_hit_rate *. 100.0)
-    r.r_deep_cached_cycles_per_op r.r_deep_raw_cycles_per_op r.r_deep_speedup
-    r.r_concurrent_ok r.r_concurrent_expected r.r_compromises;
-  (match r.r_check with
-  | Some rep ->
-      Printf.printf "\nmachcheck:\n%s\n"
-        (Format.asprintf "%a" Check.pp_report rep)
-  | None -> ());
-  let json = to_json r in
-  let oc = open_out "BENCH_vfs.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_vfs.json\n";
-  let findings =
-    match r.r_check with Some rep -> Check.total_findings rep | None -> 0
-  in
-  if
-    r.r_hot_hit_rate < 0.9 || r.r_deep_speedup < 2.0
-    || r.r_concurrent_ok < r.r_concurrent_expected
-    || findings > 0
-  then exit 1
-
-(* --- net-storm: the C1M workload against the netisr-sharded netserver --------- *)
-
-let net_storm () =
-  hr "net-storm: sharded netserver under firehose, skew, churn and floods";
-  let r = Workloads.Net_storm.run ~checks:true () in
-  let open Workloads.Net_storm in
-  Printf.printf
-    "%d endpoints, %d simulated clients, %d packets/point of %d bytes; %d \
-     sessions/CPU; %d flood SYNs\n\n"
-    r.nr_endpoints r.nr_clients r.nr_packets r.nr_bytes r.nr_sessions
-    r.nr_flood_syns;
-  Printf.printf "%-10s %5s %9s %12s %12s %8s %9s %9s %9s %6s %6s %6s %7s %6s %5s %7s\n"
-    "phase" "ncpus" "ops" "wall cycles" "ops/Mcycle" "speedup" "p50" "p99"
-    "fairness" "syn" "wire" "reap" "peak" "retry" "lost" "xshard";
-  List.iter
-    (fun p ->
-      Printf.printf
-        "%-10s %5d %9d %12d %12.1f %7.2fx %9d %9d %9.2f %6d %6d %6d %7d %6d %5d %7d\n"
-        p.np_phase p.np_ncpus p.np_ops p.np_wall_cycles p.np_throughput
-        p.np_speedup p.np_p50_cycles p.np_p99_cycles p.np_fairness
-        p.np_syn_drops p.np_wire_drops p.np_reaped p.np_half_open_peak
-        p.np_retries p.np_lost_acked p.np_xshard_msgs)
-    r.nr_points;
-  (match r.nr_check with
-  | Some rep ->
-      Printf.printf "\nmachcheck:\n%s\n"
-        (Format.asprintf "%a" Check.pp_report rep)
-  | None -> ());
-  let speedup = steady_speedup r ~ncpus:4 in
-  let tail = skew_tail_ratio r in
-  let lost = total_lost r in
-  let findings =
-    match r.nr_check with Some rep -> Check.total_findings rep | None -> 0
-  in
-  Printf.printf
-    "\nsteady packets/sec at 4 CPUs: %.2fx of 1 CPU (acceptance: >= 2.50x)\n\
-     worst skewed p99/p50: %.2f (acceptance: <= 3.00)\n\
-     lost acknowledged operations: %d (acceptance: 0)\n\
-     machcheck findings: %d (acceptance: 0)\n"
-    speedup tail lost findings;
-  let json = to_json r in
-  let oc = open_out "BENCH_net.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_net.json\n";
-  if
-    (List.mem 4 r.nr_cpus && speedup < 2.5)
-    || tail > 3.0 || lost > 0 || findings > 0
-  then exit 1
-
-(* --- fault-storm: availability under live kills, wedges and crash loops ------- *)
-
-let fault_storm () =
-  hr "fault-storm: shard micro-reboots, supervised crashes and wedges under load";
-  let r = Workloads.Fault_storm.run ~checks:true () in
-  let open Workloads.Fault_storm in
-  Printf.printf "seed %d\n\n" r.fr_seed;
-  Printf.printf
-    "%-12s %6s %6s %5s %9s %9s %8s %8s %4s %12s %9s %6s %4s %6s %6s %7s %9s\n"
-    "scenario" "ops" "done" "lost" "avail_in" "avail_out" "in" "out" "win"
-    "mttr_cyc" "restarts" "wkill" "deg" "drops" "reinc" "golden" "fastfail";
-  List.iter
-    (fun p ->
-      Printf.printf
-        "%-12s %6d %6d %5d %9.3f %9.3f %4d/%-3d %4d/%-3d %4d %12.0f %9d %6d \
-         %4d %6d %6d %7b %9d\n"
-        p.fp_scenario p.fp_ops p.fp_completed p.fp_lost p.fp_avail_in
-        p.fp_avail_out p.fp_in_ok p.fp_in_ops p.fp_out_ok p.fp_out_ops
-        p.fp_windows p.fp_mttr p.fp_restarts p.fp_wedge_kills p.fp_degraded
-        p.fp_reboot_drops p.fp_reincarnations p.fp_golden_ok
-        p.fp_fastfail_cycles)
-    r.fr_points;
-  (match r.fr_check with
-  | Some rep ->
-      Printf.printf "\nmachcheck:\n%s\n"
-        (Format.asprintf "%a" Check.pp_report rep)
-  | None -> ());
-  let lost = total_lost r in
-  let avail = min_availability r in
-  let golden = golden_ok r in
-  let fastfail = degraded_fastfail r in
-  let findings =
-    match r.fr_check with Some rep -> Check.total_findings rep | None -> 0
-  in
-  Printf.printf
-    "\nacked operations lost: %d (acceptance: 0)\n\
-     worst availability: %.3f (acceptance: >= 0.90)\n\
-     untouched shards golden: %b (acceptance: true)\n\
-     degraded fast-fail: %d cycles (acceptance: 0 <= x <= 100000)\n\
-     machcheck findings: %d (acceptance: 0)\n"
-    lost avail golden fastfail findings;
-  let json = to_json r in
-  let oc = open_out "BENCH_storm.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_storm.json\n";
-  if
-    lost > 0 || avail < 0.9 || (not golden) || fastfail < 0
-    || fastfail > 100_000 || findings > 0
-  then exit 1
-
-(* --- ab: regression diff between two BENCH_*.json runs ------------------------ *)
+let run_table scale =
+  let outs = List.map (fun (e : E.t) -> (e, run_one scale e)) E.all in
+  hr "machcheck";
+  write "BENCH_check.json"
+    (E.check_document
+       (List.filter_map
+          (fun ((e : E.t), (o : E.outcome)) ->
+            Option.map (fun rep -> (e.name, rep)) o.check)
+          outs));
+  report_failures
+    (List.concat_map
+       (fun ((e : E.t), o) ->
+         List.map (fun f -> e.name ^ ": " ^ f) (E.failures o))
+       outs)
 
 let bench_ab ~a ~b ~threshold =
   hr (Printf.sprintf "ab: %s -> %s" a b);
@@ -394,458 +123,6 @@ let bench_ab ~a ~b ~threshold =
   | Ok v ->
       Format.printf "%a@?" Workloads.Bench_ab.pp_verdict v;
       if v.Workloads.Bench_ab.v_regressions > 0 then exit 1
-
-(* --- machcheck: the analysis layer over the stress workloads ------------------ *)
-
-let machcheck () =
-  hr "machcheck: rights / deadlock / buffer sanitizers over the stress workloads";
-  let ipc = Workloads.Ipc_stress.run ~checks:true () in
-  let flt = Workloads.Fault_sweep.run ~checks:true () in
-  let rcv = Workloads.Recovery_sweep.run ~ops:8 ~max_points:32 ~checks:true () in
-  let vfw = Workloads.Vfs_walk.run ~checks:true () in
-  let net =
-    Workloads.Net_storm.run ~cpus:[ 1; 4 ] ~endpoints:8 ~clients:400
-      ~packets:1_200 ~sessions:4 ~flood_syns:48 ~victim_ops:3 ~checks:true ()
-  in
-  let stm =
-    Workloads.Fault_storm.run ~endpoints:6 ~rounds:16 ~victim_ops:4 ~clients:2
-      ~sessions:2 ~checks:true ()
-  in
-  let print name = function
-    | Some rep ->
-        Printf.printf "%s:\n%s\n" name
-          (Format.asprintf "%a" Check.pp_report rep)
-    | None -> ()
-  in
-  print "ipc-stress" ipc.Workloads.Ipc_stress.r_check;
-  print "fault-sweep" flt.Workloads.Fault_sweep.r_check;
-  print "recovery-sweep" rcv.Workloads.Recovery_sweep.r_check;
-  print "vfs-walk" vfw.Workloads.Vfs_walk.r_check;
-  print "net-storm" net.Workloads.Net_storm.nr_check;
-  print "fault-storm" stm.Workloads.Fault_storm.fr_check;
-  let total =
-    List.fold_left
-      (fun acc -> function
-        | Some rep -> acc + Check.total_findings rep
-        | None -> acc)
-      0
-      [
-        ipc.Workloads.Ipc_stress.r_check;
-        flt.Workloads.Fault_sweep.r_check;
-        rcv.Workloads.Recovery_sweep.r_check;
-        vfw.Workloads.Vfs_walk.r_check;
-        net.Workloads.Net_storm.nr_check;
-        stm.Workloads.Fault_storm.fr_check;
-      ]
-  in
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"experiment\": \"machcheck\",\n";
-  Buffer.add_string b "  \"schema_version\": 2,\n";
-  Printf.bprintf b "  \"run\": %s,\n" (Workloads.Run_meta.json ());
-  Printf.bprintf b "  \"total_findings\": %d,\n" total;
-  Buffer.add_string b "  \"workloads\": {\n";
-  (match ipc.Workloads.Ipc_stress.r_check with
-  | Some rep -> Printf.bprintf b "    \"ipc-stress\": %s,\n" (Check.to_json rep)
-  | None -> ());
-  (match flt.Workloads.Fault_sweep.r_check with
-  | Some rep -> Printf.bprintf b "    \"fault-sweep\": %s,\n" (Check.to_json rep)
-  | None -> ());
-  (match rcv.Workloads.Recovery_sweep.r_check with
-  | Some rep ->
-      Printf.bprintf b "    \"recovery-sweep\": %s,\n" (Check.to_json rep)
-  | None -> ());
-  (match vfw.Workloads.Vfs_walk.r_check with
-  | Some rep -> Printf.bprintf b "    \"vfs-walk\": %s,\n" (Check.to_json rep)
-  | None -> ());
-  (match net.Workloads.Net_storm.nr_check with
-  | Some rep -> Printf.bprintf b "    \"net-storm\": %s,\n" (Check.to_json rep)
-  | None -> ());
-  (match stm.Workloads.Fault_storm.fr_check with
-  | Some rep -> Printf.bprintf b "    \"fault-storm\": %s\n" (Check.to_json rep)
-  | None -> ());
-  Buffer.add_string b "  }\n}\n";
-  let oc = open_out "BENCH_check.json" in
-  Buffer.output_buffer oc b;
-  close_out oc;
-  Printf.printf "total findings: %d (expected 0)\nwrote BENCH_check.json\n" total;
-  if total > 0 then exit 1
-
-(* --- E4: Figure 1 ------------------------------------------------------------- *)
-
-let figure1 () =
-  hr "E4 / Figure 1: the IBM Microkernel and Workplace OS structure";
-  let w = Wpos.boot () in
-  (* put some personality applications on top so the top layer is live *)
-  let api = Workloads.Api.of_wpos w in
-  api.Workloads.Api.spawn ~name:"works.exe" (fun api ->
-      api.Workloads.Api.compute ~units:10);
-  api.Workloads.Api.spawn ~name:"klondike.exe" (fun api ->
-      api.Workloads.Api.draw ~x:10 ~y:10 ~w:71 ~h:96);
-  (match w.Wpos.mvm with
-  | Some mvm ->
-      let vdm = Personalities.Mvm.create_vdm mvm ~name:"dos-box" in
-      Personalities.Mvm.spawn_program mvm vdm ~name:"autoexec"
-        [ Personalities.Mvm.G_compute 2000; Personalities.Mvm.G_io_port 0x3f8 ]
-  | None -> ());
-  Wpos.run w;
-  Format.printf "%a@." Wpos.pp_figure1 w;
-  (* name-space view of the same structure *)
-  let ns = Wpos.name_service w in
-  let db = Mk_services.Name_service.db ns in
-  Printf.printf "name space: /servers = %s; /volumes = %s\n"
-    (String.concat ", " (Mk_services.Name_db.list_children db ~path:"/servers"))
-    (String.concat ", " (Mk_services.Name_db.list_children db ~path:"/volumes"))
-
-(* --- E5: the factor of 3 ------------------------------------------------------- *)
-
-let fileserver_factor () =
-  hr "E5: file service via RPC file server vs in-kernel (the 'factor of 3')";
-  let f = Workloads.Micro.fileserver_factor () in
-  let open Workloads.Micro in
-  Printf.printf
-    "file-server RPC : %8.0f cycles/op\n\
-     in-kernel trap  : %8.0f cycles/op\n\
-     factor          : %8.2fx   (paper: \"about a factor of 3\")\n"
-    f.fx_rpc_cycles_per_op f.fx_trap_cycles_per_op f.fx_factor
-
-(* --- E6: fine-grained objects ---------------------------------------------------- *)
-
-let finegrain () =
-  hr "E6: fine-grained (Taligent) vs coarse (MK++) object networking";
-  let run style =
-    let m = Machine.create Machine.Config.pentium_133 in
-    let k = Mach.Kernel.boot m in
-    let net = Netserver.create k ~style in
-    let app = Mach.Kernel.task_create k ~name:"app" () in
-    let echo = Mach.Kernel.task_create k ~name:"echo" () in
-    let datagrams = 200 in
-    let cycles = ref 0 in
-    ignore
-      (Mach.Kernel.thread_spawn k echo ~name:"echo" (fun () ->
-           match Netserver.udp_socket net ~port:7 with
-           | Error e -> failwith e
-           | Ok s ->
-               for _ = 1 to datagrams do
-                 let src, bytes = Netserver.udp_recv net s in
-                 Netserver.udp_send net s ~dst_port:src ~bytes
-               done)
-        : Mach.Ktypes.thread);
-    ignore
-      (Mach.Kernel.thread_spawn k app ~name:"client" (fun () ->
-           match Netserver.udp_socket net ~port:2000 with
-           | Error e -> failwith e
-           | Ok s ->
-               let t0 = Machine.now m in
-               for _ = 1 to datagrams do
-                 Netserver.udp_send net s ~dst_port:7 ~bytes:256;
-                 ignore (Netserver.udp_recv net s)
-               done;
-               cycles := (Machine.now m - t0) / datagrams)
-        : Mach.Ktypes.thread);
-    Mach.Kernel.run k;
-    ( !cycles,
-      Finegrain.vcalls (Netserver.objects net),
-      Finegrain.memory_footprint_bytes (Netserver.objects net) )
-  in
-  let fc, fv, fm = run Finegrain.Fine_grained in
-  let cc, cv, cm = run Finegrain.Coarse in
-  Printf.printf "%-22s %16s %12s %16s\n" "" "cycles/datagram" "dispatches"
-    "runtime bytes";
-  Printf.printf "%-22s %16d %12d %16d\n" "fine-grained (shipped)" fc fv fm;
-  Printf.printf "%-22s %16d %12d %16d\n" "coarse (MK++ style)" cc cv cm;
-  Printf.printf
-    "slowdown %.2fx, dispatch inflation %.1fx, memory inflation %.1fx\n"
-    (float_of_int fc /. float_of_int cc)
-    (float_of_int fv /. float_of_int cv)
-    (float_of_int fm /. float_of_int cm);
-  Printf.printf
-    "paper: \"a very large number of very short virtual methods ... slowed the\n\
-    \       system down ... C++ runtimes ... consumed considerable amounts of memory\"\n"
-
-(* --- E7: two memory managers ------------------------------------------------------ *)
-
-let memfootprint () =
-  hr "E7: OS/2 commitment-oriented memory over the page-oriented kernel VM";
-  let m = Machine.create Machine.Config.ppc604_133 in
-  let services = Mk_services.Bootstrap.boot m in
-  let k = services.Mk_services.Bootstrap.kernel in
-  let sys = k.Mach.Kernel.sys in
-  (* the same allocation trace both ways: a spread of object sizes, only
-     half of each object ever touched *)
-  let trace = List.init 40 (fun i -> 700 + (i * 1337 mod 20000)) in
-  let os2_task = Mach.Kernel.task_create k ~name:"os2app" () in
-  let os2_mem = Personalities.Os2_memory.create k os2_task in
-  let lazy_task = Mach.Kernel.task_create k ~name:"pnapp" () in
-  let done_ = ref false in
-  ignore
-    (Mach.Kernel.thread_spawn k lazy_task ~name:"driver" (fun () ->
-         List.iter
-           (fun bytes ->
-             (* OS/2 path: committed eagerly, byte bookkeeping on top *)
-             (match Personalities.Os2_memory.dos_alloc_mem os2_mem ~bytes with
-             | Ok addr ->
-                 Mach.Vm.touch sys os2_task ~addr ~write:true
-                   ~bytes:(max 1 (bytes / 2)) ()
-             | Error _ -> ());
-             (* kernel-lazy path: pages appear only when touched *)
-             let addr = Mach.Vm.allocate sys lazy_task ~bytes () in
-             Mach.Vm.touch sys lazy_task ~addr ~write:true
-               ~bytes:(max 1 (bytes / 2)) ())
-           trace;
-         done_ := true)
-      : Mach.Ktypes.thread);
-  Mach.Kernel.run k;
-  assert !done_;
-  let os2_bytes =
-    Personalities.Os2_memory.os2_committed_bytes os2_mem
-    + Personalities.Os2_memory.bookkeeping_bytes os2_mem
-  in
-  let lazy_bytes = Mach.Vm.committed_bytes lazy_task in
-  let requested = List.fold_left ( + ) 0 trace in
-  Printf.printf
-    "requested by the application : %8d bytes\n\
-     kernel-lazy resident         : %8d bytes\n\
-     OS/2 committed + bookkeeping : %8d bytes\n\
-     footprint inflation          : %8.2fx  (paper: \"greatly increased the\n\
-    \                                         memory footprint\")\n"
-    requested lazy_bytes os2_bytes
-    (float_of_int os2_bytes /. float_of_int lazy_bytes)
-
-(* --- E8: driver architectures ------------------------------------------------------- *)
-
-let drivers () =
-  hr "E8 (ablation): the same disk work under three driver architectures";
-  let run arch =
-    let m = Machine.create Machine.Config.pentium_133 in
-    let k = Mach.Kernel.boot m in
-    let rm = Drivers.Resource_manager.create k in
-    let d =
-      match Drivers.Disk_driver.start k rm ~arch with
-      | Ok d -> d
-      | Error e -> failwith e
-    in
-    let app = Mach.Kernel.task_create k ~name:"app" () in
-    let requests = 50 in
-    let cycles = ref 0 in
-    ignore
-      (Mach.Kernel.thread_spawn k app ~name:"reader" (fun () ->
-           ignore (Drivers.Disk_driver.read_blocks d ~block:0 ~count:4);
-           let t0 = Machine.now m in
-           for i = 1 to requests do
-             ignore
-               (Drivers.Disk_driver.read_blocks d ~block:(i * 8 mod 1024)
-                  ~count:4)
-           done;
-           cycles := (Machine.now m - t0) / requests)
-        : Mach.Ktypes.thread);
-    Mach.Kernel.run k;
-    (!cycles, Drivers.Disk_driver.interrupts_taken d)
-  in
-  let uc, ui = run Drivers.Disk_driver.User_level in
-  let kc, ki = run Drivers.Disk_driver.Kernel_bsd in
-  let oc, oi = run Drivers.Disk_driver.Ooddm in
-  (* elapsed time is dominated by media time; the architecture shows in
-     the CPU overhead beyond it *)
-  let g = Machine.Disk.default_geometry in
-  let media =
-    g.Machine.Disk.seek_cycles + (4 * g.Machine.Disk.transfer_cycles_per_block)
-  in
-  Printf.printf "%-22s %16s %12s %14s\n" "" "cycles/request" "interrupts"
-    "CPU overhead";
-  Printf.printf "%-22s %16d %12d %14d\n" "user-level (initial)" uc ui (uc - media);
-  Printf.printf "%-22s %16d %12d %14d\n" "in-kernel BSD-style" kc ki (kc - media);
-  Printf.printf "%-22s %16d %12d %14d\n" "OODDM (fine objects)" oc oi (oc - media);
-  Printf.printf
-    "CPU overhead vs in-kernel: user-level %.2fx, OODDM %.2fx\n\
-     (media time %d cycles/request dominates all three end to end)\n"
-    (float_of_int (uc - media) /. float_of_int (kc - media))
-    (float_of_int (oc - media) /. float_of_int (kc - media))
-    media
-
-(* --- E9: naming ---------------------------------------------------------------------- *)
-
-let nameservice () =
-  hr "E9 (ablation): X.500-style name service vs the Release 2 simple one";
-  let ops = 200 in
-  let x500 =
-    let m = Machine.create Machine.Config.pentium_133 in
-    let b = Mk_services.Bootstrap.boot m in
-    let ns = Mk_services.Bootstrap.name_service_exn b in
-    let k = b.Mk_services.Bootstrap.kernel in
-    let app = Mach.Kernel.task_create k ~name:"app" () in
-    let cycles = ref 0 in
-    ignore
-      (Mach.Kernel.thread_spawn k app ~name:"app" (fun () ->
-           let sys = k.Mach.Kernel.sys in
-           let p = Mach.Port.allocate sys ~receiver:app ~name:"p" in
-           for i = 1 to 20 do
-             ignore
-               (Mk_services.Name_service.bind ns
-                  ~path:(Printf.sprintf "/servers/devices/dev%02d" i)
-                  ~attributes:[ ("class", "char") ]
-                  ~target:p ())
-           done;
-           let t0 = Machine.now m in
-           for i = 1 to ops do
-             ignore
-               (Mk_services.Name_service.resolve_port ns
-                  ~path:
-                    (Printf.sprintf "/servers/devices/dev%02d" ((i mod 20) + 1)))
-           done;
-           cycles := (Machine.now m - t0) / ops)
-        : Mach.Ktypes.thread);
-    Mach.Kernel.run k;
-    !cycles
-  in
-  let simple =
-    let m = Machine.create Machine.Config.pentium_133 in
-    let b =
-      Mk_services.Bootstrap.boot ~naming:Mk_services.Bootstrap.Simple_naming m
-    in
-    let names = Option.get b.Mk_services.Bootstrap.simple_names in
-    let k = b.Mk_services.Bootstrap.kernel in
-    let app = Mach.Kernel.task_create k ~name:"app" () in
-    let cycles = ref 0 in
-    ignore
-      (Mach.Kernel.thread_spawn k app ~name:"app" (fun () ->
-           let sys = k.Mach.Kernel.sys in
-           let p = Mach.Port.allocate sys ~receiver:app ~name:"p" in
-           for i = 1 to 20 do
-             ignore
-               (Mk_services.Name_simple.register names
-                  ~name:(Printf.sprintf "dev%02d" i) p)
-           done;
-           let t0 = Machine.now m in
-           for i = 1 to ops do
-             ignore
-               (Mk_services.Name_simple.lookup names
-                  ~name:(Printf.sprintf "dev%02d" ((i mod 20) + 1)))
-           done;
-           cycles := (Machine.now m - t0) / ops)
-        : Mach.Ktypes.thread);
-    Mach.Kernel.run k;
-    !cycles
-  in
-  Printf.printf
-    "X.500-style : %7d cycles/lookup (RPC + parse + walk + attributes)\n\
-     simple      : %7d cycles/lookup (in-library flat table)\n\
-     ratio       : %7.1fx  (why Release 2 added the simple service)\n"
-    x500 simple
-    (float_of_int x500 /. float_of_int simple)
-
-(* --- harness --------------------------------------------------------------------------- *)
-
-let experiments =
-  [
-    ("table1", table1);
-    ("table2", table2);
-    ("figure-ipc", figure_ipc);
-    ("ipc-stress", ipc_stress);
-    ("fault-sweep", fault_sweep);
-    ("recovery-sweep", recovery_sweep);
-    ("smp-scaling", smp_scaling);
-    ("vfs-walk", vfs_walk);
-    ("net-storm", net_storm);
-    ("fault-storm", fault_storm);
-    ("machcheck", machcheck);
-    ("figure1", figure1);
-    ("fileserver-factor", fileserver_factor);
-    ("finegrain", finegrain);
-    ("memfootprint", memfootprint);
-    ("drivers", drivers);
-    ("nameservice", nameservice);
-  ]
-
-(* --- smoke: tiny-iteration pass over the JSON writers ------------------------- *)
-
-(* Exercised by the [bench-smoke] dune alias under [dune runtest]: every
-   BENCH_*.json writer runs end to end at throwaway iteration counts, so
-   a broken experiment or malformed JSON fails CI without paying for a
-   full sweep.  The files land in dune's sandbox, not the repo copies. *)
-let smoke () =
-  hr "smoke: tiny-iteration pass over every BENCH_*.json writer";
-  let write name json =
-    let oc = open_out name in
-    output_string oc json;
-    close_out oc;
-    (match Workloads.Ipc_stress.Json.parse json with
-    | Ok _ -> ()
-    | Error e -> failwith (Printf.sprintf "%s: invalid JSON: %s" name e));
-    Printf.printf "wrote %s (%d bytes)\n" name (String.length json)
-  in
-  let ipc =
-    Workloads.Ipc_stress.run ~workers:1 ~iters:3 ~sizes:[ 0; 4096 ]
-      ~checks:true ()
-  in
-  write "BENCH_ipc.json" (Workloads.Ipc_stress.to_json ipc);
-  let flt =
-    Workloads.Fault_sweep.run ~clients:1 ~sessions:2 ~rates:[ 10_000 ]
-      ~checks:true ()
-  in
-  write "BENCH_faults.json" (Workloads.Fault_sweep.to_json flt);
-  let rcv =
-    Workloads.Recovery_sweep.run ~ops:4 ~max_points:12 ~series:[ 4 ]
-      ~checks:true ()
-  in
-  write "BENCH_recovery.json" (Workloads.Recovery_sweep.to_json rcv);
-  let smp =
-    Workloads.Smp_scaling.run ~cpus:[ 1; 2 ] ~pairs:2 ~iters:5 ~bytes:256
-      ~clients:2 ~sessions:1 ~checks:true ()
-  in
-  write "BENCH_smp.json" (Workloads.Smp_scaling.to_json smp);
-  let vfw =
-    Workloads.Vfs_walk.run ~depth:5 ~files:6 ~repeats:2 ~cpus:2 ~checks:true ()
-  in
-  write "BENCH_vfs.json" (Workloads.Vfs_walk.to_json vfw);
-  let net =
-    Workloads.Net_storm.run ~cpus:[ 1; 2 ] ~endpoints:6 ~clients:50
-      ~packets:400 ~sessions:2 ~flood_syns:30 ~victim_ops:2 ~checks:true ()
-  in
-  write "BENCH_net.json" (Workloads.Net_storm.to_json net);
-  if Workloads.Net_storm.total_lost net > 0 then begin
-    Printf.printf "net smoke lost acknowledged operations\n";
-    exit 1
-  end;
-  let stm =
-    Workloads.Fault_storm.run ~endpoints:6 ~rounds:16 ~victim_ops:3 ~clients:1
-      ~sessions:2 ~checks:true ()
-  in
-  write "BENCH_storm.json" (Workloads.Fault_storm.to_json stm);
-  if Workloads.Fault_storm.total_lost stm > 0 then begin
-    Printf.printf "fault storm smoke lost acked operations\n";
-    exit 1
-  end;
-  if not (Workloads.Fault_storm.golden_ok stm) then begin
-    Printf.printf "fault storm smoke: untouched shards diverged\n";
-    exit 1
-  end;
-  if
-    rcv.Workloads.Recovery_sweep.r_lost_writes > 0
-    || rcv.Workloads.Recovery_sweep.r_torn_states > 0
-  then begin
-    Printf.printf "recovery smoke found lost/torn state\n";
-    exit 1
-  end;
-  let findings =
-    List.fold_left
-      (fun acc -> function
-        | Some rep -> acc + Check.total_findings rep
-        | None -> acc)
-      0
-      [
-        ipc.Workloads.Ipc_stress.r_check;
-        flt.Workloads.Fault_sweep.r_check;
-        rcv.Workloads.Recovery_sweep.r_check;
-        smp.Workloads.Smp_scaling.r_check;
-        vfw.Workloads.Vfs_walk.r_check;
-        net.Workloads.Net_storm.nr_check;
-        stm.Workloads.Fault_storm.fr_check;
-      ]
-  in
-  Printf.printf "machcheck findings across smoke runs: %d (expected 0)\n"
-    findings;
-  if findings > 0 then exit 1
 
 (* host-time measurements of the experiment cores, one Bechamel test per
    table/figure *)
@@ -858,13 +135,19 @@ let bechamel () =
       [
         quick "table2" (fun () ->
             ignore (Workloads.Micro.table2 ~iters:200 ()));
-        quick "figure-ipc:1k" (fun () ->
-            ignore (Workloads.Micro.ipc_sweep ~iters:50 ~sizes:[ 1024 ] ()));
+        quick "ipc-stress:1k" (fun () ->
+            ignore
+              (Workloads.Ipc_stress.run ~workers:1 ~iters:50 ~sizes:[ 1024 ]
+                 ()));
         quick "fileserver-factor" (fun () ->
             ignore (Workloads.Micro.fileserver_factor ~ops:50 ()));
         quick "table1:file-intensive-1" (fun () ->
             let spec = List.nth Workloads.Table1.all 0 in
-            ignore (Workloads.Table1.run (fresh_native_api ()) spec));
+            let m = Machine.create Machine.Config.pentium_133 in
+            let api =
+              Workloads.Api.of_monolithic (Monolithic.boot m ~fs_format:`Hpfs ())
+            in
+            ignore (Workloads.Table1.run api spec));
       ]
   in
   let ols =
@@ -883,10 +166,9 @@ let bechamel () =
     results
 
 let () =
-  let args = Array.to_list Sys.argv in
-  match args with
+  match Array.to_list Sys.argv with
   | _ :: "--bechamel" :: _ -> bechamel ()
-  | _ :: "--smoke" :: _ -> smoke ()
+  | _ :: "--smoke" :: _ -> run_table E.Smoke
   | _ :: "ab" :: a :: b :: rest ->
       let threshold =
         match rest with
@@ -905,10 +187,10 @@ let () =
          exits 1 when B regresses against A past the threshold\n";
       exit 2
   | _ :: name :: _ -> (
-      match List.assoc_opt name experiments with
-      | Some f -> f ()
+      match E.find name with
+      | Some e -> report_failures (E.failures (run_one E.Full e))
       | None ->
           Printf.eprintf "unknown experiment %S; available: %s\n" name
-            (String.concat ", " (List.map fst experiments));
+            (String.concat ", " (List.map (fun (e : E.t) -> e.name) E.all));
           exit 1)
-  | _ -> List.iter (fun (_, f) -> f ()) experiments
+  | _ -> run_table E.Full

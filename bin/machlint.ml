@@ -13,29 +13,18 @@
    A/B harness can regression-gate the analyzer like any experiment. *)
 
 let bench_json r roots =
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "{\n";
-  Printf.bprintf b "  \"experiment\": \"machlint\",\n";
-  Printf.bprintf b "  \"schema_version\": 2,\n";
-  Printf.bprintf b "  \"run\": %s,\n" (Run_meta.json ());
-  Printf.bprintf b "  \"roots\": [ %s ],\n"
-    (String.concat ", " (List.map (Printf.sprintf "%S") roots));
-  Printf.bprintf b "  \"files\": %d,\n" r.Lint.r_files;
-  Printf.bprintf b "  \"definitions\": %d,\n" r.Lint.r_defs;
-  Printf.bprintf b "  \"ast_nodes\": %d,\n" r.Lint.r_nodes;
-  Printf.bprintf b "  \"analysis_cycles\": %d,\n" r.Lint.r_cycles;
-  Printf.bprintf b "  \"findings\": {\n";
-  let counts = Lint.Report.by_rule r.Lint.r_findings in
-  List.iteri
-    (fun i (rule, n) ->
-      Printf.bprintf b "    %S: %d%s\n" rule n
-        (if i = List.length counts - 1 then "" else ","))
-    counts;
-  Printf.bprintf b "  },\n";
-  Printf.bprintf b "  \"findings_total\": %d\n"
-    (List.length r.Lint.r_findings);
-  Printf.bprintf b "}\n";
-  Buffer.contents b
+  let open Bench_json in
+  Obj
+    [ ("experiment", Str "machlint"); ("schema_version", int 2);
+      ("run", Run_meta.block ()); ("roots", Arr (List.map (fun x -> Str x) roots));
+      ("files", int r.Lint.r_files); ("definitions", int r.Lint.r_defs);
+      ("ast_nodes", int r.Lint.r_nodes);
+      ("analysis_cycles", int r.Lint.r_cycles);
+      ( "findings",
+        Obj (List.map (fun (rule, n) -> (rule, int n))
+               (Lint.Report.by_rule r.Lint.r_findings)) );
+      ("findings_total", int (List.length r.Lint.r_findings)) ]
+  |> to_string
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

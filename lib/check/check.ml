@@ -615,11 +615,6 @@ let vnode_mount_recovered t ~space ~mount =
   in
   List.iter (Hashtbl.remove t.vn_reclaimed) dead
 
-let vnode_live_refs t ~space ~mount =
-  Hashtbl.fold
-    (fun (sp, m, _) n acc -> if sp = space && m = mount then acc + n else acc)
-    t.vn_refs 0
-
 (* --- name-cache shadow ---------------------------------------------------- *)
 
 let ncache_stored t ~space ~mount ~dir ~name ~file =
@@ -730,11 +725,6 @@ let reinc_budget_exhausted t ~space:_ ~path ~restarts =
         to degraded mode"
        path restarts)
 
-let reinc_pending t ~space =
-  Hashtbl.fold
-    (fun (sp, _) _ acc -> if sp = space then acc + 1 else acc)
-    t.reinc_expected 0
-
 (* --- reporting ---------------------------------------------------------- *)
 
 let findings t = List.rev t.recorded
@@ -801,6 +791,16 @@ let report t =
     rep_findings = findings t @ leaks;
   }
 
+let with_checker enabled f =
+  if not enabled then (f (), None)
+  else begin
+    let t = create () in
+    install t;
+    Fun.protect ~finally:uninstall (fun () ->
+        let x = f () in
+        (x, Some (report t)))
+  end
+
 let total_findings r =
   r.rep_leaked_rights + r.rep_right_double_frees + r.rep_right_downgrades
   + r.rep_wait_cycles + r.rep_buf_double_releases + r.rep_buf_use_after_release
@@ -810,101 +810,41 @@ let total_findings r =
   + r.rep_net_crossings + r.rep_reinc_orphans + r.rep_reinc_stale
   + r.rep_reinc_residue
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json r =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{";
-  let field k v = Buffer.add_string b (Printf.sprintf "\"%s\": %d, " k v) in
-  field "spaces" r.rep_spaces;
-  field "right_transitions" r.rep_right_transitions;
-  field "live_rights" r.rep_live_rights;
-  field "leaked_rights" r.rep_leaked_rights;
-  field "right_double_frees" r.rep_right_double_frees;
-  field "right_downgrades" r.rep_right_downgrades;
-  field "teardown_residual" r.rep_teardown_residual;
-  field "blocks_tracked" r.rep_blocks_tracked;
-  field "wait_cycles" r.rep_wait_cycles;
-  field "buffers_shadowed" r.rep_buf_shadowed;
-  field "buf_double_releases" r.rep_buf_double_releases;
-  field "buf_use_after_release" r.rep_buf_use_after_release;
-  field "remap_moves" r.rep_remap_moves;
-  field "double_moves" r.rep_double_moves;
-  field "write_after_move" r.rep_write_after_move;
-  field "mapout_evictions" r.rep_mapout_evictions;
-  field "crash_points" r.rep_crash_points;
-  field "lost_writes" r.rep_lost_writes;
-  field "torn_states" r.rep_torn_states;
-  field "vnodes_shadowed" r.rep_vnodes_shadowed;
-  field "vnode_ref_underflows" r.rep_vnode_ref_underflows;
-  field "vnode_use_after_reclaim" r.rep_vnode_use_after_reclaim;
-  field "vnode_leaks" r.rep_vnode_leaks;
-  field "ncache_shadowed" r.rep_ncache_shadowed;
-  field "ncache_stale" r.rep_ncache_stale;
-  field "net_sockets" r.rep_net_sockets;
-  field "net_touches" r.rep_net_touches;
-  field "net_shard_crossings" r.rep_net_crossings;
-  field "reinc_kills" r.rep_reinc_kills;
-  field "reinc_reboots" r.rep_reinc_reboots;
-  field "reinc_orphans" r.rep_reinc_orphans;
-  field "reinc_stale_registry" r.rep_reinc_stale;
-  field "reinc_rights_residue" r.rep_reinc_residue;
-  field "reinc_budget_exhausted" r.rep_reinc_budget_exhausted;
-  field "total_findings" (total_findings r);
-  Buffer.add_string b "\"findings\": [";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"checker\": \"%s\", \"kind\": \"%s\", \"detail\": \"%s\"}"
-           f.f_checker f.f_kind (json_escape f.f_detail)))
-    r.rep_findings;
-  Buffer.add_string b "]}";
-  Buffer.contents b
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>machcheck: %d space(s), %d finding(s)@,\
-     rights   : %d transitions, %d live, %d leaked, %d double-free, %d \
-     downgrade, %d teardown-residual@,\
-     deadlock : %d blocks tracked, %d wait-cycle(s)@,\
-     buffers  : %d shadowed, %d double-release, %d use-after-release@,\
-     remap    : %d moves, %d double-move, %d write-after-move, %d \
-     mapout-eviction@,\
-     crash    : %d point(s) checked, %d lost-write, %d torn-state@,\
-     vnode    : %d shadowed, %d ref-underflow, %d use-after-reclaim, %d \
-     leaked-refs; ncache %d stored, %d stale@,\
-     net      : %d socket(s), %d touches, %d shard-crossing@,\
-     reinc    : %d kill(s), %d reboot(s), %d orphaned, %d stale-registry, %d \
-     rights-residue, %d budget-exhausted@]"
-    r.rep_spaces (total_findings r) r.rep_right_transitions r.rep_live_rights
-    r.rep_leaked_rights r.rep_right_double_frees r.rep_right_downgrades
-    r.rep_teardown_residual r.rep_blocks_tracked r.rep_wait_cycles
-    r.rep_buf_shadowed r.rep_buf_double_releases r.rep_buf_use_after_release
-    r.rep_remap_moves r.rep_double_moves r.rep_write_after_move
-    r.rep_mapout_evictions r.rep_crash_points r.rep_lost_writes
-    r.rep_torn_states r.rep_vnodes_shadowed r.rep_vnode_ref_underflows
-    r.rep_vnode_use_after_reclaim r.rep_vnode_leaks r.rep_ncache_shadowed
-    r.rep_ncache_stale r.rep_net_sockets r.rep_net_touches r.rep_net_crossings
-    r.rep_reinc_kills r.rep_reinc_reboots r.rep_reinc_orphans r.rep_reinc_stale
-    r.rep_reinc_residue r.rep_reinc_budget_exhausted;
-  if r.rep_findings <> [] then begin
-    Format.fprintf ppf "@.";
-    List.iter
-      (fun f ->
-        Format.fprintf ppf "  [%s/%s] %s@." f.f_checker f.f_kind f.f_detail)
-      r.rep_findings
-  end
+  let open Bench_json in
+  let counts =
+    [ ("spaces", r.rep_spaces); ("right_transitions", r.rep_right_transitions);
+      ("live_rights", r.rep_live_rights); ("leaked_rights", r.rep_leaked_rights);
+      ("right_double_frees", r.rep_right_double_frees);
+      ("right_downgrades", r.rep_right_downgrades);
+      ("teardown_residual", r.rep_teardown_residual);
+      ("blocks_tracked", r.rep_blocks_tracked); ("wait_cycles", r.rep_wait_cycles);
+      ("buffers_shadowed", r.rep_buf_shadowed);
+      ("buf_double_releases", r.rep_buf_double_releases);
+      ("buf_use_after_release", r.rep_buf_use_after_release);
+      ("remap_moves", r.rep_remap_moves); ("double_moves", r.rep_double_moves);
+      ("write_after_move", r.rep_write_after_move);
+      ("mapout_evictions", r.rep_mapout_evictions);
+      ("crash_points", r.rep_crash_points); ("lost_writes", r.rep_lost_writes);
+      ("torn_states", r.rep_torn_states); ("vnodes_shadowed", r.rep_vnodes_shadowed);
+      ("vnode_ref_underflows", r.rep_vnode_ref_underflows);
+      ("vnode_use_after_reclaim", r.rep_vnode_use_after_reclaim);
+      ("vnode_leaks", r.rep_vnode_leaks); ("ncache_shadowed", r.rep_ncache_shadowed);
+      ("ncache_stale", r.rep_ncache_stale); ("net_sockets", r.rep_net_sockets);
+      ("net_touches", r.rep_net_touches);
+      ("net_shard_crossings", r.rep_net_crossings);
+      ("reinc_kills", r.rep_reinc_kills); ("reinc_reboots", r.rep_reinc_reboots);
+      ("reinc_orphans", r.rep_reinc_orphans);
+      ("reinc_stale_registry", r.rep_reinc_stale);
+      ("reinc_rights_residue", r.rep_reinc_residue);
+      ("reinc_budget_exhausted", r.rep_reinc_budget_exhausted);
+      ("total_findings", total_findings r) ]
+  in
+  let finding f =
+    Obj
+      [ ("checker", Str f.f_checker); ("kind", Str f.f_kind);
+        ("detail", Str f.f_detail) ]
+  in
+  Obj
+    (List.map (fun (k, v) -> (k, int v)) counts
+    @ [ ("findings", Arr (List.map finding r.rep_findings)) ])

@@ -31,9 +31,6 @@ type t
 
 type right = R_receive | R_send | R_send_once
 
-val right_rank : right -> int
-(** Receive > send > send-once, as in {!Mach.Port}. *)
-
 type finding = {
   f_checker : string;  (* "rights" | "deadlock" | "buffer" | "remap"
                           | "crash" *)
@@ -295,9 +292,6 @@ val vnode_mount_recovered : t -> space:int -> mount:int -> unit
     finding; the mount's shadow state is then purged (file ids will be
     reused by the recovered incarnation). *)
 
-val vnode_live_refs : t -> space:int -> mount:int -> int
-(** Outstanding shadow references for the mount (test hook). *)
-
 (* --- name-cache shadow ---------------------------------------------------- *)
 
 val ncache_stored :
@@ -359,9 +353,6 @@ val reinc_budget_exhausted :
     finding (visible in the finding list) but counted outside
     {!total_findings}: demotion is the policy working as designed. *)
 
-val reinc_pending : t -> space:int -> int
-(** Expected-but-unrestored sockets outstanding (test hook). *)
-
 (* --- reporting ---------------------------------------------------------- *)
 
 val findings : t -> finding list
@@ -370,8 +361,12 @@ val findings : t -> finding list
 
 val report : t -> report
 val total_findings : report -> int
-val to_json : report -> string
-(** One JSON object with per-checker counts and the finding list —
-    the payload of [BENCH_check.json]. *)
 
-val pp_report : Format.formatter -> report -> unit
+val with_checker : bool -> (unit -> 'a) -> 'a * report option
+(** [with_checker true f] runs [f] with a fresh checker installed and
+    returns its report; [with_checker false f] just runs [f]. *)
+
+val to_json : report -> Bench_json.t
+(** One object with per-checker counts and the finding list: the
+    ["machcheck"] block of every BENCH file and an entry of
+    [BENCH_check.json]. *)

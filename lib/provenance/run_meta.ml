@@ -80,6 +80,10 @@ let timestamp =
         (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
         tm.Unix.tm_sec)
 
-let json ?(seed = 0) () =
-  Printf.sprintf "{ \"git_rev\": %S, \"seed\": %d, \"timestamp\": %S }"
-    (git_rev ()) seed (timestamp ())
+let block ?(seed = 0) () =
+  Bench_json.(
+    Obj
+      [ ("git_rev", Str (git_rev ())); ("seed", int seed);
+        ("timestamp", Str (timestamp ())) ])
+
+let json ?seed () = String.trim (Bench_json.to_string (block ?seed ()))

@@ -12,6 +12,9 @@ val git_rev : unit -> string
 val timestamp : unit -> string
 (** UTC, [YYYY-MM-DDThh:mm:ssZ]; frozen at first use. *)
 
-val json : ?seed:int -> unit -> string
+val block : ?seed:int -> unit -> Bench_json.t
 (** The [{ "git_rev": ..., "seed": ..., "timestamp": ... }] object for a
     ["run"] field.  [seed] defaults to 0 for unseeded workloads. *)
+
+val json : ?seed:int -> unit -> string
+(** {!block} printed on one line, for writers that build text. *)

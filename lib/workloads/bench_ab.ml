@@ -10,7 +10,7 @@
    The two files must carry the same "experiment" and "schema_version";
    comparing apples to oranges is an error, not a zero diff. *)
 
-module Json = Ipc_stress.Json
+module Json = Bench_json
 
 type delta = {
   d_path : string;
@@ -34,20 +34,17 @@ type verdict = {
 (* Provenance and host-time noise: never compared. *)
 let skipped_subtree = function "run" -> true | _ -> false
 
+let contains path sub =
+  let n = String.length path and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub path i m = sub || go (i + 1)) in
+  m > 0 && go 0
+
 let skipped_leaf path =
-  let has sub =
-    let n = String.length path and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub path i m = sub || go (i + 1)) in
-    m > 0 && go 0
-  in
+  let has = contains path in
   has "host_ns" || has "timestamp" || has "git_rev" || has "seed"
 
 let direction path =
-  let has sub =
-    let n = String.length path and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub path i m = sub || go (i + 1)) in
-    m > 0 && go 0
-  in
+  let has = contains path in
   if
     has "throughput" || has "speedup" || has "completed" || has "hits"
     || has "hit_rate"
@@ -113,84 +110,67 @@ let str_member key json =
 let num_member key json =
   match Json.member key json with Some (Json.Num x) -> Some x | _ -> None
 
+let ( let* ) = Result.bind
+
+(* The two documents' [key] field, which must be present and equal. *)
+let same key get ja jb =
+  match (get key ja, get key jb) with
+  | Some x, Some y when x = y -> Ok x
+  | Some _, Some _ -> Error (Printf.sprintf "%s mismatch" key)
+  | _ -> Error (Printf.sprintf "missing %S field" key)
+
+let delta ~threshold path va vb =
+  let change =
+    if va = 0.0 then if vb > 0.0 then infinity else neg_infinity
+    else (vb -. va) /. Float.abs va
+  in
+  let dir = direction path in
+  let regression =
+    match dir with
+    | `Higher_better -> change < -.threshold
+    | `Lower_better -> change > threshold
+    | `Neutral -> false
+  in
+  { d_path = path; d_a = va; d_b = vb; d_change = change; d_direction = dir;
+    d_regression = regression }
+
 let compare_json ~a ~b ~threshold =
-  match (Json.parse a, Json.parse b) with
-  | Error e, _ -> Error (Printf.sprintf "A: invalid JSON: %s" e)
-  | _, Error e -> Error (Printf.sprintf "B: invalid JSON: %s" e)
-  | Ok ja, Ok jb -> (
-      match (str_member "experiment" ja, str_member "experiment" jb) with
-      | None, _ | _, None -> Error "missing \"experiment\" field"
-      | Some ea, Some eb when ea <> eb ->
-          Error (Printf.sprintf "experiment mismatch: %S vs %S" ea eb)
-      | Some experiment, _ -> (
-          match (num_member "schema_version" ja, num_member "schema_version" jb)
-          with
-          | None, _ | _, None -> Error "missing \"schema_version\" field"
-          | Some va, Some vb when va <> vb ->
-              Error
-                (Printf.sprintf "schema_version mismatch: %g vs %g" va vb)
-          | Some _, _ ->
-              let fa = flatten ja and fb = flatten jb in
-              let tb = Hashtbl.create 64 in
-              List.iter (fun (k, v) -> Hashtbl.replace tb k v) fb;
-              let compared = ref 0 and only_a = ref 0 in
-              let deltas = ref [] in
-              List.iter
-                (fun (path, va) ->
-                  match Hashtbl.find_opt tb path with
-                  | None -> incr only_a
-                  | Some vb ->
-                      incr compared;
-                      Hashtbl.remove tb path;
-                      if va <> vb then begin
-                        let change =
-                          if va = 0.0 then
-                            if vb > 0.0 then infinity else neg_infinity
-                          else (vb -. va) /. Float.abs va
-                        in
-                        let dir = direction path in
-                        let regression =
-                          match dir with
-                          | `Higher_better -> change < -.threshold
-                          | `Lower_better -> change > threshold
-                          | `Neutral -> false
-                        in
-                        deltas :=
-                          {
-                            d_path = path;
-                            d_a = va;
-                            d_b = vb;
-                            d_change = change;
-                            d_direction = dir;
-                            d_regression = regression;
-                          }
-                          :: !deltas
-                      end)
-                fa;
-              let only_b = Hashtbl.length tb in
-              let deltas =
-                List.sort
-                  (fun x y ->
-                    match (y.d_regression, x.d_regression) with
-                    | true, false -> 1
-                    | false, true -> -1
-                    | _ ->
-                        compare
-                          (Float.abs y.d_change)
-                          (Float.abs x.d_change))
-                  !deltas
-              in
-              Ok
-                {
-                  v_experiment = experiment;
-                  v_threshold = threshold;
-                  v_compared = !compared;
-                  v_only_a = !only_a;
-                  v_only_b = only_b;
-                  v_deltas = deltas;
-                  v_regressions =
-                    List.length (List.filter (fun d -> d.d_regression) deltas);
-                }))
+  let parse which s =
+    Result.map_error (Printf.sprintf "%s: invalid JSON: %s" which) (Json.parse s)
+  in
+  let* ja = parse "A" a in
+  let* jb = parse "B" b in
+  let* experiment = same "experiment" str_member ja jb in
+  let* _ = same "schema_version" num_member ja jb in
+  let tb = Hashtbl.create 64 in
+  List.iter (fun (k, v) -> Hashtbl.replace tb k v) (flatten jb);
+  let compared = ref 0 and only_a = ref 0 and deltas = ref [] in
+  List.iter
+    (fun (path, va) ->
+      match Hashtbl.find_opt tb path with
+      | None -> incr only_a
+      | Some vb ->
+          incr compared;
+          Hashtbl.remove tb path;
+          if va <> vb then deltas := delta ~threshold path va vb :: !deltas)
+    (flatten ja);
+  (* regressions first, then by size of the change *)
+  let order x y =
+    compare
+      (y.d_regression, Float.abs y.d_change)
+      (x.d_regression, Float.abs x.d_change)
+  in
+  let deltas = List.sort order !deltas in
+  Ok
+    {
+      v_experiment = experiment;
+      v_threshold = threshold;
+      v_compared = !compared;
+      v_only_a = !only_a;
+      v_only_b = Hashtbl.length tb;
+      v_deltas = deltas;
+      v_regressions = List.length (List.filter (fun d -> d.d_regression) deltas);
+    }
 
 let read_file path =
   let ic = open_in_bin path in

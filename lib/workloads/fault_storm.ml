@@ -2,8 +2,7 @@
 
    Five scenarios, each booting a fresh machine, each measuring how much
    service survives while a component is killed, wedged or crash-looped
-   under load — the reincarnation-service counterpart to fault-sweep's
-   completion-rate curve:
+   under load:
 
    - [shard-golden]: an open-loop deterministic UDP storm over a sharded
      netserver while one protocol shard is killed and reincarnated
@@ -18,8 +17,8 @@
      fault windows give per-window availability and shard MTTR.
    - [fs-crash]: the E1-style edit workload against a health-supervised
      file server under random crash injection plus disk write-reorder
-     faults; the supervisor's dead-name path restarts it and MTTR is
-     death-to-rebind.
+     faults, swept over the crash rate; the supervisor's dead-name path
+     restarts it and MTTR is death-to-rebind.
    - [fs-wedge]: scripted [Wedge_server] faults stick the file server's
      serve loop mid-request; the port stays alive, so only the
      supervisor's heartbeat watchdog can see it.  Detection, kill and
@@ -33,10 +32,12 @@
    number is deterministic. *)
 
 open Mach.Ktypes
+open Rig
 module F = Fileserver
 
 type point = {
   fp_scenario : string;
+  fp_crash_ppm : int option;  (* fs-crash's injected crash rate *)
   fp_ops : int;  (* operations attempted (or packets injected) *)
   fp_completed : int;
   fp_lost : int;  (* acked/attempted ops that never completed: must be 0 *)
@@ -63,11 +64,13 @@ type result = {
   fr_seed : int;
   fr_points : point list;
   fr_check : Check.report option;
+  fr_sweep_check : Check.report option;
 }
 
 let base scenario =
   {
     fp_scenario = scenario;
+    fp_crash_ppm = None;
     fp_ops = 0;
     fp_completed = 0;
     fp_lost = 0;
@@ -89,11 +92,6 @@ let base scenario =
     fp_golden_ok = true;
     fp_fastfail_cycles = -1;
   }
-
-let config ~ncpus =
-  Machine.Config.with_ncpus Machine.Config.pentium_133 ~n:ncpus
-
-let lcg s = ((s * 1103515245) + 12345) land 0x3fffffff
 
 (* --- op ledger: completion-stamped outcomes vs fault windows -------------- *)
 
@@ -141,36 +139,6 @@ let with_availability p l windows ~wall =
     fp_windows = List.length windows;
     fp_mttr = mean_window windows;
   }
-
-let spawn_on k task name ~cpu body =
-  ignore
-    (Mach.Kernel.thread_spawn k task ~name ~affinity:cpu ~bound:true body
-      : thread)
-
-let sleep sys cycles =
-  ignore (Mach.Clock.sleep_for sys ~cycles : kern_return)
-
-(* Poll for an echo reply with a bounded budget, draining duplicates left
-   by earlier retries of the same operation. *)
-let poll_reply sys net s ~polls ~gap =
-  let rec go n =
-    match Netserver.try_recv net s with
-    | Some _ ->
-        let rec drain () =
-          match Netserver.try_recv net s with
-          | Some _ -> drain ()
-          | None -> ()
-        in
-        drain ();
-        true
-    | None ->
-        if n = 0 then false
-        else begin
-          sleep sys gap;
-          go (n - 1)
-        end
-  in
-  go polls
 
 (* --- shard-golden: open-loop storm, untouched shards byte-identical ------- *)
 
@@ -333,31 +301,12 @@ let shard_storm ~victim_ops () =
 
 let service_path = "/services/file"
 
-let fail_fs e = failwith (F.Fs_types.fs_error_to_string e)
-
-(* One edit session, as fault-sweep runs it: any step may come back
-   [E_bad_handle] after a crash-and-restart (the open-file table is
-   lost), so the session restarts from the open a bounded number of
-   times. *)
+(* One edit session, retried: any step may come back [E_bad_handle]
+   after a crash-and-restart (the open-file table is lost), so the
+   session restarts from the open a bounded number of times. *)
 let run_session fs sem ~path =
-  let ( let* ) r f = match r with Ok x -> f x | Error e -> Error e in
-  let once () =
-    let* h = F.File_server.Client.open_ fs sem ~path ~create:true () in
-    let* _n = F.File_server.Client.write fs h (Bytes.make 256 's') in
-    F.File_server.Client.seek fs h ~pos:0;
-    let rec reads n =
-      if n = 0 then Ok ()
-      else
-        let* _data = F.File_server.Client.read fs h ~bytes:64 in
-        reads (n - 1)
-    in
-    let* () = reads 4 in
-    F.File_server.Client.close fs h;
-    F.File_server.Client.sync fs;
-    Ok ()
-  in
   let rec go tries =
-    match once () with
+    match edit_session fs sem ~path ~fill:'s' ~reads:4 with
     | Ok () -> true
     | Error _ when tries < 3 -> go (tries + 1)
     | Error _ -> false
@@ -377,15 +326,8 @@ let fs_scenario ~scenario ~seed ~clients ~sessions ~server_threads ~watchdog
   let runtime = boot.Mk_services.Bootstrap.runtime in
   let ns = Mk_services.Bootstrap.name_service_exn boot in
   let disk = m.Machine.disk in
-  F.Hpfs.mkfs disk ();
   let vfs = F.Vfs.create () in
-  let cache = F.Block_cache.create k disk () in
-  (match F.Hpfs.mount cache () with
-  | Ok pfs -> (
-      match F.Vfs.mount vfs ~at:"/os2" pfs with
-      | Ok () -> ()
-      | Error e -> failwith e)
-  | Error e -> fail_fs e);
+  mount_hpfs k disk vfs;
   let fs = F.File_server.start k runtime vfs ~server_threads () in
   let sup = Mk_services.Supervisor.create k runtime ns in
   Drivers.Disk_driver.arm_faults k disk;
@@ -471,13 +413,16 @@ let fs_scenario ~scenario ~seed ~clients ~sessions ~server_threads ~watchdog
   | Some c -> { p with fp_mttr = float_of_int c }
   | None -> p
 
-let fs_crash ~seed ~clients ~sessions () =
-  fs_scenario ~scenario:"fs-crash" ~seed ~clients ~sessions ~server_threads:2
-    ~watchdog:4_000_000
-    ~configure:(fun plan ~disk ->
-      Mach.Fault.set_rates plan ~port:"file-service" ~crash_ppm:30_000 ();
-      Mach.Fault.set_disk_rates plan ~disk ~reorder_ppm:30_000 ())
-    ()
+let fs_crash ~seed ~clients ~sessions ~crash_ppm () =
+  let p =
+    fs_scenario ~scenario:"fs-crash" ~seed ~clients ~sessions ~server_threads:2
+      ~watchdog:4_000_000
+      ~configure:(fun plan ~disk ->
+        Mach.Fault.set_rates plan ~port:"file-service" ~crash_ppm ();
+        Mach.Fault.set_disk_rates plan ~disk ~reorder_ppm:crash_ppm ())
+      ()
+  in
+  { p with fp_crash_ppm = Some crash_ppm }
 
 let fs_wedge ~seed ~clients ~sessions () =
   fs_scenario ~scenario:"fs-wedge" ~seed ~clients ~sessions ~server_threads:1
@@ -564,31 +509,39 @@ let crash_loop () =
 
 (* --- sweep ----------------------------------------------------------------- *)
 
+(* fs-crash at 30000 ppm is one of the five scenarios; the lower rates of
+   its sweep run afterwards under a checker of their own, so the
+   scenarios' report stays comparable across runs that sweep more or
+   fewer rates.  No 0 ppm row: without crashes to serialize them, the
+   two server threads' concurrent creates in one HPFS directory race
+   (ROADMAP). *)
+let crash_ppms = [ 2_000; 10_000 ]
+
 let run ?(seed = 42) ?(endpoints = 16) ?(rounds = 40) ?(victim_ops = 12)
     ?(clients = 3) ?(sessions = 6) ?(checks = false) () =
-  let chk = if checks then Some (Check.create ()) else None in
-  Option.iter Check.install chk;
-  Fun.protect ~finally:(fun () -> if checks then Check.uninstall ())
-  @@ fun () ->
-  let points =
-    [
-      shard_golden ~endpoints ~rounds ();
-      shard_storm ~victim_ops ();
-      fs_crash ~seed ~clients ~sessions ();
-      fs_wedge ~seed ~clients ~sessions ();
-      crash_loop ();
-    ]
+  let crash = fs_crash ~seed ~clients ~sessions in
+  let scenarios, check =
+    Check.with_checker checks (fun () ->
+        (* last to first, the order the scenarios have always run in *)
+        let loop = crash_loop () in
+        let wedge = fs_wedge ~seed ~clients ~sessions () in
+        let fs = crash ~crash_ppm:30_000 () in
+        let storm = shard_storm ~victim_ops () in
+        (shard_golden ~endpoints ~rounds (), storm, fs, wedge, loop))
   in
+  let sweep, sweep_check =
+    Check.with_checker checks (fun () ->
+        List.map (fun crash_ppm -> crash ~crash_ppm ()) crash_ppms)
+  in
+  let golden, storm, fs, wedge, loop = scenarios in
   {
     fr_seed = seed;
-    fr_points = points;
-    fr_check = Option.map Check.report chk;
+    fr_points = [ golden; storm ] @ sweep @ [ fs; wedge; loop ];
+    fr_check = check;
+    fr_sweep_check = sweep_check;
   }
 
 (* --- acceptance probes ------------------------------------------------------ *)
-
-let find r ~scenario =
-  List.find_opt (fun p -> p.fp_scenario = scenario) r.fr_points
 
 let total_lost r =
   List.fold_left (fun acc p -> acc + p.fp_lost) 0 r.fr_points
@@ -603,38 +556,32 @@ let min_availability r =
 let golden_ok r = List.for_all (fun p -> p.fp_golden_ok) r.fr_points
 
 let degraded_fastfail r =
-  match find r ~scenario:"crash-loop" with
+  match List.find_opt (fun p -> p.fp_scenario = "crash-loop") r.fr_points with
   | Some p when p.fp_degraded > 0 -> p.fp_fastfail_cycles
   | Some _ | None -> -1
 
 let to_json r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"experiment\": \"fault-storm\",\n";
-  Buffer.add_string b "  \"schema_version\": 2,\n";
-  Printf.bprintf b "  \"run\": %s,\n" (Run_meta.json ~seed:r.fr_seed ());
-  Printf.bprintf b "  \"seed\": %d,\n" r.fr_seed;
-  (match r.fr_check with
-  | None -> ()
-  | Some rep -> Printf.bprintf b "  \"machcheck\": %s,\n" (Check.to_json rep));
-  Buffer.add_string b "  \"results\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf b
-        "    { \"scenario\": %S, \"ops\": %d, \"completed\": %d, \"lost\": %d, \
-         \"in_window_ops\": %d, \"in_window_ok\": %d, \"out_window_ops\": %d, \
-         \"out_window_ok\": %d, \"availability_in\": %.3f, \
-         \"availability_out\": %.3f, \"rate_in_per_mcycle\": %.3f, \
-         \"rate_out_per_mcycle\": %.3f, \"fault_windows\": %d, \
-         \"mttr_cycles\": %.0f, \"restarts\": %d, \"wedge_kills\": %d, \
-         \"degraded\": %d, \"reboot_drops\": %d, \"reincarnations\": %d, \
-         \"golden_ok\": %b, \"fastfail_cycles\": %d }%s\n"
-        p.fp_scenario p.fp_ops p.fp_completed p.fp_lost p.fp_in_ops p.fp_in_ok
-        p.fp_out_ops p.fp_out_ok p.fp_avail_in p.fp_avail_out p.fp_rate_in
-        p.fp_rate_out p.fp_windows p.fp_mttr p.fp_restarts p.fp_wedge_kills
-        p.fp_degraded p.fp_reboot_drops p.fp_reincarnations p.fp_golden_ok
-        p.fp_fastfail_cycles
-        (if i = List.length r.fr_points - 1 then "" else ","))
-    r.fr_points;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  let open Bench_json in
+  let point p =
+    let ppm = Option.map (fun x -> ("crash_ppm", int x)) p.fp_crash_ppm in
+    Obj
+      ((("scenario", Str p.fp_scenario) :: Option.to_list ppm)
+      @ [ ("ops", int p.fp_ops); ("completed", int p.fp_completed);
+          ("lost", int p.fp_lost); ("in_window_ops", int p.fp_in_ops);
+          ("in_window_ok", int p.fp_in_ok);
+          ("out_window_ops", int p.fp_out_ops);
+          ("out_window_ok", int p.fp_out_ok);
+          ("availability_in", fixed 3 p.fp_avail_in);
+          ("availability_out", fixed 3 p.fp_avail_out);
+          ("rate_in_per_mcycle", fixed 3 p.fp_rate_in);
+          ("rate_out_per_mcycle", fixed 3 p.fp_rate_out);
+          ("fault_windows", int p.fp_windows);
+          ("mttr_cycles", fixed 0 p.fp_mttr); ("restarts", int p.fp_restarts);
+          ("wedge_kills", int p.fp_wedge_kills);
+          ("degraded", int p.fp_degraded);
+          ("reboot_drops", int p.fp_reboot_drops);
+          ("reincarnations", int p.fp_reincarnations);
+          ("golden_ok", Bool p.fp_golden_ok);
+          ("fastfail_cycles", int p.fp_fastfail_cycles) ])
+  in
+  Obj [ ("seed", int r.fr_seed); ("results", Arr (List.map point r.fr_points)) ]

@@ -1,8 +1,7 @@
 (** The fault-storm experiment: availability under live fault injection.
 
     Five scenarios measure what the reincarnation service buys when
-    components die {e under load} — the availability counterpart to
-    {!Fault_sweep}'s completion-rate curve:
+    components die {e under load}:
 
     - {b shard-golden}: an open-loop deterministic UDP storm while one
       netserver protocol shard is killed and reincarnated mid-run.
@@ -17,7 +16,8 @@
       give availability-under-fault and shard MTTR.
     - {b fs-crash}: the E1-style edit workload against a
       health-supervised file server under random crash injection plus
-      disk write-reordering; MTTR is the supervisor's death-to-rebind.
+      disk write-reordering, swept over {!crash_ppms} and 30000 ppm; MTTR
+      is the supervisor's death-to-rebind.
     - {b fs-wedge}: scripted [Wedge_server] faults stick the serve loop
       mid-request with the port still alive — only the heartbeat
       watchdog can see it; detection, kill and restart must happen while
@@ -33,6 +33,7 @@
 
 type point = {
   fp_scenario : string;
+  fp_crash_ppm : int option;  (** fs-crash's injected crash rate *)
   fp_ops : int;  (** operations attempted (or packets injected) *)
   fp_completed : int;
   fp_lost : int;  (** attempted ops that never completed: must be 0 *)
@@ -58,13 +59,20 @@ type point = {
 type result = {
   fr_seed : int;
   fr_points : point list;
-  fr_check : Check.report option;  (** Machcheck findings, when enabled *)
+  fr_check : Check.report option;
+      (** Machcheck over the five scenarios, when enabled *)
+  fr_sweep_check : Check.report option;
+      (** Machcheck over the fs-crash rows at {!crash_ppms} *)
 }
+
+val crash_ppms : int list
+(** [[2000; 10000]]: fs-crash's sweep below the scenario's 30000. *)
 
 val run :
   ?seed:int -> ?endpoints:int -> ?rounds:int -> ?victim_ops:int ->
   ?clients:int -> ?sessions:int -> ?checks:bool -> unit -> result
-(** Run all five scenarios.  [endpoints]/[rounds] size the open-loop
+(** Run all five scenarios, then fs-crash at {!crash_ppms}; the points
+    list the sweep in rate order.  [endpoints]/[rounds] size the open-loop
     golden storm, [victim_ops] the closed-loop echo run, and
     [clients]/[sessions] the file-server scenarios.  With [checks] a
     {!Check} rides along globally (every boot and every supervised
@@ -72,7 +80,6 @@ val run :
 
 (** {1 Acceptance probes (the bench gates)} *)
 
-val find : result -> scenario:string -> point option
 
 val total_lost : result -> int
 (** Acked/attempted operations lost across all scenarios — the
@@ -91,4 +98,5 @@ val degraded_fastfail : result -> int
 (** The crash-loop scenario's fast-fail latency in cycles, or -1 if the
     server never demoted or the client never saw [Kern_unavailable]. *)
 
-val to_json : result -> string
+val to_json : result -> Bench_json.t
+(** The body of [BENCH_storm.json], without envelope or machcheck. *)

@@ -18,8 +18,10 @@ type result = {
   r_kbuf_recycles : int;
   r_kbuf_resets : int;
   r_kbuf_peak_bytes : int;
-  r_check : Check.report option;  (* Machcheck findings, when enabled *)
 }
+
+(* Payloads above this go out of line. *)
+let ool_threshold = 1024
 
 (* One sustained run: [workers] client/server pairs on one machine, each
    pair doing [iters] round trips through the given transport.  The
@@ -52,12 +54,12 @@ let measure ~system ~workers ~iters ~bytes =
         ignore
           (Mach.Kernel.thread_spawn k client ~name:"cl" (fun () ->
                let buffer =
-                 if bytes > Micro.ool_threshold then
+                 if bytes > ool_threshold then
                    Mach.Vm.allocate sys client ~bytes ()
                  else 0
                in
                let message () =
-                 if bytes <= Micro.ool_threshold then
+                 if bytes <= ool_threshold then
                    simple_message ~inline_bytes:bytes ()
                  else begin
                    Mach.Vm.touch sys client ~addr:buffer ~write:true ~bytes ();
@@ -82,7 +84,7 @@ let measure ~system ~workers ~iters ~bytes =
                   auto-selection by offsetting into the page.  Filled
                   once: the remap path shares pages copy-on-write, so a
                   prepared buffer can be sent over and over. *)
-               let ool = bytes > Micro.ool_threshold in
+               let ool = bytes > ool_threshold in
                let buffer =
                  if not ool then 0
                  else begin
@@ -118,15 +120,8 @@ let measure ~system ~workers ~iters ~bytes =
 
 let default_sizes = [ 0; 32; 512; 4096; 16384; 65536 ]
 
-let run ?(workers = 4) ?(iters = 200) ?(sizes = default_sizes)
-    ?(checks = false) () =
+let run ?(workers = 4) ?(iters = 200) ?(sizes = default_sizes) () =
   if sizes = [] then invalid_arg "Ipc_stress.run: empty size list";
-  (* Machcheck rides along by global install: every machine [measure]
-     boots attaches itself to the checker for the whole sweep. *)
-  let chk = if checks then Some (Check.create ()) else None in
-  Option.iter Check.install chk;
-  Fun.protect ~finally:(fun () -> if checks then Check.uninstall ())
-  @@ fun () ->
   let hits = ref 0 and misses = ref 0 in
   let allocs = ref 0 and frees = ref 0 and recycles = ref 0 in
   let resets = ref 0 and peak = ref 0 in
@@ -153,7 +148,7 @@ let run ?(workers = 4) ?(iters = 200) ?(sizes = default_sizes)
         (* the copy-vs-remap series: same transport, same payload, the
            transfer pinned to each path (remap only engages at page
            granularity, so smaller sizes have no remap point) *)
-        if bytes >= Mach.Ktypes.remap_threshold then
+        if bytes >= remap_threshold then
           [ point `Rpc_copy "rpc_copy" bytes;
             point `Rpc_remap "rpc_remap" bytes ]
         else [])
@@ -170,151 +165,48 @@ let run ?(workers = 4) ?(iters = 200) ?(sizes = default_sizes)
     r_kbuf_recycles = !recycles;
     r_kbuf_resets = !resets;
     r_kbuf_peak_bytes = !peak;
-    r_check = Option.map Check.report chk;
   }
 
+(* E3, the paper's 2-10x: mach_msg over the physically copying RPC at
+   each size -- [rpc_copy] where the copy-vs-remap pair exists, [ibm_rpc]
+   below the remap threshold. *)
+let improvement r =
+  let cost system bytes =
+    (List.find (fun p -> p.pt_system = system && p.pt_bytes = bytes) r.r_points)
+      .pt_sim_cycles_per_op
+  in
+  List.filter_map
+    (fun p ->
+      if p.pt_system <> "mach_msg" then None
+      else
+        let copy =
+          if p.pt_bytes >= remap_threshold then "rpc_copy" else "ibm_rpc"
+        in
+        Some (p.pt_bytes, p.pt_sim_cycles_per_op /. cost copy p.pt_bytes))
+    r.r_points
+
 let to_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"experiment\": \"ipc-stress\",\n";
-  Buffer.add_string b "  \"schema_version\": 2,\n";
-  Printf.bprintf b "  \"run\": %s,\n" (Run_meta.json ());
-  Printf.bprintf b "  \"workers\": %d,\n" r.r_workers;
-  Printf.bprintf b "  \"iters\": %d,\n" r.r_iters;
-  Printf.bprintf b "  \"reply_cache\": { \"hits\": %d, \"misses\": %d },\n"
-    r.r_reply_hits r.r_reply_misses;
-  Printf.bprintf b
-    "  \"kbuf\": { \"allocs\": %d, \"frees\": %d, \"recycles\": %d, \
-     \"resets\": %d, \"peak_bytes\": %d },\n"
-    r.r_kbuf_allocs r.r_kbuf_frees r.r_kbuf_recycles r.r_kbuf_resets
-    r.r_kbuf_peak_bytes;
-  (match r.r_check with
-  | None -> ()
-  | Some rep -> Printf.bprintf b "  \"machcheck\": %s,\n" (Check.to_json rep));
-  Buffer.add_string b "  \"results\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf b
-        "    { \"system\": %S, \"bytes\": %d, \"sim_cycles_per_op\": %.1f, \
-         \"host_ns_per_op\": %.1f }%s\n"
-        p.pt_system p.pt_bytes p.pt_sim_cycles_per_op p.pt_host_ns_per_op
-        (if i = List.length r.r_points - 1 then "" else ","))
-    r.r_points;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
-
-(* A small recursive-descent JSON reader, enough to check that the file
-   the benchmark emits is well-formed and carries the expected fields
-   (the repo deliberately has no JSON dependency). *)
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Bad of string
-
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some d when d = c -> advance ()
-      | _ -> raise (Bad (Printf.sprintf "expected %c at %d" c !pos))
-    in
-    let literal word v =
-      let l = String.length word in
-      if !pos + l <= n && String.sub s !pos l = word then (pos := !pos + l; v)
-      else raise (Bad (Printf.sprintf "bad literal at %d" !pos))
-    in
-    let string_body () =
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> raise (Bad "unterminated string")
-        | Some '"' -> advance (); Buffer.contents b
-        | Some '\\' ->
-            advance ();
-            (match peek () with
-            | Some 'n' -> Buffer.add_char b '\n'
-            | Some 't' -> Buffer.add_char b '\t'
-            | Some c -> Buffer.add_char b c
-            | None -> raise (Bad "unterminated escape"));
-            advance ();
-            go ()
-        | Some c -> Buffer.add_char b c; advance (); go ()
-      in
-      go ()
-    in
-    let number () =
-      let start = !pos in
-      let is_num_char c =
-        (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e'
-        || c = 'E'
-      in
-      while (match peek () with Some c -> is_num_char c | None -> false) do
-        advance ()
-      done;
-      if !pos = start then raise (Bad (Printf.sprintf "bad number at %d" start));
-      float_of_string (String.sub s start (!pos - start))
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then (advance (); Obj [])
-          else Obj (members [])
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then (advance (); Arr [])
-          else Arr (elements [])
-      | Some '"' -> advance (); Str (string_body ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> Num (number ())
-      | None -> raise (Bad "unexpected end of input")
-    and members acc =
-      skip_ws ();
-      expect '"';
-      let key = string_body () in
-      skip_ws ();
-      expect ':';
-      let v = value () in
-      skip_ws ();
-      match peek () with
-      | Some ',' -> advance (); members ((key, v) :: acc)
-      | Some '}' -> advance (); List.rev ((key, v) :: acc)
-      | _ -> raise (Bad (Printf.sprintf "bad object at %d" !pos))
-    and elements acc =
-      let v = value () in
-      skip_ws ();
-      match peek () with
-      | Some ',' -> advance (); elements (v :: acc)
-      | Some ']' -> advance (); List.rev (v :: acc)
-      | _ -> raise (Bad (Printf.sprintf "bad array at %d" !pos))
-    in
-    try
-      let v = value () in
-      skip_ws ();
-      if !pos <> n then Error (Printf.sprintf "trailing garbage at %d" !pos)
-      else Ok v
-    with Bad msg -> Error msg
-
-  let member key = function
-    | Obj fields -> List.assoc_opt key fields
-    | _ -> None
-end
+  let open Bench_json in
+  let point p =
+    Obj
+      [ ("system", Str p.pt_system); ("bytes", int p.pt_bytes);
+        ("sim_cycles_per_op", fixed 1 p.pt_sim_cycles_per_op);
+        ("host_ns_per_op", fixed 1 p.pt_host_ns_per_op) ]
+  in
+  let e3 (bytes, x) =
+    Obj [ ("bytes", int bytes); ("mach_msg_over_copy_rpc", fixed 2 x) ]
+  in
+  Obj
+    [ ("workers", int r.r_workers); ("iters", int r.r_iters);
+      ( "reply_cache",
+        Obj
+          [ ("hits", int r.r_reply_hits); ("misses", int r.r_reply_misses) ] );
+      ( "kbuf",
+        Obj
+          [ ("allocs", int r.r_kbuf_allocs); ("frees", int r.r_kbuf_frees);
+            ("recycles", int r.r_kbuf_recycles);
+            ("resets", int r.r_kbuf_resets);
+            ("peak_bytes", int r.r_kbuf_peak_bytes) ] );
+      ("results", Arr (List.map point r.r_points));
+      ("e3_improvement", Arr (List.map e3 (improvement r)));
+      ("paper", Str "E3: a two to ten times improvement, falling with bytes") ]

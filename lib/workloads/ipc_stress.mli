@@ -27,37 +27,16 @@ type result = {
   r_kbuf_recycles : int;
   r_kbuf_resets : int;  (** whole-arena exhaustion resets, summed *)
   r_kbuf_peak_bytes : int;  (** max peak across runs *)
-  r_check : Check.report option;
-      (** Machcheck report over the whole sweep when run with
-          [~checks:true]; [None] otherwise *)
 }
 
-val default_sizes : int list
-(** [[0; 32; 512; 4096; 16384; 65536]] *)
-
-val run :
-  ?workers:int -> ?iters:int -> ?sizes:int list -> ?checks:bool -> unit ->
-  result
-(** Defaults: 4 worker pairs, 200 round trips each, {!default_sizes}.
-    [~checks:true] runs the whole sweep under Machcheck (globally
-    installed for the duration, so every booted machine attaches) and
-    fills [r_check].
+val run : ?workers:int -> ?iters:int -> ?sizes:int list -> unit -> result
+(** Defaults: 4 worker pairs, 200 round trips each, sizes 0, 32, 512,
+    4096, 16384 and 65536 bytes.
     @raise Invalid_argument on an empty size list. *)
 
-val to_json : result -> string
-(** The machine-readable form written to [BENCH_ipc.json]. *)
+val improvement : result -> (int * float) list
+(** E3 per size: [mach_msg] cycles over the physically copying RPC's
+    ([rpc_copy] where measured, [ibm_rpc] below the remap threshold). *)
 
-(** Minimal JSON reader used to validate emitted results (the repo has
-    no JSON dependency). *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val parse : string -> (t, string) Stdlib.result
-  val member : string -> t -> t option
-end
+val to_json : result -> Bench_json.t
+(** The body of [BENCH_ipc.json], without envelope or machcheck. *)

@@ -6,6 +6,8 @@ type table2_row = {
   t2_cycles : float;
   t2_bus_cycles : float;
   t2_cpi : float;
+  t2_icache_misses : float;
+  t2_tlb_misses : float;
 }
 
 let per_op (d : Machine.Perf.snapshot) iters =
@@ -13,7 +15,9 @@ let per_op (d : Machine.Perf.snapshot) iters =
   ( f d.Machine.Perf.instructions,
     f d.Machine.Perf.cycles,
     f d.Machine.Perf.bus_cycles,
-    Machine.Perf.cpi d )
+    Machine.Perf.cpi d,
+    f d.Machine.Perf.icache_misses,
+    f d.Machine.Perf.tlb_misses )
 
 let snapshot m = Machine.Perf.snapshot (Machine.Cpu.perf m.Machine.cpu)
 
@@ -58,107 +62,12 @@ let table2 ?(iters = 2000) () =
          Mach.Port.destroy sys port)
       : thread);
   Mach.Kernel.run k;
-  let ti, tc, tb, tcpi = per_op !trap iters in
-  let ri, rc, rb, rcpi = per_op !rpc iters in
-  ( { t2_label = "thread_self"; t2_instructions = ti; t2_cycles = tc;
-      t2_bus_cycles = tb; t2_cpi = tcpi },
-    { t2_label = "32-byte RPC"; t2_instructions = ri; t2_cycles = rc;
-      t2_bus_cycles = rb; t2_cpi = rcpi } )
-
-(* --- E3: the 2-10x message-passing improvement ----------------------------- *)
-
-let ool_threshold = 1024
-
-type sweep_point = {
-  sw_bytes : int;
-  sw_mach_ipc_cycles : float;
-  sw_ibm_rpc_cycles : float;
-  sw_improvement : float;
-  sw_reply_hits : int;
-  sw_reply_misses : int;
-}
-
-(* One measured system: the client owns a reusable buffer which it
-   refills (write-touches) before every call — the realistic pattern
-   under which Mach's virtual copy pays its deferred costs — and the
-   server consumes the data in place. *)
-let measure_system ~iters ~bytes ~serve ~call =
-  let m = Machine.create Machine.Config.pentium_133 in
-  let k = Mach.Kernel.boot m in
-  let sys = k.Mach.Kernel.sys in
-  let client = Mach.Kernel.task_create k ~name:"client" () in
-  let server = Mach.Kernel.task_create k ~name:"server" () in
-  let port = Mach.Port.allocate sys ~receiver:server ~name:"svc" in
-  ignore
-    (Mach.Kernel.thread_spawn k server ~name:"srv" (fun () ->
-         serve sys server port)
-      : thread);
-  let cycles = ref 0. in
-  let hits = ref 0 and misses = ref 0 in
-  ignore
-    (Mach.Kernel.thread_spawn k client ~name:"cl" (fun () ->
-         let buffer =
-           if bytes > ool_threshold then Mach.Vm.allocate sys client ~bytes ()
-           else 0
-         in
-         let message () =
-           if bytes <= ool_threshold then simple_message ~inline_bytes:bytes ()
-           else begin
-             (* refill the buffer for this call *)
-             Mach.Vm.touch sys client ~addr:buffer ~write:true ~bytes ();
-             simple_message ~inline_bytes:64 ~ool:[ (buffer, bytes) ] ()
-           end
-         in
-         for _ = 1 to max 20 (iters / 10) do
-           call sys port (message ())
-         done;
-         let c0 = Machine.now m in
-         for _ = 1 to iters do
-           call sys port (message ())
-         done;
-         cycles := float_of_int (Machine.now m - c0) /. float_of_int iters;
-         hits := Mach.Ipc.reply_cache_hits sys;
-         misses := Mach.Ipc.reply_cache_misses sys;
-         Mach.Port.destroy sys port)
-      : thread);
-  Mach.Kernel.run k;
-  (!cycles, !hits, !misses)
-
-let sweep_one ~iters ~bytes =
-  (* Mach 3.0 mach_msg with reply ports and virtual copy *)
-  let mach_cycles, reply_hits, reply_misses =
-    measure_system ~iters ~bytes
-      ~serve:(fun sys server port ->
-        Mach.Ipc.serve sys port (fun msg ->
-            (* consume the out-of-line data in place: read it and update
-               it, breaking the receiver-side COW *)
-            List.iter
-              (fun r ->
-                Mach.Vm.touch sys server ~addr:r.ool_addr ~write:true
-                  ~bytes:r.ool_bytes ())
-              msg.msg_ool;
-            simple_message ()))
-      ~call:(fun sys port msg -> ignore (Mach.Ipc.call sys port msg))
+  let row label d =
+    let i, c, b, cpi, im, tm = per_op d iters in
+    { t2_label = label; t2_instructions = i; t2_cycles = c; t2_bus_cycles = b;
+      t2_cpi = cpi; t2_icache_misses = im; t2_tlb_misses = tm }
   in
-  (* the IBM RPC rework: data already physically copied to the server *)
-  let rpc_cycles, _, _ =
-    measure_system ~iters ~bytes
-      ~serve:(fun sys port_sys port ->
-        ignore port_sys;
-        Mach.Rpc.serve sys port (fun _msg -> simple_message ()))
-      ~call:(fun sys port msg -> ignore (Mach.Rpc.call sys port msg))
-  in
-  {
-    sw_bytes = bytes;
-    sw_mach_ipc_cycles = mach_cycles;
-    sw_ibm_rpc_cycles = rpc_cycles;
-    sw_improvement = mach_cycles /. rpc_cycles;
-    sw_reply_hits = reply_hits;
-    sw_reply_misses = reply_misses;
-  }
-
-let ipc_sweep ?(iters = 300) ~sizes () =
-  List.map (fun bytes -> sweep_one ~iters ~bytes) sizes
+  (row "thread_self" !trap, row "32-byte RPC" !rpc)
 
 (* --- E5: the factor-of-3 file-server cost ----------------------------------- *)
 
@@ -168,67 +77,50 @@ type factor = {
   fx_factor : float;
 }
 
-(* the same op mix against any open/read/write/seek/close surface *)
-let file_mix ~ops ~open_ ~read ~write ~seek ~close =
-  let h = open_ () in
-  for i = 1 to ops do
-    seek h (i * 512 mod 4096);
-    ignore (read h 512);
-    ignore (write h 512)
-  done;
-  close h
+(* The same op mix against any open/read/write/seek/close surface: a
+   quarter run warms the cache and the code paths, then the full run is
+   timed.  Cycles per op on [m]. *)
+let time_mix m ~ops ~open_ ~read ~write ~seek ~close =
+  let mix ops =
+    let h = open_ () in
+    for i = 1 to ops do
+      seek h (i * 512 mod 4096);
+      read h 512;
+      write h 512
+    done;
+    close h
+  in
+  mix (ops / 4);
+  let t0 = Machine.now m in
+  mix ops;
+  float_of_int (Machine.now m - t0) /. float_of_int ops
+
+let ok_exn = function Ok h -> h | Error e -> Rig.fail_fs e
 
 let fileserver_factor ?(ops = 400) () =
   (* multi-server: minimal WPOS file stack on the Pentium machine *)
   let rpc_cycles =
+    let module B = Mk_services.Bootstrap in
+    let module C = Fileserver.File_server.Client in
     let m = Machine.create Machine.Config.pentium_133 in
-    let services = Mk_services.Bootstrap.boot ~naming:Mk_services.Bootstrap.Simple_naming m in
-    let k = services.Mk_services.Bootstrap.kernel in
-    let disk = m.Machine.disk in
-    Fileserver.Hpfs.mkfs disk ();
+    let services = B.boot ~naming:B.Simple_naming m in
+    let k = services.B.kernel in
     let vfs = Fileserver.Vfs.create () in
-    let cache = Fileserver.Block_cache.create k disk () in
-    (match Fileserver.Hpfs.mount cache () with
-    | Ok pfs -> (
-        match Fileserver.Vfs.mount vfs ~at:"/os2" pfs with
-        | Ok () -> ()
-        | Error e -> failwith e)
-    | Error e -> failwith (Fileserver.Fs_types.fs_error_to_string e));
-    let fs =
-      Fileserver.File_server.start k services.Mk_services.Bootstrap.runtime vfs ()
-    in
+    Rig.mount_hpfs k m.Machine.disk vfs;
+    let fs = Fileserver.File_server.start k services.B.runtime vfs () in
     let sem = Fileserver.Vfs.os2_semantics in
     let app = Mach.Kernel.task_create k ~name:"app" () in
     let cycles = ref 0. in
     ignore
       (Mach.Kernel.thread_spawn k app ~name:"app" (fun () ->
-           let open_ () =
-             match
-               Fileserver.File_server.Client.open_ fs sem ~path:"/os2/bench"
-                 ~create:true ()
-             with
-             | Ok h -> h
-             | Error e -> failwith (Fileserver.Fs_types.fs_error_to_string e)
-           in
-           let read h n =
-             match Fileserver.File_server.Client.read fs h ~bytes:n with
-             | Ok b -> Bytes.length b
-             | Error _ -> 0
-           in
-           let write h n =
-             match
-               Fileserver.File_server.Client.write fs h (Bytes.make n 'x')
-             with
-             | Ok k -> k
-             | Error _ -> 0
-           in
-           let seek h pos = Fileserver.File_server.Client.seek fs h ~pos in
-           let close h = Fileserver.File_server.Client.close fs h in
-           (* warm the cache and the code paths *)
-           file_mix ~ops:(ops / 4) ~open_ ~read ~write ~seek ~close;
-           let t0 = Machine.now m in
-           file_mix ~ops ~open_ ~read ~write ~seek ~close;
-           cycles := float_of_int (Machine.now m - t0) /. float_of_int ops)
+           cycles :=
+             time_mix m ~ops
+               ~open_:(fun () ->
+                 ok_exn (C.open_ fs sem ~path:"/os2/bench" ~create:true ()))
+               ~read:(fun h n -> ignore (C.read fs h ~bytes:n))
+               ~write:(fun h n -> ignore (C.write fs h (Bytes.make n 'x')))
+               ~seek:(fun h pos -> C.seek fs h ~pos)
+               ~close:(C.close fs))
         : thread);
     Mach.Kernel.run k;
     !cycles
@@ -240,27 +132,15 @@ let fileserver_factor ?(ops = 400) () =
     let cycles = ref 0. in
     ignore
       (Monolithic.spawn_process mono ~name:"app" (fun () ->
-           let open_ () =
-             match Monolithic.sys_open mono ~path:"/c/bench" ~create:true () with
-             | Ok h -> h
-             | Error e -> failwith (Fileserver.Fs_types.fs_error_to_string e)
-           in
-           let read h n =
-             match Monolithic.sys_read mono h ~bytes:n with
-             | Ok b -> Bytes.length b
-             | Error _ -> 0
-           in
-           let write h n =
-             match Monolithic.sys_write mono h (Bytes.make n 'x') with
-             | Ok k -> k
-             | Error _ -> 0
-           in
-           let seek h pos = Monolithic.sys_seek mono h ~pos in
-           let close h = Monolithic.sys_close mono h in
-           file_mix ~ops:(ops / 4) ~open_ ~read ~write ~seek ~close;
-           let t0 = Machine.now m in
-           file_mix ~ops ~open_ ~read ~write ~seek ~close;
-           cycles := float_of_int (Machine.now m - t0) /. float_of_int ops)
+           cycles :=
+             time_mix m ~ops
+               ~open_:(fun () ->
+                 ok_exn (Monolithic.sys_open mono ~path:"/c/bench" ~create:true ()))
+               ~read:(fun h n -> ignore (Monolithic.sys_read mono h ~bytes:n))
+               ~write:(fun h n ->
+                 ignore (Monolithic.sys_write mono h (Bytes.make n 'x')))
+               ~seek:(fun h pos -> Monolithic.sys_seek mono h ~pos)
+               ~close:(Monolithic.sys_close mono))
         : Mach.Ktypes.task);
     Monolithic.run mono;
     !cycles

@@ -1,5 +1,5 @@
-(** Microbenchmarks: Table 2 (trap vs RPC), the message-passing
-    improvement sweep (E3) and the file-server factor (E5). *)
+(** Microbenchmarks: Table 2 (trap vs RPC) and the file-server factor
+    (E5).  E3 is a column of {!Ipc_stress}. *)
 
 type table2_row = {
   t2_label : string;
@@ -7,29 +7,14 @@ type table2_row = {
   t2_cycles : float;
   t2_bus_cycles : float;
   t2_cpi : float;
+  t2_icache_misses : float;  (** the misses that explain the RPC's CPI *)
+  t2_tlb_misses : float;
 }
 
 val table2 : ?iters:int -> unit -> table2_row * table2_row
 (** [(thread_self, rpc32)] per-operation counter readings on the Pentium
     machine, measured warm exactly as the paper programmed the counter
     hardware. *)
-
-type sweep_point = {
-  sw_bytes : int;
-  sw_mach_ipc_cycles : float;  (** Mach 3.0 [mach_msg] round trip *)
-  sw_ibm_rpc_cycles : float;  (** the rework *)
-  sw_improvement : float;
-  sw_reply_hits : int;  (** reply-port cache hits on the Mach side *)
-  sw_reply_misses : int;
-}
-
-val ipc_sweep : ?iters:int -> sizes:int list -> unit -> sweep_point list
-(** Round-trip cost by message size through both implementations;
-    messages above {!ool_threshold} move their data out of line
-    (virtual copy + touch for Mach, by-reference physical copy for the
-    rework). *)
-
-val ool_threshold : int
 
 type factor = {
   fx_rpc_cycles_per_op : float;  (** multi-server: file server over RPC *)

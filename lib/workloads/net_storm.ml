@@ -25,6 +25,7 @@
    All randomness is a seeded LCG: every number is deterministic. *)
 
 open Mach.Ktypes
+open Rig
 
 type point = {
   np_phase : string;
@@ -56,15 +57,10 @@ type result = {
   nr_sessions : int;
   nr_flood_syns : int;
   nr_points : point list;
-  nr_check : Check.report option;
 }
-
-let config ~ncpus =
-  Machine.Config.with_ncpus Machine.Config.pentium_133 ~n:ncpus
 
 (* --- deterministic randomness -------------------------------------------- *)
 
-let lcg s = ((s * 1103515245) + 12345) land 0x3fffffff
 let lcg_float s = float_of_int s /. float_of_int 0x40000000
 
 (* Zipf(alpha) over [0, n): cumulative distribution, linear probe. *)
@@ -121,11 +117,6 @@ let fairness net =
   else
     let mean = float_of_int sum /. float_of_int (Array.length d) in
     float_of_int (Array.fold_left max 0 d) /. mean
-
-let spawn_on k task name ~cpu body =
-  ignore
-    (Mach.Kernel.thread_spawn k task ~name ~affinity:cpu ~bound:true body
-      : thread)
 
 let finish ~phase ~ncpus ~clients ~ops ~conns ~lat ~retries ~lost
     ~half_open_peak m net =
@@ -278,27 +269,6 @@ let measure_churn ~ncpus ~sessions =
    requests and replies both cross the faulty wire, so completion takes
    bounded retries.  [lost] counts ops that exhausted their budget —
    the acceptance gate requires zero. *)
-let poll_reply sys net s ~polls ~gap =
-  let rec go n =
-    match Netserver.try_recv net s with
-    | Some _ ->
-        (* drain stale duplicates from earlier retries of this op *)
-        let rec drain () =
-          match Netserver.try_recv net s with
-          | Some _ -> drain ()
-          | None -> ()
-        in
-        drain ();
-        true
-    | None ->
-        if n = 0 then false
-        else begin
-          ignore (Mach.Clock.sleep_for sys ~cycles:gap : kern_return);
-          go (n - 1)
-        end
-  in
-  go polls
-
 let measure_synflood ~ncpus ~flood_syns ~victim_ops =
   let m = Machine.create (config ~ncpus) in
   let k = Mach.Kernel.boot m in
@@ -472,29 +442,20 @@ let measure_slowloris ~ncpus ~flood_syns ~victim_ops =
 
 let default_cpus = [ 1; 2; 4; 8 ]
 
-let with_speedups points =
-  let anchor ph =
-    List.find_opt (fun p -> p.np_phase = ph && p.np_ncpus = 1) points
-  in
-  List.map
-    (fun p ->
-      match anchor p.np_phase with
-      | Some a when a.np_throughput > 0.0 ->
-          { p with np_speedup = p.np_throughput /. a.np_throughput }
-      | _ -> { p with np_speedup = 1.0 })
-    points
+let with_speedups =
+  Rig.with_speedups
+    ~series:(fun p -> p.np_phase)
+    ~ncpus:(fun p -> p.np_ncpus)
+    ~throughput:(fun p -> p.np_throughput)
+    ~set:(fun p x -> { p with np_speedup = x })
 
 let run ?(cpus = default_cpus) ?(endpoints = 32) ?(clients = 20_000)
     ?(packets = 12_000) ?(bytes = 512) ?(sessions = 24) ?(flood_syns = 200)
-    ?(victim_ops = 12) ?(checks = false) () =
+    ?(victim_ops = 12) () =
   if cpus = [] then invalid_arg "Net_storm.run: empty CPU list";
   List.iter
     (fun n -> if n < 1 then invalid_arg "Net_storm.run: ncpus must be >= 1")
     cpus;
-  let chk = if checks then Some (Check.create ()) else None in
-  Option.iter Check.install chk;
-  Fun.protect ~finally:(fun () -> if checks then Check.uninstall ())
-  @@ fun () ->
   let flood_ncpus = List.fold_left max 1 cpus in
   let points =
     List.concat_map
@@ -521,7 +482,6 @@ let run ?(cpus = default_cpus) ?(endpoints = 32) ?(clients = 20_000)
     nr_sessions = sessions;
     nr_flood_syns = flood_syns;
     nr_points = with_speedups points;
-    nr_check = Option.map Check.report chk;
   }
 
 (* --- acceptance probes ---------------------------------------------------- *)
@@ -549,36 +509,28 @@ let total_lost r =
   List.fold_left (fun acc p -> acc + p.np_lost_acked) 0 r.nr_points
 
 let to_json r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"experiment\": \"net-storm\",\n";
-  Buffer.add_string b "  \"schema_version\": 2,\n";
-  Printf.bprintf b "  \"run\": %s,\n" (Run_meta.json ());
-  Printf.bprintf b "  \"cpus\": [%s],\n"
-    (String.concat ", " (List.map string_of_int r.nr_cpus));
-  Printf.bprintf b
-    "  \"params\": { \"endpoints\": %d, \"clients\": %d, \"packets\": %d, \
-     \"bytes\": %d, \"sessions\": %d, \"flood_syns\": %d },\n"
-    r.nr_endpoints r.nr_clients r.nr_packets r.nr_bytes r.nr_sessions
-    r.nr_flood_syns;
-  (match r.nr_check with
-  | None -> ()
-  | Some rep -> Printf.bprintf b "  \"machcheck\": %s,\n" (Check.to_json rep));
-  Buffer.add_string b "  \"results\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf b
-        "    { \"phase\": %S, \"ncpus\": %d, \"clients\": %d, \"ops\": %d, \
-         \"wall_cycles\": %d, \"throughput_ops_per_mcycle\": %.3f, \
-         \"speedup\": %.3f, \"conns\": %d, \"p50_cycles\": %d, \
-         \"p99_cycles\": %d, \"fairness\": %.3f, \"syn_drops\": %d, \
-         \"wire_drops\": %d, \"reaped\": %d, \"half_open_peak\": %d, \
-         \"retries\": %d, \"lost_acked\": %d, \"xshard_msgs\": %d }%s\n"
-        p.np_phase p.np_ncpus p.np_clients p.np_ops p.np_wall_cycles
-        p.np_throughput p.np_speedup p.np_conns p.np_p50_cycles p.np_p99_cycles
-        p.np_fairness p.np_syn_drops p.np_wire_drops p.np_reaped
-        p.np_half_open_peak p.np_retries p.np_lost_acked p.np_xshard_msgs
-        (if i = List.length r.nr_points - 1 then "" else ","))
-    r.nr_points;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  let open Bench_json in
+  let point p =
+    Obj
+      [ ("phase", Str p.np_phase); ("ncpus", int p.np_ncpus);
+        ("clients", int p.np_clients); ("ops", int p.np_ops);
+        ("wall_cycles", int p.np_wall_cycles);
+        ("throughput_ops_per_mcycle", fixed 3 p.np_throughput);
+        ("speedup", fixed 3 p.np_speedup); ("conns", int p.np_conns);
+        ("p50_cycles", int p.np_p50_cycles);
+        ("p99_cycles", int p.np_p99_cycles);
+        ("fairness", fixed 3 p.np_fairness); ("syn_drops", int p.np_syn_drops);
+        ("wire_drops", int p.np_wire_drops); ("reaped", int p.np_reaped);
+        ("half_open_peak", int p.np_half_open_peak);
+        ("retries", int p.np_retries); ("lost_acked", int p.np_lost_acked);
+        ("xshard_msgs", int p.np_xshard_msgs) ]
+  in
+  Obj
+    [ ("cpus", Arr (List.map int r.nr_cpus));
+      ( "params",
+        Obj
+          [ ("endpoints", int r.nr_endpoints); ("clients", int r.nr_clients);
+            ("packets", int r.nr_packets); ("bytes", int r.nr_bytes);
+            ("sessions", int r.nr_sessions); ("flood_syns", int r.nr_flood_syns)
+          ] );
+      ("results", Arr (List.map point r.nr_points)) ]

@@ -45,7 +45,6 @@ type result = {
   nr_sessions : int;
   nr_flood_syns : int;
   nr_points : point list;
-  nr_check : Check.report option;  (* Machcheck findings, when enabled *)
 }
 
 val run :
@@ -57,7 +56,6 @@ val run :
   ?sessions:int ->
   ?flood_syns:int ->
   ?victim_ops:int ->
-  ?checks:bool ->
   unit ->
   result
 (** Defaults: cpus [1;2;4;8], 32 endpoints, 20_000 clients, 12_000
@@ -75,6 +73,5 @@ val skew_tail_ratio : result -> float
 val total_lost : result -> int
 (** Acknowledged operations lost across every phase (acceptance: 0). *)
 
-val phase_point : result -> phase:string -> ncpus:int -> point option
-val to_json : result -> string
-(** The BENCH_net.json payload (standard provenance envelope). *)
+val to_json : result -> Bench_json.t
+(** The body of [BENCH_net.json], without envelope or machcheck. *)

@@ -8,7 +8,7 @@
     block cache, a recovery mount that replays the journal — and checks
     that no acknowledged operation is lost and the volume passes the
     full fsck invariant scan.  Violations become Machcheck "crash"
-    findings when a checker is installed ([~checks:true]), and appear in
+    findings when a checker is installed, and appear in
     the point records either way.
 
     Two side series measure the journal's cost (cycles and disk writes
@@ -55,17 +55,16 @@ type result = {
   r_points : crash_point list;
   r_overhead : overhead_point list;
   r_latency : latency_point list;
-  r_check : Check.report option;
 }
 
 val run :
-  ?seed:int -> ?ops:int -> ?max_points:int -> ?series:int list ->
-  ?checks:bool -> unit -> result
+  ?seed:int -> ?ops:int -> ?max_points:int -> ?series:int list -> unit ->
+  result
 (** [run ()] sweeps every crash point when the workload's write count
     fits [max_points] (default 64; [r_exhaustive] says so), else an
     even-stride sample.  [ops] (default 12) sizes the scripted
     workload; [series] (default [[4; 8; 16]]) sizes the overhead and
     latency side series. *)
 
-val to_json : result -> string
-(** The payload of [BENCH_recovery.json]. *)
+val to_json : result -> Bench_json.t
+(** The body of [BENCH_recovery.json], without envelope or machcheck. *)

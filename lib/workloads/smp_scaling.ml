@@ -58,11 +58,7 @@ type result = {
   r_points : point list;
   r_state : Machine.Footprint.machine_state list;
       (* per-CPU machine-state bytes at each CPU count (density) *)
-  r_check : Check.report option;  (* Machcheck findings, when enabled *)
 }
-
-let config ~ncpus =
-  Machine.Config.with_ncpus Machine.Config.pentium_133 ~n:ncpus
 
 (* Sum an SMP counter over every CPU of the machine. *)
 let sum_cpus m f =
@@ -94,7 +90,7 @@ let finish ~workload ~placement ~ncpus ~ops m sys =
 (* --- workload 1: RPC round-trip pairs ---------------------------------- *)
 
 let measure_ipc ~ncpus ~placement ~pairs ~iters ~bytes =
-  let m = Machine.create (config ~ncpus) in
+  let m = Machine.create (Rig.config ~ncpus) in
   let k = Mach.Kernel.boot m in
   let sys = k.Mach.Kernel.sys in
   for w = 0 to pairs - 1 do
@@ -134,24 +130,15 @@ let measure_ipc ~ncpus ~placement ~pairs ~iters ~bytes =
 
 (* --- workload 2: file-server edit sessions ------------------------------ *)
 
-let fail_fs e = failwith (F.Fs_types.fs_error_to_string e)
-
 let measure_fileserver ~ncpus ~clients ~sessions =
-  let m = Machine.create (config ~ncpus) in
+  let m = Machine.create (Rig.config ~ncpus) in
   let boot = Mk_services.Bootstrap.boot m in
   let k = boot.Mk_services.Bootstrap.kernel in
   let sys = k.Mach.Kernel.sys in
   let runtime = boot.Mk_services.Bootstrap.runtime in
   let disk = m.Machine.disk in
-  F.Hpfs.mkfs disk ();
   let vfs = F.Vfs.create () in
-  let cache = F.Block_cache.create k disk () in
-  (match F.Hpfs.mount cache () with
-  | Ok pfs -> (
-      match F.Vfs.mount vfs ~at:"/os2" pfs with
-      | Ok () -> ()
-      | Error e -> failwith e)
-  | Error e -> fail_fs e);
+  Rig.mount_hpfs k disk vfs;
   (* server and boot services stay on CPU 0 (spawned there); clients
      spread round-robin over the remaining CPUs *)
   let fs = F.File_server.start k runtime vfs () in
@@ -165,21 +152,11 @@ let measure_fileserver ~ncpus ~clients ~sessions =
     ignore
       (Mach.Kernel.thread_spawn k client ~name:"edit" ~affinity:cpu ~bound:true
          (fun () ->
-           let ( let* ) r f = match r with Ok x -> f x | Error e -> Error e in
            for s = 1 to sessions do
              let path = Printf.sprintf "/os2/c%d_s%d.dat" c s in
-             let outcome =
-               let* h =
-                 F.File_server.Client.open_ fs sem ~path ~create:true ()
-               in
-               let* _n = F.File_server.Client.write fs h (Bytes.make 256 'e') in
-               F.File_server.Client.seek fs h ~pos:0;
-               let* _data = F.File_server.Client.read fs h ~bytes:64 in
-               F.File_server.Client.close fs h;
-               F.File_server.Client.sync fs;
-               Ok ()
-             in
-             match outcome with Ok () -> incr completed | Error _ -> ()
+             match Rig.edit_session fs sem ~path ~fill:'e' ~reads:1 with
+             | Ok () -> incr completed
+             | Error _ -> ()
            done)
         : thread)
   done;
@@ -195,32 +172,20 @@ let measure_fileserver ~ncpus ~clients ~sessions =
 
 let default_cpus = [ 1; 2; 4; 8 ]
 
-(* Stamp speedups into a series sharing one (workload, placement) key:
-   each point relative to the 1-CPU point of its own series. *)
-let with_speedups points =
-  let anchor w p =
-    List.find_opt
-      (fun pt -> pt.sp_workload = w && pt.sp_placement = p && pt.sp_ncpus = 1)
-      points
-  in
-  List.map
-    (fun pt ->
-      match anchor pt.sp_workload pt.sp_placement with
-      | Some a when a.sp_throughput > 0.0 ->
-          { pt with sp_speedup = pt.sp_throughput /. a.sp_throughput }
-      | _ -> { pt with sp_speedup = 1.0 })
-    points
+(* a series shares one (workload, placement) key *)
+let with_speedups =
+  Rig.with_speedups
+    ~series:(fun p -> (p.sp_workload, p.sp_placement))
+    ~ncpus:(fun p -> p.sp_ncpus)
+    ~throughput:(fun p -> p.sp_throughput)
+    ~set:(fun p x -> { p with sp_speedup = x })
 
 let run ?(cpus = default_cpus) ?(pairs = 8) ?(iters = 150) ?(bytes = 512)
-    ?(clients = 6) ?(sessions = 4) ?(checks = false) () =
+    ?(clients = 6) ?(sessions = 4) () =
   if cpus = [] then invalid_arg "Smp_scaling.run: empty CPU list";
   List.iter
     (fun n -> if n < 1 then invalid_arg "Smp_scaling.run: ncpus must be >= 1")
     cpus;
-  let chk = if checks then Some (Check.create ()) else None in
-  Option.iter Check.install chk;
-  Fun.protect ~finally:(fun () -> if checks then Check.uninstall ())
-  @@ fun () ->
   let points =
     List.concat_map
       (fun ncpus ->
@@ -242,9 +207,8 @@ let run ?(cpus = default_cpus) ?(pairs = 8) ?(iters = 150) ?(bytes = 512)
     r_points = with_speedups points;
     r_state =
       List.map
-        (fun n -> Machine.Footprint.machine_state (config ~ncpus:n))
+        (fun n -> Machine.Footprint.machine_state (Rig.config ~ncpus:n))
         cpus;
-    r_check = Option.map Check.report chk;
   }
 
 (* The headline acceptance number: colocated ipc speedup at [n] CPUs. *)
@@ -260,50 +224,35 @@ let ipc_speedup r ~ncpus =
   | None -> 0.0
 
 let to_json r =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"experiment\": \"smp-scaling\",\n";
-  Buffer.add_string b "  \"schema_version\": 2,\n";
-  Printf.bprintf b "  \"run\": %s,\n" (Run_meta.json ());
-  Printf.bprintf b "  \"cpus\": [%s],\n"
-    (String.concat ", " (List.map string_of_int r.r_cpus));
-  Printf.bprintf b "  \"ipc\": { \"pairs\": %d, \"iters\": %d, \"bytes\": %d },\n"
-    r.r_pairs r.r_iters r.r_bytes;
-  Printf.bprintf b
-    "  \"fileserver\": { \"clients\": %d, \"sessions\": %d },\n" r.r_clients
-    r.r_sessions;
-  Buffer.add_string b "  \"machine_state\": [\n";
-  List.iteri
-    (fun i (ms : Machine.Footprint.machine_state) ->
-      Printf.bprintf b
-        "    { \"ncpus\": %d, \"cache_bytes_per_cpu\": %d, \
-         \"tlb_bytes_per_cpu\": %d, \"bus_directory_bytes\": %d, \
-         \"total_bytes\": %d }%s\n"
-        ms.Machine.Footprint.ms_ncpus
-        ms.Machine.Footprint.ms_cache_bytes_per_cpu
-        ms.Machine.Footprint.ms_tlb_bytes_per_cpu
-        ms.Machine.Footprint.ms_bus_directory_bytes
-        ms.Machine.Footprint.ms_total_bytes
-        (if i = List.length r.r_state - 1 then "" else ","))
-    r.r_state;
-  Buffer.add_string b "  ],\n";
-  (match r.r_check with
-  | None -> ()
-  | Some rep -> Printf.bprintf b "  \"machcheck\": %s,\n" (Check.to_json rep));
-  Buffer.add_string b "  \"results\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf b
-        "    { \"workload\": %S, \"placement\": %S, \"ncpus\": %d, \
-         \"ops\": %d, \"wall_cycles\": %d, \
-         \"throughput_ops_per_mcycle\": %.3f, \"speedup\": %.3f, \
-         \"ipis\": %d, \"xmsgs\": %d, \"steals\": %d, \
-         \"coherence_misses\": %d, \"bus_stall_cycles\": %d, \
-         \"bus_transactions\": %d }%s\n"
-        p.sp_workload p.sp_placement p.sp_ncpus p.sp_ops p.sp_wall_cycles
-        p.sp_throughput p.sp_speedup p.sp_ipis p.sp_xmsgs p.sp_steals
-        p.sp_coherence_misses p.sp_bus_stall_cycles p.sp_bus_transactions
-        (if i = List.length r.r_points - 1 then "" else ","))
-    r.r_points;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  let open Bench_json in
+  let state (ms : Machine.Footprint.machine_state) =
+    let open Machine.Footprint in
+    Obj
+      [ ("ncpus", int ms.ms_ncpus);
+        ("cache_bytes_per_cpu", int ms.ms_cache_bytes_per_cpu);
+        ("tlb_bytes_per_cpu", int ms.ms_tlb_bytes_per_cpu);
+        ("bus_directory_bytes", int ms.ms_bus_directory_bytes);
+        ("total_bytes", int ms.ms_total_bytes) ]
+  in
+  let point p =
+    Obj
+      [ ("workload", Str p.sp_workload); ("placement", Str p.sp_placement);
+        ("ncpus", int p.sp_ncpus); ("ops", int p.sp_ops);
+        ("wall_cycles", int p.sp_wall_cycles);
+        ("throughput_ops_per_mcycle", fixed 3 p.sp_throughput);
+        ("speedup", fixed 3 p.sp_speedup); ("ipis", int p.sp_ipis);
+        ("xmsgs", int p.sp_xmsgs); ("steals", int p.sp_steals);
+        ("coherence_misses", int p.sp_coherence_misses);
+        ("bus_stall_cycles", int p.sp_bus_stall_cycles);
+        ("bus_transactions", int p.sp_bus_transactions) ]
+  in
+  Obj
+    [ ("cpus", Arr (List.map int r.r_cpus));
+      ( "ipc",
+        Obj
+          [ ("pairs", int r.r_pairs); ("iters", int r.r_iters);
+            ("bytes", int r.r_bytes) ] );
+      ( "fileserver",
+        Obj [ ("clients", int r.r_clients); ("sessions", int r.r_sessions) ] );
+      ("machine_state", Arr (List.map state r.r_state));
+      ("results", Arr (List.map point r.r_points)) ]

@@ -35,18 +35,17 @@ type result = {
   r_points : point list;
   r_state : Machine.Footprint.machine_state list;
       (** per-CPU machine-state bytes at each CPU count (density) *)
-  r_check : Check.report option;
 }
 
 val run :
   ?cpus:int list -> ?pairs:int -> ?iters:int -> ?bytes:int -> ?clients:int ->
-  ?sessions:int -> ?checks:bool -> unit -> result
+  ?sessions:int -> unit -> result
 (** Defaults: CPUs [1;2;4;8], 8 pairs x 150 round trips of 512 bytes,
-    6 clients x 4 edit sessions.  [~checks:true] runs the whole sweep
-    under Machcheck (globally installed for the duration). *)
+    6 clients x 4 edit sessions. *)
 
 val ipc_speedup : result -> ncpus:int -> float
 (** Colocated-ipc throughput at [ncpus] relative to 1 CPU — the headline
     scaling number. *)
 
-val to_json : result -> string
+val to_json : result -> Bench_json.t
+(** The body of [BENCH_smp.json], without envelope or machcheck. *)

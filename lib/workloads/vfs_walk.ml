@@ -15,9 +15,9 @@
      concurrent  — one walker thread per CPU, each statting the whole
                    wide set, lookups racing across CPUs.
 
-   deep_speedup = deep-raw cycles/op over deep-cached cycles/op.  The
-   whole run can execute under Machcheck's vnode checker ([~checks]);
-   a finding means the walk used a reclaimed vnode or a stale entry. *)
+   deep_speedup = deep-raw cycles/op over deep-cached cycles/op.  Under
+   Machcheck's vnode checker a finding means the walk used a reclaimed
+   vnode or a stale entry. *)
 
 module F = Fileserver
 
@@ -45,12 +45,9 @@ type result = {
   r_concurrent_expected : int;
   r_compromises : int;
   r_cache : F.Namecache.stats;  (* final cache counters *)
-  r_check : Check.report option;
 }
 
-let fail_fs e = failwith (F.Fs_types.fs_error_to_string e)
-
-let ok_exn = function Ok v -> v | Error e -> fail_fs e
+let ok_exn = function Ok v -> v | Error e -> Rig.fail_fs e
 
 let deep_path depth =
   "/os2/"
@@ -59,27 +56,13 @@ let deep_path depth =
 
 let wide_path i = Printf.sprintf "/os2/wide/f%03d.dat" i
 
-let run ?(depth = 12) ?(files = 48) ?(repeats = 6) ?(cpus = 4)
-    ?(checks = false) () =
+let run ?(depth = 12) ?(files = 48) ?(repeats = 6) ?(cpus = 4) () =
   if depth < 1 then invalid_arg "Vfs_walk.run: depth must be >= 1";
-  let chk = if checks then Some (Check.create ()) else None in
-  Option.iter Check.install chk;
-  Fun.protect ~finally:(fun () -> if checks then Check.uninstall ())
-  @@ fun () ->
-  let m =
-    Machine.create (Machine.Config.with_ncpus Machine.Config.pentium_133 ~n:cpus)
-  in
+  let m = Machine.create (Rig.config ~ncpus:cpus) in
   let k = Mach.Kernel.boot m in
   let disk = m.Machine.disk in
-  F.Hpfs.mkfs disk ();
   let vfs = F.Vfs.create ~kernel:k () in
-  let cache = F.Block_cache.create k disk () in
-  (match F.Hpfs.mount cache () with
-  | Ok pfs -> (
-      match F.Vfs.mount vfs ~at:"/os2" pfs with
-      | Ok () -> ()
-      | Error e -> failwith e)
-  | Error e -> fail_fs e);
+  Rig.mount_hpfs k disk vfs;
   let sem = F.Vfs.os2_semantics in
   let phases = ref [] in
   let measure name ops f =
@@ -199,49 +182,38 @@ let run ?(depth = 12) ?(files = 48) ?(repeats = 6) ?(cpus = 4)
     r_concurrent_expected = cpus * files;
     r_compromises = F.Vfs.compromises vfs;
     r_cache = F.Vfs.cache_stats vfs;
-    r_check = Option.map Check.report chk;
   }
 
 let to_json r =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"experiment\": \"vfs-walk\",\n";
-  Buffer.add_string b "  \"schema_version\": 2,\n";
-  Printf.bprintf b "  \"run\": %s,\n" (Run_meta.json ());
-  Printf.bprintf b
-    "  \"config\": { \"depth\": %d, \"files\": %d, \"repeats\": %d, \
-     \"cpus\": %d },\n"
-    r.r_depth r.r_files r.r_repeats r.r_cpus;
-  Buffer.add_string b "  \"phases\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf b
-        "    { \"phase\": %S, \"ops\": %d, \"cycles\": %d, \
-         \"cycles_per_op\": %.1f, \"cache_hits\": %d, \"cache_misses\": %d, \
-         \"hit_rate\": %.4f }%s\n"
-        p.ph_name p.ph_ops p.ph_cycles p.ph_cycles_per_op p.ph_hits p.ph_misses
-        p.ph_hit_rate
-        (if i = List.length r.r_phases - 1 then "" else ","))
-    r.r_phases;
-  Buffer.add_string b "  ],\n";
-  Printf.bprintf b "  \"hot_hit_rate\": %.4f,\n" r.r_hot_hit_rate;
-  Printf.bprintf b "  \"deep_cached_cycles_per_op\": %.1f,\n"
-    r.r_deep_cached_cycles_per_op;
-  Printf.bprintf b "  \"deep_raw_cycles_per_op\": %.1f,\n"
-    r.r_deep_raw_cycles_per_op;
-  Printf.bprintf b "  \"deep_speedup\": %.2f,\n" r.r_deep_speedup;
-  Printf.bprintf b
-    "  \"concurrent\": { \"completed\": %d, \"expected\": %d },\n"
-    r.r_concurrent_ok r.r_concurrent_expected;
-  Printf.bprintf b "  \"compromises\": %d,\n" r.r_compromises;
-  Printf.bprintf b
-    "  \"cache\": { \"capacity\": %d, \"entries\": %d, \"insertions\": %d, \
-     \"evictions\": %d, \"invalidations\": %d },\n"
-    r.r_cache.F.Namecache.cs_capacity r.r_cache.F.Namecache.cs_entries
-    r.r_cache.F.Namecache.cs_insertions r.r_cache.F.Namecache.cs_evictions
-    r.r_cache.F.Namecache.cs_invalidations;
-  (match r.r_check with
-  | None -> Buffer.add_string b "  \"machcheck\": null\n"
-  | Some rep -> Printf.bprintf b "  \"machcheck\": %s\n" (Check.to_json rep));
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  let open Bench_json in
+  let phase p =
+    Obj
+      [ ("phase", Str p.ph_name); ("ops", int p.ph_ops);
+        ("cycles", int p.ph_cycles);
+        ("cycles_per_op", fixed 1 p.ph_cycles_per_op);
+        ("cache_hits", int p.ph_hits); ("cache_misses", int p.ph_misses);
+        ("hit_rate", fixed 4 p.ph_hit_rate) ]
+  in
+  let c = r.r_cache in
+  Obj
+    [ ( "config",
+        Obj
+          [ ("depth", int r.r_depth); ("files", int r.r_files);
+            ("repeats", int r.r_repeats); ("cpus", int r.r_cpus) ] );
+      ("phases", Arr (List.map phase r.r_phases));
+      ("hot_hit_rate", fixed 4 r.r_hot_hit_rate);
+      ("deep_cached_cycles_per_op", fixed 1 r.r_deep_cached_cycles_per_op);
+      ("deep_raw_cycles_per_op", fixed 1 r.r_deep_raw_cycles_per_op);
+      ("deep_speedup", fixed 2 r.r_deep_speedup);
+      ( "concurrent",
+        Obj
+          [ ("completed", int r.r_concurrent_ok);
+            ("expected", int r.r_concurrent_expected) ] );
+      ("compromises", int r.r_compromises);
+      ( "cache",
+        Obj
+          [ ("capacity", int c.F.Namecache.cs_capacity);
+            ("entries", int c.F.Namecache.cs_entries);
+            ("insertions", int c.F.Namecache.cs_insertions);
+            ("evictions", int c.F.Namecache.cs_evictions);
+            ("invalidations", int c.F.Namecache.cs_invalidations) ] ) ]

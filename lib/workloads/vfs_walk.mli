@@ -32,14 +32,11 @@ type result = {
   r_concurrent_expected : int;
   r_compromises : int;
   r_cache : Fileserver.Namecache.stats;  (** final cache counters *)
-  r_check : Check.report option;
 }
 
 val run :
-  ?depth:int -> ?files:int -> ?repeats:int -> ?cpus:int -> ?checks:bool ->
-  unit -> result
-(** Defaults: a 12-deep chain, 48 wide files, 6 hot repeats, 4 CPUs.
-    [~checks:true] runs under Machcheck's vnode/name-cache checker
-    (globally installed for the duration). *)
+  ?depth:int -> ?files:int -> ?repeats:int -> ?cpus:int -> unit -> result
+(** Defaults: a 12-deep chain, 48 wide files, 6 hot repeats, 4 CPUs. *)
 
-val to_json : result -> string
+val to_json : result -> Bench_json.t
+(** The body of [BENCH_vfs.json], without envelope or machcheck. *)

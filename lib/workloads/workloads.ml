@@ -1,17 +1,14 @@
-(** Workload generators for every experiment: the Table 1 application
-    benchmarks, the Table 2 counter probe, the message-size sweep and the
-    file-server factor microbenchmarks, all written against the
-    system-neutral {!Api}. *)
+(** Workload generators for every experiment, and {!Experiment}, the
+    table the bench driver runs them from. *)
 
 module Api = Api
 module Table1 = Table1
 module Micro = Micro
 module Ipc_stress = Ipc_stress
-module Fault_sweep = Fault_sweep
 module Recovery_sweep = Recovery_sweep
 module Smp_scaling = Smp_scaling
 module Vfs_walk = Vfs_walk
 module Net_storm = Net_storm
 module Fault_storm = Fault_storm
 module Bench_ab = Bench_ab
-module Run_meta = Run_meta
+module Experiment = Experiment

@@ -4,7 +4,7 @@
    Each checker gets seeded known-bad scenarios proving it fires and
    names the offender, plus clean-path tests proving it stays silent —
    including all four existing workloads (Table1, Micro, Ipc_stress,
-   Fault_sweep) run end to end under an installed checker. *)
+   the fs-crash sweep) run end to end under an installed checker. *)
 
 open Mach.Ktypes
 module F = Fileserver
@@ -510,55 +510,58 @@ let test_table1_micro_clean () =
     (rep.Check.rep_right_transitions > 0)
 
 let test_stress_workloads_clean_and_json () =
-  (* the CI smoke: ipc-stress and fault-sweep under Machcheck, failing
-     on any finding, with the machine-readable BENCH_check.json shape *)
-  let ipc =
-    Workloads.Ipc_stress.run ~workers:2 ~iters:40 ~sizes:[ 0; 512 ]
-      ~checks:true ()
+  (* the CI smoke: ipc-stress and the fs-crash sweep under Machcheck,
+     failing on any finding, with the machine-readable BENCH_check.json
+     shape *)
+  let ipc, ipc_check =
+    Check.with_checker true (fun () ->
+        Workloads.Ipc_stress.run ~workers:2 ~iters:40 ~sizes:[ 0; 512 ] ())
   in
-  let flt =
-    Workloads.Fault_sweep.run ~seed:7 ~clients:2 ~sessions:2
-      ~rates:[ 20_000 ] ~checks:true ()
+  let stm =
+    Workloads.Fault_storm.run ~seed:7 ~endpoints:4 ~rounds:8 ~victim_ops:2
+      ~clients:2 ~sessions:2 ~checks:true ()
   in
-  let rep_ipc =
-    match ipc.Workloads.Ipc_stress.r_check with
+  let report name = function
     | Some r -> r
-    | None -> Alcotest.fail "ipc-stress ran without a checker"
+    | None -> Alcotest.failf "%s ran without a checker" name
   in
+  let rep_ipc = report "ipc-stress" ipc_check in
   let rep_flt =
-    match flt.Workloads.Fault_sweep.r_check with
-    | Some r -> r
-    | None -> Alcotest.fail "fault-sweep ran without a checker"
+    report "fs-crash sweep" stm.Workloads.Fault_storm.fr_sweep_check
   in
   Alcotest.(check int) "ipc-stress: zero findings" 0
     (Check.total_findings rep_ipc);
-  Alcotest.(check int) "fault-sweep: zero findings" 0
+  Alcotest.(check int) "fs-crash sweep: zero findings" 0
     (Check.total_findings rep_flt);
-  Alcotest.(check bool) "fault-sweep tracked restarts' rights traffic" true
+  Alcotest.(check bool) "fs-crash sweep tracked restarts' rights traffic" true
     (rep_flt.Check.rep_right_transitions > 0);
-  (* the JSON the bench writes to BENCH_check.json parses and carries
-     per-checker counts *)
-  let module J = Workloads.Ipc_stress.Json in
+  (* the JSON the bench writes to BENCH_check.json carries per-checker
+     counts *)
+  let module J = Bench_json in
   List.iter
     (fun rep ->
-      match J.parse (Check.to_json rep) with
-      | Error e -> Alcotest.failf "machcheck json does not parse: %s" e
-      | Ok j ->
-          List.iter
-            (fun field ->
-              match J.member field j with
-              | Some (J.Num n) ->
-                  Alcotest.(check (float 0.0)) (field ^ " is zero") 0.0 n
-              | _ -> Alcotest.failf "missing numeric %s" field)
-            [ "total_findings"; "leaked_rights"; "right_double_frees";
-              "right_downgrades"; "wait_cycles"; "buf_double_releases";
-              "buf_use_after_release" ];
-          (match J.member "findings" j with
-          | Some (J.Arr []) -> ()
-          | _ -> Alcotest.fail "findings array not empty"))
+      let j = Check.to_json rep in
+      List.iter
+        (fun field ->
+          match J.member field j with
+          | Some (J.Num n) ->
+              Alcotest.(check (float 0.0)) (field ^ " is zero") 0.0 n
+          | _ -> Alcotest.failf "missing numeric %s" field)
+        [ "total_findings"; "leaked_rights"; "right_double_frees";
+          "right_downgrades"; "wait_cycles"; "buf_double_releases";
+          "buf_use_after_release" ];
+      match J.member "findings" j with
+      | Some (J.Arr []) -> ()
+      | _ -> Alcotest.fail "findings array not empty")
     [ rep_ipc; rep_flt ];
-  (* workload JSON embeds the same report *)
-  match J.parse (Workloads.Ipc_stress.to_json ipc) with
+  (* the BENCH file embeds the same report *)
+  let e = Option.get (Workloads.Experiment.find "ipc-stress") in
+  let doc =
+    Workloads.Experiment.document e
+      { Workloads.Experiment.json = Workloads.Ipc_stress.to_json ipc;
+        gates = []; check = Some rep_ipc }
+  in
+  match J.parse (J.to_string doc) with
   | Error e -> Alcotest.failf "ipc-stress json does not parse: %s" e
   | Ok j -> (
       match J.member "machcheck" j with

@@ -294,44 +294,41 @@ let test_fault_replay_deterministic () =
   let c = drive_plan (Mach.Fault.create ~seed:100 ()) in
   Alcotest.(check bool) "different seed diverges" true (a <> c)
 
-(* --- fault-sweep smoke: the bench output parses -------------------------------- *)
+(* --- the fs-crash sweep: completion under rising crash rates ------------ *)
 
 let test_fault_sweep_smoke () =
   let r =
-    Workloads.Fault_sweep.run ~seed:7 ~clients:2 ~sessions:2
-      ~rates:[ 20_000 ] ()
+    Workloads.Fault_storm.run ~endpoints:6 ~rounds:16 ~victim_ops:3
+      ~clients:1 ~sessions:2 ()
   in
-  let json = Workloads.Fault_sweep.to_json r in
-  let module J = Workloads.Ipc_stress.Json in
-  match J.parse json with
-  | Error e -> Alcotest.failf "BENCH_faults.json does not parse: %s" e
-  | Ok v -> (
-      (match J.member "experiment" v with
-      | Some (J.Str "fault-sweep") -> ()
-      | _ -> Alcotest.fail "wrong experiment tag");
-      (match J.member "baseline_cycles_per_op" v with
-      | Some (J.Num n) ->
-          Alcotest.(check bool) "baseline positive" true (n > 0.0)
-      | _ -> Alcotest.fail "missing baseline_cycles_per_op");
-      match J.member "results" v with
-      | Some (J.Arr [ point ]) ->
-          (match J.member "crash_ppm" point with
-          | Some (J.Num n) -> Alcotest.(check int) "rate" 20_000 (int_of_float n)
-          | _ -> Alcotest.fail "missing crash_ppm");
-          (match (J.member "completed" point, J.member "ops" point) with
-          | Some (J.Num c), Some (J.Num o) ->
-              Alcotest.(check bool) "completed within ops" true
-                (c >= 0.0 && c <= o)
-          | _ -> Alcotest.fail "missing completed/ops");
-          (match J.member "completion_rate" point with
-          | Some (J.Num f) ->
-              Alcotest.(check bool) "rate in [0,1]" true (f >= 0.0 && f <= 1.0)
-          | _ -> Alcotest.fail "missing completion_rate");
-          (match J.member "disk_faults" point with
-          | Some (J.Num n) ->
-              Alcotest.(check bool) "disk faults counted" true (n >= 0.0)
-          | _ -> Alcotest.fail "missing disk_faults")
-      | _ -> Alcotest.fail "expected exactly one result point")
+  let module J = Bench_json in
+  match J.parse (J.to_string (Workloads.Fault_storm.to_json r)) with
+  | Error e -> Alcotest.failf "BENCH_storm.json does not parse: %s" e
+  | Ok v ->
+      let rows =
+        match J.member "results" v with
+        | Some (J.Arr rows) ->
+            List.filter
+              (fun row -> J.member "scenario" row = Some (J.Str "fs-crash"))
+              rows
+        | _ -> Alcotest.fail "missing results"
+      in
+      let num key row =
+        match J.member key row with
+        | Some (J.Num n) -> int_of_float n
+        | _ -> Alcotest.failf "missing %s" key
+      in
+      Alcotest.(check (list int)) "swept rates, in order"
+        [ 2_000; 10_000; 30_000 ]
+        (List.map (num "crash_ppm") rows);
+      List.iter
+        (fun row ->
+          Alcotest.(check bool) "completed within ops" true
+            (num "completed" row <= num "ops" row);
+          Alcotest.(check int) "no acknowledged op lost" 0 (num "lost" row))
+        rows;
+      Alcotest.(check bool) "the top rate restarts the server" true
+        (num "restarts" (List.nth rows 2) > 0)
 
 let suite =
   [

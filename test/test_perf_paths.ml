@@ -223,10 +223,17 @@ let test_ipc_stress_smoke () =
       checkb (p.pt_system ^ " cycles positive") true
         (p.pt_sim_cycles_per_op > 0.))
     r.r_points;
-  (* write the JSON out and read it back, as the benchmark harness does *)
+  (* write the BENCH file out and read it back, as the benchmark harness
+     does *)
+  let module Json = Bench_json in
+  let e = Option.get (Workloads.Experiment.find "ipc-stress") in
+  let doc =
+    Workloads.Experiment.document e
+      { Workloads.Experiment.json = to_json r; gates = []; check = None }
+  in
   let path = Filename.temp_file "bench_ipc" ".json" in
   let oc = open_out path in
-  output_string oc (to_json r);
+  output_string oc (Json.to_string doc);
   close_out oc;
   let ic = open_in_bin path in
   let text = really_input_string ic (in_channel_length ic) in

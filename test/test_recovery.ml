@@ -326,7 +326,10 @@ let test_restart_reclaims_pins () =
 
 let test_crash_enumeration_small_bound () =
   let open Workloads.Recovery_sweep in
-  let r = run ~ops:2 ~max_points:32 ~series:[ 4 ] ~checks:true () in
+  let r, check =
+    Check.with_checker true (fun () ->
+        run ~ops:2 ~max_points:32 ~series:[ 4 ] ())
+  in
   Alcotest.(check bool) "every point enumerated" true r.r_exhaustive;
   Alcotest.(check bool) "points were checked" true (r.r_points_checked > 0);
   Alcotest.(check int) "no acknowledged write lost" 0 r.r_lost_writes;
@@ -345,7 +348,7 @@ let test_crash_enumeration_small_bound () =
     | _ -> ()
   in
   monotone r.r_points;
-  match r.r_check with
+  match check with
   | Some rep ->
       Alcotest.(check int) "checker saw every point" r.r_points_checked
         rep.Check.rep_crash_points;

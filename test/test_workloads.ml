@@ -87,25 +87,107 @@ let test_table2_bands () =
   Alcotest.(check bool) "cycle ratio ~5.3" true (r_cyc > 4.0 && r_cyc < 6.5);
   Alcotest.(check bool) "CPI ratio ~1.95" true (r_cpi > 1.5 && r_cpi < 2.4);
   Alcotest.(check bool) "trap CPI ~2" true
-    (trap.t2_cpi > 1.7 && trap.t2_cpi < 2.4)
+    (trap.t2_cpi > 1.7 && trap.t2_cpi < 2.4);
+  (* the RPC's extra CPI is I-cache misses *)
+  Alcotest.(check bool) "RPC I-cache misses/op exceed the trap's" true
+    (rpc.t2_icache_misses > trap.t2_icache_misses)
 
+(* E3 is ipc-stress's mach_msg / copying-RPC column *)
 let test_ipc_sweep_band () =
-  let points = Workloads.Micro.ipc_sweep ~iters:100 ~sizes:[ 0; 4096; 65536 ] () in
+  let r =
+    Workloads.Ipc_stress.run ~workers:1 ~iters:100 ~sizes:[ 0; 4096; 65536 ] ()
+  in
+  let points = Workloads.Ipc_stress.improvement r in
   List.iter
-    (fun p ->
-      let open Workloads.Micro in
+    (fun (bytes, x) ->
       Alcotest.(check bool)
-        (Printf.sprintf "improvement at %d bytes within 2-10x (got %.2f)"
-           p.sw_bytes p.sw_improvement)
+        (Printf.sprintf "improvement at %d bytes within 2-10x (got %.2f)" bytes x)
         true
-        (p.sw_improvement >= 1.8 && p.sw_improvement <= 11.0))
+        (x >= 2.0 && x <= 10.0))
     points;
   (* magnitude depends on bytes: the small and large ends differ *)
   match points with
-  | [ small; _; large ] ->
-      Alcotest.(check bool) "size-dependent" true
-        Workloads.Micro.(small.sw_improvement > large.sw_improvement +. 1.0)
+  | [ (_, small); _; (_, large) ] ->
+      Alcotest.(check bool) "size-dependent" true (small > large +. 1.0)
   | _ -> Alcotest.fail "unexpected sweep shape"
+
+module E = Workloads.Experiment
+module J = Bench_json
+
+(* The document minus provenance and host-clock leaves: what must repeat
+   bit for bit. *)
+let rec simulated = function
+  | J.Obj fs ->
+      J.Obj
+        (List.filter_map
+           (fun (k, v) ->
+             if k = "run" || k = "host_ns_per_op" then None
+             else Some (k, simulated v))
+           fs)
+  | J.Arr xs -> J.Arr (List.map simulated xs)
+  | v -> v
+
+let test_table_deterministic () =
+  List.iter
+    (fun (e : E.t) ->
+      let doc o = J.to_string (simulated (E.document e o)) in
+      let a = e.run E.Smoke and b = e.run E.Smoke in
+      Alcotest.(check string) (e.name ^ ": two runs agree") (doc a) (doc b);
+      let off = e.run ~checks:false E.Smoke in
+      Alcotest.(check bool) (e.name ^ ": checks off has no report") true
+        (off.E.check = None);
+      Alcotest.(check string)
+        (e.name ^ ": checks off is the same minus machcheck")
+        (doc { a with E.check = None })
+        (doc off))
+    E.all
+
+let baseline name =
+  let ic = open_in_bin (Filename.concat "../bench/baseline" name) in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* Scale the first numeric leaf called [key] by [factor]. *)
+let perturb ~key ~factor text =
+  let hit = ref false in
+  let rec go = function
+    | J.Obj fs ->
+        J.Obj
+          (List.map
+             (fun (k, v) ->
+               match v with
+               | J.Num x when k = key && not !hit ->
+                   hit := true;
+                   (k, J.Num (x *. factor))
+               | v -> (k, go v))
+             fs)
+    | J.Arr xs -> J.Arr (List.map go xs)
+    | v -> v
+  in
+  match J.parse text with
+  | Error e -> Alcotest.fail e
+  | Ok doc ->
+      let doc = go doc in
+      Alcotest.(check bool) (key ^ " found") true !hit;
+      J.to_string doc
+
+(* Known-bad cases for the baseline gate: a 5% cycle rise and a 5%
+   completion drop must each be flagged, once, at threshold 0. *)
+let test_ab_flags_regressions () =
+  List.iter
+    (fun (file, key, factor) ->
+      let a = baseline file in
+      let b = perturb ~key ~factor a in
+      match Workloads.Bench_ab.compare_json ~a ~b ~threshold:0.0 with
+      | Error e -> Alcotest.fail e
+      | Ok v ->
+          Alcotest.(check int) (key ^ " regression flagged") 1
+            v.Workloads.Bench_ab.v_regressions;
+          Alcotest.(check int) "nothing else moved" 1
+            (List.length v.Workloads.Bench_ab.v_deltas))
+    [ ("BENCH_ipc.json", "sim_cycles_per_op", 1.05);
+      ("BENCH_storm.json", "completed", 0.95) ]
 
 let suite =
   [
@@ -115,4 +197,8 @@ let suite =
     Alcotest.test_case "table1 specs complete" `Quick test_table1_specs_complete;
     Alcotest.test_case "table2 in paper bands" `Slow test_table2_bands;
     Alcotest.test_case "ipc sweep in paper band" `Slow test_ipc_sweep_band;
+    Alcotest.test_case "experiment table deterministic, checks inert" `Slow
+      test_table_deterministic;
+    Alcotest.test_case "bench ab flags seeded regressions" `Quick
+      test_ab_flags_regressions;
   ]
