@@ -290,7 +290,10 @@ let create_node t sem ~path ~is_dir =
   let* m, dir, leaf = resolve_parent t sem ~path in
   let* fid = Vnode.create dir leaf ~is_dir in
   let folded = fold m leaf in
-  (* any negative entry for this name is now false; prime a positive *)
+  (* any negative entry for this name is now false; prime a positive,
+     interning the vnode first so the next walk's hit finds it live (a
+     reused file id would otherwise read as a stale entry) *)
+  ignore (Vnode.intern m fid : Vnode.t);
   cache_invalidate t m ~dir:(Vnode.id dir) ~name:folded;
   cache_store t m ~dir:(Vnode.id dir) ~name:folded (Namecache.Pos fid);
   Ok fid
