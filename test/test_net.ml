@@ -275,8 +275,8 @@ let test_sharded_tcp_and_checker_clean () =
          > 1);
       checkb "every packet processed by some shard" true (sum > 0);
       let r = Check.report chk in
-      checkb "touches observed" true (r.Check.rep_net_touches > 0);
-      checki "no shard crossings" 0 r.Check.rep_net_crossings;
+      checkb "touches observed" true (Check.count r "net_touches" > 0);
+      checki "no shard crossings" 0 (Check.count r "net_shard_crossings");
       checki "no findings at all" 0 (Check.total_findings r))
 
 let test_seeded_shard_crossing_fires () =
@@ -288,9 +288,9 @@ let test_seeded_shard_crossing_fires () =
   Check.net_touched chk ~space:sp ~sock:1 ~home:0 ~shard:0;
   Check.net_touched chk ~space:sp ~sock:1 ~home:0 ~shard:2;
   let r = Check.report chk in
-  checki "one crossing" 1 r.Check.rep_net_crossings;
+  checki "one crossing" 1 (Check.count r "net_shard_crossings");
   checki "one finding" 1 (Check.total_findings r);
-  match r.Check.rep_findings with
+  match r.Check.findings with
   | [ f ] ->
       Alcotest.(check string) "checker" "net" f.Check.f_checker;
       Alcotest.(check string) "kind" "shard-crossing" f.Check.f_kind

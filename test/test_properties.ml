@@ -289,8 +289,8 @@ let rights_conservation =
           Mach.Mcheck.live_rights sys t
           = Hashtbl.length t.Mach.Ktypes.namespace)
         [ owner; ta; tb; srv ]
-      && rep.Check.rep_right_double_frees = 0
-      && rep.Check.rep_right_downgrades = 0)
+      && (Check.count rep "right_double_frees") = 0
+      && (Check.count rep "right_downgrades") = 0)
 
 (* --- zero-copy transfers: stamps arrive intact and never alias ------------- *)
 

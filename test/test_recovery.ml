@@ -351,7 +351,7 @@ let test_crash_enumeration_small_bound () =
   match check with
   | Some rep ->
       Alcotest.(check int) "checker saw every point" r.r_points_checked
-        rep.Check.rep_crash_points;
+        (Check.count rep "crash_points");
       Alcotest.(check int) "no machcheck findings" 0 (Check.total_findings rep)
   | None -> Alcotest.fail "expected a machcheck report"
 

@@ -393,7 +393,7 @@ let test_sup_budget_degraded () =
     (!fastfail >= 0 && !fastfail < 100_000);
   let rep = Check.report chk in
   Alcotest.(check int) "budget-exhausted finding recorded" 1
-    rep.Check.rep_reinc_budget_exhausted;
+    (Check.count rep "reinc_budget_exhausted");
   Alcotest.(check int) "demotion by policy is not a failure" 0
     (Check.total_findings rep)
 

@@ -170,11 +170,11 @@ let[@machlint.allow "lock-order"] test_cross_cpu_deadlock_annotated () =
       : thread);
   Mach.Kernel.run k;
   let rep = Check.report chk in
-  checki "one wait cycle" 1 rep.Check.rep_wait_cycles;
+  checki "one wait cycle" 1 (Check.count rep "wait_cycles");
   match
     List.filter
       (fun f -> f.Check.f_kind = "wait-cycle")
-      rep.Check.rep_findings
+      rep.Check.findings
   with
   | [ f ] ->
       checkb "cycle flagged as cross-CPU" true

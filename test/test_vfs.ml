@@ -332,9 +332,9 @@ let test_checker_use_after_reclaim () =
         (Result.map (fun _ -> ()) (Vnode.stat v)));
   let rep = Check.report chk in
   Alcotest.(check int) "one use-after-reclaim" 1
-    rep.Check.rep_vnode_use_after_reclaim;
+    (Check.count rep "vnode_use_after_reclaim");
   Alcotest.(check bool) "finding names the vnode checker" true
-    (List.exists (fun f -> f.Check.f_checker = "vnode") rep.Check.rep_findings)
+    (List.exists (fun f -> f.Check.f_checker = "vnode") rep.Check.findings)
 
 let test_checker_leaked_refs () =
   let chk = Check.create () in
@@ -347,7 +347,7 @@ let test_checker_leaked_refs () =
       (* crash recovery sweeps: the reference was never dropped *)
       ignore (Vfs.recover vfs : recover_report));
   let rep = Check.report chk in
-  Alcotest.(check int) "one leaked reference" 1 rep.Check.rep_vnode_leaks
+  Alcotest.(check int) "one leaked reference" 1 (Check.count rep "vnode_leaks")
 
 let test_checker_clean_lifecycle () =
   let chk = Check.create () in
@@ -392,7 +392,7 @@ let test_checker_create_primes_live_entry () =
   Alcotest.(check (option (pair int int)))
     "one hit, nothing healed" (Some (1, 0)) !delta;
   Alcotest.(check int) "no stale entry" 0
-    (Check.report chk).Check.rep_ncache_stale
+    (Check.count (Check.report chk) "ncache_stale")
 
 (* --- the vfs-walk workload under the checker -------------------------------- *)
 
