@@ -63,8 +63,6 @@ type point = {
 type result = {
   fr_seed : int;
   fr_points : point list;
-  fr_check : Check.report option;
-  fr_sweep_check : Check.report option;
 }
 
 let base scenario =
@@ -510,35 +508,24 @@ let crash_loop () =
 (* --- sweep ----------------------------------------------------------------- *)
 
 (* fs-crash at 30000 ppm is one of the five scenarios; the lower rates of
-   its sweep run afterwards under a checker of their own, so the
-   scenarios' report stays comparable across runs that sweep more or
-   fewer rates.  No 0 ppm row: without crashes to serialize them, the
-   two server threads' concurrent creates in one HPFS directory race
-   (ROADMAP). *)
+   its sweep run after them.  No 0 ppm row: without crashes to serialize
+   them, the two server threads' concurrent creates in one HPFS directory
+   race (ROADMAP). *)
 let crash_ppms = [ 2_000; 10_000 ]
 
 let run ?(seed = 42) ?(endpoints = 16) ?(rounds = 40) ?(victim_ops = 12)
-    ?(clients = 3) ?(sessions = 6) ?(checks = false) () =
+    ?(clients = 3) ?(sessions = 6) () =
   let crash = fs_crash ~seed ~clients ~sessions in
-  let scenarios, check =
-    Check.with_checker checks (fun () ->
-        (* last to first, the order the scenarios have always run in *)
-        let loop = crash_loop () in
-        let wedge = fs_wedge ~seed ~clients ~sessions () in
-        let fs = crash ~crash_ppm:30_000 () in
-        let storm = shard_storm ~victim_ops () in
-        (shard_golden ~endpoints ~rounds (), storm, fs, wedge, loop))
-  in
-  let sweep, sweep_check =
-    Check.with_checker checks (fun () ->
-        List.map (fun crash_ppm -> crash ~crash_ppm ()) crash_ppms)
-  in
-  let golden, storm, fs, wedge, loop = scenarios in
+  (* last to first, the order the scenarios have always run in *)
+  let loop = crash_loop () in
+  let wedge = fs_wedge ~seed ~clients ~sessions () in
+  let fs = crash ~crash_ppm:30_000 () in
+  let storm = shard_storm ~victim_ops () in
+  let golden = shard_golden ~endpoints ~rounds () in
+  let sweep = List.map (fun crash_ppm -> crash ~crash_ppm ()) crash_ppms in
   {
     fr_seed = seed;
     fr_points = [ golden; storm ] @ sweep @ [ fs; wedge; loop ];
-    fr_check = check;
-    fr_sweep_check = sweep_check;
   }
 
 (* --- acceptance probes ------------------------------------------------------ *)

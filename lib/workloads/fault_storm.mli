@@ -59,10 +59,6 @@ type point = {
 type result = {
   fr_seed : int;
   fr_points : point list;
-  fr_check : Check.report option;
-      (** Machcheck over the five scenarios, when enabled *)
-  fr_sweep_check : Check.report option;
-      (** Machcheck over the fs-crash rows at {!crash_ppms} *)
 }
 
 val crash_ppms : int list
@@ -70,13 +66,12 @@ val crash_ppms : int list
 
 val run :
   ?seed:int -> ?endpoints:int -> ?rounds:int -> ?victim_ops:int ->
-  ?clients:int -> ?sessions:int -> ?checks:bool -> unit -> result
+  ?clients:int -> ?sessions:int -> unit -> result
 (** Run all five scenarios, then fs-crash at {!crash_ppms}; the points
     list the sweep in rate order.  [endpoints]/[rounds] size the open-loop
     golden storm, [victim_ops] the closed-loop echo run, and
-    [clients]/[sessions] the file-server scenarios.  With [checks] a
-    {!Check} rides along globally (every boot and every supervised
-    restart attaches to it). *)
+    [clients]/[sessions] the file-server scenarios.  Every boot and every
+    supervised restart attaches to the installed {!Check}, if any. *)
 
 (** {1 Acceptance probes (the bench gates)} *)
 
