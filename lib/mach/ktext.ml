@@ -92,7 +92,7 @@ let create (m : Machine.t) =
     buf_resets = 0;
     buf_in_use = 0;
     buf_peak = 0;
-    kt_checks = (match Check.installed () with Some c -> Some c | None -> None);
+    kt_checks = Check.installed ();
     kt_space = (match Check.installed () with Some c -> Check.new_space c | None -> 0);
   }
 

@@ -100,7 +100,7 @@ let create machine ktext =
     reply_cache_misses = 0;
     faults = None;
     retry_attempts = 0;
-    checks = (match Check.installed () with Some c -> Some c | None -> None);
+    checks = Check.installed ();
     check_space =
       (match Check.installed () with Some c -> Check.new_space c | None -> 0);
   }

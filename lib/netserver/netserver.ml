@@ -235,13 +235,6 @@ let wait_on t s reason =
   ignore (Mach.Sched.block reason : Mach.Ktypes.kern_return);
   ignore t
 
-(* --- machcheck hook ------------------------------------------------------ *)
-
-let chk t f =
-  match (sys t).Mach.Sched.checks with
-  | None -> ()
-  | Some c -> f c (sys t).Mach.Sched.check_space
-
 (* --- delivery: the netisr path ------------------------------------------- *)
 
 let conn_incr sh conn =
@@ -277,8 +270,8 @@ let rec process t (sh : shard) (pkt : packet) =
   match Hashtbl.find_opt sh.sh_sockets pkt.p_dst with
   | None -> ()  (* dropped: no listener *)
   | Some s -> (
-      chk t (fun c sp ->
-          Check.net_touched c ~space:sp ~sock:s.s_uid ~home:s.s_home
+      Mach.Mcheck.on (sys t) (fun c space ->
+          Check.net_touched c ~space ~sock:s.s_uid ~home:s.s_home
             ~shard:sh.sh_id);
       match (pkt.p_proto, s.s_kind) with
       | Udp, S_udp ->
@@ -445,8 +438,8 @@ let alloc_sock t (home : shard) ~port kind =
       (Net_bind { nb_port = port; nb_shard = home.sh_id; nb_sock = s });
     Hashtbl.replace home.sh_sockets port s;
     (match kind with S_tcp conn -> conn_incr home conn | _ -> ());
-    chk t (fun c sp ->
-        Check.net_socket_home c ~space:sp ~sock:s.s_uid ~shard:home.sh_id);
+    Mach.Mcheck.on (sys t) (fun c space ->
+        Check.net_socket_home c ~space ~sock:s.s_uid ~shard:home.sh_id);
     Ok s
   end
 
@@ -648,11 +641,13 @@ let reap_half_open t ~older_than =
 let kill_shard t ~shard =
   let sh = t.shards.(shard) in
   if sh.sh_dead then invalid_arg "Netserver.kill_shard: shard already dead";
-  chk t (fun c sp -> Check.reinc_shard_killed c ~space:sp ~shard);
+  Mach.Mcheck.on (sys t) (fun c space ->
+      Check.reinc_shard_killed c ~space ~shard);
   (* mark what a faithful rebirth must restore *)
   Hashtbl.iter
     (fun _port (s : socket) ->
-      chk t (fun c sp -> Check.reinc_expect c ~space:sp ~shard ~sock:s.s_uid))
+      Mach.Mcheck.on (sys t) (fun c space ->
+          Check.reinc_expect c ~space ~shard ~sock:s.s_uid))
     sh.sh_sockets;
   (match sh.sh_thread with
   | Some th ->
@@ -696,8 +691,8 @@ let reincarnate_shard t ~shard =
             conn_incr sh conn;
             if not s.s_established then Hashtbl.replace sh.sh_embryonic conn s
         | S_udp | S_listen _ -> ());
-        chk t (fun c sp ->
-            Check.reinc_restored c ~space:sp ~shard ~sock:s.s_uid)
+        Mach.Mcheck.on (sys t) (fun c space ->
+            Check.reinc_restored c ~space ~shard ~sock:s.s_uid)
       end)
     t.port_sock;
   (* ephemeral allocator: high-water hint from the registry, free list =
@@ -720,11 +715,12 @@ let reincarnate_shard t ~shard =
   Hashtbl.iter
     (fun port owner ->
       if owner = shard && not (Hashtbl.mem sh.sh_sockets port) then
-        chk t (fun c sp ->
-            Check.reinc_rights_residue c ~space:sp ~shard ~port
+        Mach.Mcheck.on (sys t) (fun c space ->
+            Check.reinc_rights_residue c ~space ~shard ~port
               ~pname:(Printf.sprintf "net:%d" port)))
     t.port_owner;
-  chk t (fun c sp -> Check.reinc_shard_reborn c ~space:sp ~shard);
+  Mach.Mcheck.on (sys t) (fun c space ->
+      Check.reinc_shard_reborn c ~space ~shard);
   sh.sh_generation <- sh.sh_generation + 1;
   sh.sh_dead <- false;
   t.reincarnations <- t.reincarnations + 1;

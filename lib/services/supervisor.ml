@@ -99,11 +99,9 @@ let demote t e =
   e.e_degraded <- true;
   e.e_died_at <- -1;
   t.total_degraded <- t.total_degraded + 1;
-  (match (sys t).Mach.Sched.checks with
-  | Some c ->
-      Check.reinc_budget_exhausted c ~space:(sys t).Mach.Sched.check_space
-        ~path:e.e_path ~restarts:e.e_restarts
-  | None -> ());
+  Mach.Mcheck.on (sys t) (fun c space ->
+      Check.reinc_budget_exhausted c ~space ~path:e.e_path
+        ~restarts:e.e_restarts);
   rebind t e.e_path (degraded_responder t)
 
 let handle_death t e =

@@ -2,10 +2,11 @@
 
    Flattens both documents to (path, number) pairs, pairs them up, and
    judges each delta by the metric's direction: names that look like
-   throughput/speedup regress when they fall, cost-like names (cycles,
-   misses, stalls...) regress when they rise, anything else is reported
-   but never gates.  Host-time and provenance fields are skipped — only
-   deterministic simulated metrics can fail a build.
+   throughput, speedup, availability or success regress when they fall,
+   cost-like names (cycles, misses, stalls...) regress when they rise,
+   anything else is reported but never gates.  Host-time and provenance
+   fields are skipped — only deterministic simulated metrics can fail a
+   build.
 
    The two files must carry the same "experiment" and "schema_version";
    comparing apples to oranges is an error, not a zero diff. *)
@@ -47,7 +48,7 @@ let direction path =
   let has = contains path in
   if
     has "throughput" || has "speedup" || has "completed" || has "hits"
-    || has "hit_rate"
+    || has "hit_rate" || has "availability" || has "_ok" || has "per_mcycle"
   then `Higher_better
   else if
     has "cycles" || has "miss" || has "stall" || has "retries" || has "lost"

@@ -1,8 +1,9 @@
 (** A/B regression diff over two BENCH_*.json files.
 
     Compares the numeric leaves of two runs of the same experiment and
-    judges each change by the metric's direction: throughput-like
-    metrics regress when they fall, cost-like metrics (cycles, misses,
+    judges each change by the metric's direction: throughput-,
+    availability- and success-like metrics ([*_ok], [*_per_mcycle])
+    regress when they fall, cost-like metrics (cycles, misses,
     stalls) regress when they rise.  Provenance (the ["run"] subtree)
     and host-clock fields are excluded, so only deterministic simulated
     metrics can gate a build. *)

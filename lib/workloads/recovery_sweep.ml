@@ -167,13 +167,11 @@ let verify (pfs : F.Fs_types.pfs) expect ~lost =
 
 (* --- Machcheck hooks ------------------------------------------------------ *)
 
-let chk (sys : Mach.Sched.t) hook =
-  Option.iter
-    (fun c -> hook c ~space:sys.Mach.Sched.check_space)
-    sys.Mach.Sched.checks
+let chk_lost sys d =
+  Mach.Mcheck.on sys (fun c space -> Check.crash_lost_write c ~space d)
 
-let chk_lost sys d = chk sys (fun c ~space -> Check.crash_lost_write c ~space d)
-let chk_torn sys d = chk sys (fun c ~space -> Check.crash_torn_state c ~space d)
+let chk_torn sys d =
+  Mach.Mcheck.on sys (fun c space -> Check.crash_torn_state c ~space d)
 
 (* --- one system per point ------------------------------------------------- *)
 
@@ -264,7 +262,7 @@ let run_crash_point ~seed ~ops ~n =
           chk_torn sys
             (Printf.sprintf "crash@write %d: recovery mount failed: %s" n
                (F.Fs_types.fs_error_to_string e)));
-      chk sys Check.crash_point_checked);
+      Mach.Mcheck.on sys (fun c space -> Check.crash_point_checked c ~space));
   {
     cp_write = n;
     cp_acked = List.length !expect;

@@ -172,8 +172,9 @@ let perturb ~key ~factor text =
       Alcotest.(check bool) (key ^ " found") true !hit;
       J.to_string doc
 
-(* Known-bad cases for the baseline gate: a 5% cycle rise and a 5%
-   completion drop must each be flagged, once, at threshold 0. *)
+(* Known-bad cases for the baseline gate: a 5% cycle rise, a 5%
+   completion drop and a 5% availability drop must each be flagged,
+   once, at threshold 0. *)
 let test_ab_flags_regressions () =
   List.iter
     (fun (file, key, factor) ->
@@ -187,7 +188,8 @@ let test_ab_flags_regressions () =
           Alcotest.(check int) "nothing else moved" 1
             (List.length v.Workloads.Bench_ab.v_deltas))
     [ ("BENCH_ipc.json", "sim_cycles_per_op", 1.05);
-      ("BENCH_storm.json", "completed", 0.95) ]
+      ("BENCH_storm.json", "completed", 0.95);
+      ("BENCH_storm.json", "availability_in", 0.95) ]
 
 let suite =
   [
