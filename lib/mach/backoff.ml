@@ -1,14 +1,16 @@
-(* Shared retry-backoff schedule.
+(* Shared retry-backoff schedule, and the one client retry loop on it.
 
-   Both [Ipc.call_retry] and [Rpc.call_retry] — and the supervisor's
-   restart pacing — used to grow their wait by unbounded doubling, and
-   every retrier doubled in lockstep: when a server died under load, all
-   of its clients slept the same schedule and stampeded it the instant
-   it came back.  A policy here caps the exponential and perturbs each
-   waiter's schedule with deterministic jitter from the same drand48
-   generator the fault planner uses, keyed on a caller-supplied seed
-   (thread id, entry index), so replays stay bit-exact while distinct
-   waiters spread out. *)
+   The retry loop below — both [Ipc.call_retry] and [Rpc.call_retry] —
+   and the supervisor's restart pacing used to grow their wait by
+   unbounded doubling, and every retrier doubled in lockstep: when a
+   server died under load, all of its clients slept the same schedule
+   and stampeded it the instant it came back.  A policy here caps the
+   exponential and perturbs each waiter's schedule with deterministic
+   jitter from the same drand48 generator the fault planner uses, keyed
+   on a caller-supplied seed (thread id, entry index), so replays stay
+   bit-exact while distinct waiters spread out. *)
+
+open Ktypes
 
 type policy = { bo_base : int; bo_cap : int; bo_seed : int }
 
@@ -42,3 +44,29 @@ let delay p ~attempt =
   let span = max 1 (wait / 4) in
   let s = lcg (lcg ((p.bo_seed * 31) + attempt) land 0xFFFF_FFFF_FFFF) in
   wait + (s lsr 17) mod span
+
+(* The client retry loop: only the call differs between Ipc and Rpc. *)
+let retry (sys : Sched.t) ?(attempts = 4) ?(deadline = 100_000)
+    ?(backoff = 1_000) ~resolve call =
+  let th = Sched.self () in
+  let p = policy ~seed:th.tid ~base:backoff () in
+  let rec go n last_err =
+    if n > attempts then Error last_err
+    else begin
+      if n > 1 then begin
+        sys.retry_attempts <- sys.retry_attempts + 1;
+        (* user-level retry stub: back off, then re-resolve the name *)
+        Ktext.exec_in sys.ktext th.t_task.text ~offset:0x1c0 ~bytes:96;
+        ignore (Clock.sleep_for sys ~cycles:(delay p ~attempt:(n - 1)))
+      end;
+      match resolve () with
+      | None -> go (n + 1) Kern_invalid_name
+      | Some port -> (
+          match call port ~deadline with
+          | Ok reply -> Ok reply
+          | Error ((Kern_port_dead | Kern_timed_out | Kern_aborted) as err) ->
+              go (n + 1) err
+          | Error err -> Error err)
+    end
+  in
+  go 1 Kern_port_dead

@@ -36,14 +36,9 @@ val call_retry :
   Sched.t -> ?attempts:int -> ?deadline:int -> ?backoff:int ->
   resolve:(unit -> port option) -> message_builder ->
   (message, kern_return) result
-(** Bounded-retry client call for surviving server crashes: re-resolve
-    the destination via [resolve] (a name-service lookup) before every
-    attempt, call with [deadline] cycles (default 100k), and on a
-    retryable failure ([Kern_port_dead], [Kern_timed_out],
-    [Kern_aborted]) back off — [backoff] cycles (default 1k), doubling
-    each round — and try again, up to [attempts] total tries (default
-    4).  Gives up with the last error.  Re-issues are counted in
-    [sys.retry_attempts] and charged as a user-level retry stub. *)
+(** {!call} inside the shared client retry loop {!Backoff.retry}:
+    re-resolve, call with a deadline, back off and retry on a crashed or
+    silent server. *)
 
 val reply_cache_hits : Sched.t -> int
 (** Calls that reused the calling thread's cached reply port. *)

@@ -233,6 +233,15 @@ let simple_message ?(op = 0) ?(inline_bytes = 0) ?inline_src
     mb_rights = rights;
   }
 
+(* Where a task's inline message bodies land (and are copied from when
+   the sender names no buffer), for copy costing. *)
+let default_buf task = task.data.Machine.Layout.base + 0x3800
+
+(* Run a server's handler; a server bug surfacing as [Kern_error]
+   becomes an error reply instead of tearing the whole server down. *)
+let run_handler handler msg =
+  try handler msg with Kern_error err -> simple_message ~payload:(P_error err) ()
+
 let page_size = 4096
 let page_of_addr addr = addr / page_size
 let pages_of_bytes bytes = (bytes + page_size - 1) / page_size

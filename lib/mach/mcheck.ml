@@ -11,8 +11,6 @@ let right_of = function
   | Send_right -> Check.R_send
   | Send_once_right -> Check.R_send_once
 
-let tlabel (th : thread) = th.t_task.task_name ^ "." ^ th.tname
-
 let on (sys : Sched.t) f =
   match sys.checks with None -> () | Some c -> f c sys.check_space
 
@@ -59,6 +57,7 @@ let dead_rights sys (task : task) =
   | Some c -> Check.dead_rights c ~space:sys.Sched.check_space ~task:task.task_id
 
 (* --- deadlock detector -------------------------------------------------- *)
+(* The wait edges themselves are reported by [Sched.wait]. *)
 
 (* The threads of a port's receiving task: the holders that could
    unblock a sender waiting for queue room or a caller waiting for its
@@ -67,14 +66,6 @@ let receiver_tids (port : port) =
   match port.receiver with
   | None -> []
   | Some task -> List.map (fun th -> th.tid) task.threads
-
-let block_on sys (th : thread) ~res ~rdesc ~holders =
-  on sys (fun c space ->
-      Check.blocked_on c ~space ~tid:th.tid ~tname:(tlabel th)
-        ~cpu:sys.Sched.active ~res ~rdesc ~holders)
-
-let unblock sys (th : thread) =
-  on sys (fun c space -> Check.unblocked c ~space ~tid:th.tid)
 
 let retarget sys (th : thread) ~holders =
   on sys (fun c space -> Check.retarget c ~space ~tid:th.tid ~holders)

@@ -48,3 +48,9 @@ val destroy : Sched.t -> port -> unit
 
 val rights_held : task -> int
 (** Number of live right entries in the task's space. *)
+
+val fault_on_send : Sched.t -> port -> Fault.message_decision
+val fault_on_request : Sched.t -> port -> Fault.server_decision
+(** What the system's fault plan does to a message sent to, or a request
+    served from, this port.  Free without a plan; an injected decision
+    charges the fault-bookkeeping chunk. *)

@@ -131,6 +131,20 @@ val dequeue_waiter : thread -> thread Queue.t -> unit
 (** Remove every entry for the thread from a wait queue (used when a
     blocked operation gives up, so a later wake cannot target it). *)
 
+val wake_one : t -> thread Queue.t -> bool
+(** Pop entries off the wait queue until one names a blocked thread and
+    wake it; [false] if the queue held none. *)
+
+val wait :
+  t -> ?q:thread Queue.t -> thread -> res:string -> rdesc:string ->
+  holders:int list -> string -> kern_return
+(** The kernel's one blocking wait, which every IPC, RPC and synchronizer
+    wait goes through: add the thread to [q] unless already queued,
+    report the wait-for edge on [res] (described by [rdesc], unblockable
+    by the [holders] thread ids) to an attached Machcheck, {!block} with
+    [reason], and withdraw the edge on wake.  On any result but
+    [Kern_success] the thread is also removed from [q]. *)
+
 val terminate : t -> thread -> unit
 (** Kill a thread.  Killing a thread homed on another CPU additionally
     posts an [X_teardown] message so the owning CPU pays the reap cost. *)

@@ -8,6 +8,13 @@
 
 open Ktypes
 
+val enter : Sched.t -> thread -> Ktext.chunk list -> unit
+(** The one trap entry: the thread's user stub, kernel entry, then
+    [chunks], all on the thread's kernel stack frame. *)
+
+val leave : Sched.t -> thread -> unit
+(** Kernel exit back to the thread's user code. *)
+
 val thread_self : Sched.t -> thread
 (** The Table 2 trap: user stub, kernel entry, dispatch, the
     [thread_self] service body, kernel exit. *)

@@ -461,6 +461,73 @@ let test_semaphore_timeout () =
   Mach.Kernel.run k;
   Alcotest.check kr "signal wins" Kern_success !outcome2
 
+(* A waiter that gave up on a timeout must leave the wait queue.  Thread
+   A times out on the primitive and then sleeps 1M cycles; B waits on it;
+   C signals it.  The signal belongs to B: if A's stale entry absorbs
+   it, A's sleep is cut short and B sleeps forever. *)
+type sync_prim = {
+  timed_wait : cycles:int -> kern_return;
+  wait : unit -> kern_return;
+  signal : unit -> unit;
+  residue : unit -> int * int;  (* value, waiters after the run *)
+}
+
+let check_no_lost_wakeup make () =
+  let k = Test_util.kernel_on () in
+  let sys = k.Mach.Kernel.sys in
+  let m = k.Mach.Kernel.machine in
+  let task = Mach.Kernel.task_create k ~name:"t" () in
+  let p = make sys in
+  let a_timeout = ref Kern_success and a_sleep = ref (Kern_aborted, 0) in
+  let b_done = ref None and signalled_at = ref 0 in
+  Test_util.spawn k task "a" (fun () ->
+      a_timeout := p.timed_wait ~cycles:10_000;
+      let t0 = Machine.now m in
+      let r = Mach.Clock.sleep_for sys ~cycles:1_000_000 in
+      a_sleep := (r, Machine.now m - t0));
+  Test_util.spawn k task "b" (fun () ->
+      ignore (Mach.Clock.sleep_for sys ~cycles:20_000 : kern_return);
+      let r = p.wait () in
+      b_done := Some (r, Machine.now m));
+  Test_util.spawn k task "c" (fun () ->
+      ignore (Mach.Clock.sleep_for sys ~cycles:50_000 : kern_return);
+      signalled_at := Machine.now m;
+      p.signal ());
+  Mach.Kernel.run k;
+  Alcotest.check kr "A timed out" Kern_timed_out !a_timeout;
+  (match !b_done with
+  | Some (r, at) ->
+      Alcotest.check kr "B woken by the signal" Kern_success r;
+      Alcotest.(check bool) "B completes at C's signal" true
+        (at >= !signalled_at && at - !signalled_at < 20_000)
+  | None -> Alcotest.fail "B never completed");
+  let r, slept = !a_sleep in
+  Alcotest.check kr "A's sleep not interrupted" Kern_success r;
+  Alcotest.(check bool) "A sleeps its full 1M cycles" true (slept >= 1_000_000);
+  Alcotest.(check (pair int int)) "value 0, no waiters left" (0, 0)
+    (p.residue ())
+
+let semaphore_prim sys =
+  let s = Mach.Sync.semaphore_create sys ~name:"s" ~value:0 in
+  {
+    timed_wait =
+      (fun ~cycles -> Mach.Sync.semaphore_wait_timeout sys s ~timeout:cycles);
+    wait = (fun () -> Mach.Sync.semaphore_wait sys s);
+    signal = (fun () -> Mach.Sync.semaphore_signal sys s);
+    residue =
+      (fun () -> (Mach.Sync.semaphore_value s, Mach.Sync.semaphore_waiters s));
+  }
+
+let event_prim sys =
+  let e = Mach.Sync.event_create sys ~name:"e" in
+  let wait () = Mach.Sync.event_wait sys e in
+  {
+    timed_wait = (fun ~cycles -> Mach.Clock.with_deadline sys ~cycles wait);
+    wait;
+    signal = (fun () -> Mach.Sync.event_signal sys e);
+    residue = (fun () -> (0, Mach.Sync.event_waiters e));
+  }
+
 let test_clock_sleep () =
   let k = Test_util.kernel_on () in
   let sys = k.Mach.Kernel.sys in
@@ -554,6 +621,10 @@ let suite =
     Alcotest.test_case "mutex wrong owner" `Quick test_mutex_wrong_owner;
     Alcotest.test_case "event broadcast" `Quick test_event_broadcast;
     Alcotest.test_case "semaphore timeout" `Quick test_semaphore_timeout;
+    Alcotest.test_case "timed-out semaphore waiter loses no wakeup" `Quick
+      (check_no_lost_wakeup semaphore_prim);
+    Alcotest.test_case "timed-out event waiter loses no wakeup" `Quick
+      (check_no_lost_wakeup event_prim);
     Alcotest.test_case "clock sleep" `Quick test_clock_sleep;
     Alcotest.test_case "periodic timer" `Quick test_periodic_timer;
     Alcotest.test_case "user interrupt reflection" `Quick
