@@ -39,15 +39,12 @@ let await_disk t submit =
       (* the completion runs in interrupt context; charge by model *)
       (match t.a with
       | Kernel_bsd ->
-          Mach.Ktext.exec s.Mach.Sched.ktext
-            [ Mach.Ktext.irq_entry s.Mach.Sched.ktext ]
+          Mach.Ktext.exec s.Mach.Sched.ktext [ Mach.Ktext.irq_entry ]
       | User_level ->
           Mach.Ktext.exec s.Mach.Sched.ktext
-            [ Mach.Ktext.irq_entry s.Mach.Sched.ktext;
-              Mach.Ktext.irq_reflect s.Mach.Sched.ktext ]
+            [ Mach.Ktext.irq_entry; Mach.Ktext.irq_reflect ]
       | Ooddm -> (
-          Mach.Ktext.exec s.Mach.Sched.ktext
-            [ Mach.Ktext.irq_entry s.Mach.Sched.ktext ];
+          Mach.Ktext.exec s.Mach.Sched.ktext [ Mach.Ktext.irq_entry ];
           match (t.oo_runtime, t.oo_driver) with
           | Some rt, Some d -> Finegrain.invoke rt d ~work_units:10
           | _ -> ()));
@@ -67,18 +64,16 @@ let kernel_entry t =
   let th = Mach.Sched.self () in
   Mach.Ktext.exec_in s.Mach.Sched.ktext th.t_task.text ~offset:0x100 ~bytes:128;
   Mach.Ktext.exec s.Mach.Sched.ktext ~frame:th.stack_base
-    [ Mach.Ktext.trap_entry s.Mach.Sched.ktext;
-      Mach.Ktext.syscall_dispatch s.Mach.Sched.ktext ]
+    [ Mach.Ktext.trap_entry; Mach.Ktext.syscall_dispatch ]
 
 let kernel_exit t =
   let s = sys t in
   let th = Mach.Sched.self () in
   Mach.Ktext.exec s.Mach.Sched.ktext ~frame:th.stack_base
-    [ Mach.Ktext.trap_exit s.Mach.Sched.ktext ]
+    [ Mach.Ktext.trap_exit ]
 
 let dma_setup t =
-  Mach.Ktext.exec (sys t).Mach.Sched.ktext
-    [ Mach.Ktext.dma_setup (sys t).Mach.Sched.ktext ]
+  Mach.Ktext.exec (sys t).Mach.Sched.ktext [ Mach.Ktext.dma_setup ]
 
 (* the driver body shared by every architecture *)
 let do_read t ~block ~count =

@@ -29,8 +29,7 @@ let overlaps a b =
   | (Irq_line _ | Io_range _ | Dma_channel _), _ -> false
 
 let charge t =
-  Mach.Ktext.exec t.kernel.Mach.Kernel.ktext
-    [ Mach.Ktext.cap_translate t.kernel.Mach.Kernel.ktext ]
+  Mach.Ktext.exec t.kernel.Mach.Kernel.ktext [ Mach.Ktext.cap_translate ]
 
 let resource_to_string = function
   | Irq_line n -> Printf.sprintf "irq:%d" n

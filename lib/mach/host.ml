@@ -30,13 +30,13 @@ let default_pset (sys : Sched.t) =
       ps
 
 let pset_create (sys : Sched.t) ~name =
-  Ktext.exec sys.ktext [ Ktext.sync_fast sys.ktext ];
+  Ktext.exec sys.ktext [ Ktext.sync_fast ];
   { ps_name = name; ps_tasks = [] }
 
 let pset_name ps = ps.ps_name
 
 let assign_task (sys : Sched.t) ps task =
-  Ktext.exec sys.ktext [ Ktext.sync_fast sys.ktext ];
+  Ktext.exec sys.ktext [ Ktext.sync_fast ];
   if not (List.memq task ps.ps_tasks) then ps.ps_tasks <- task :: ps.ps_tasks
 
 let pset_tasks ps = ps.ps_tasks

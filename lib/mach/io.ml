@@ -24,7 +24,7 @@ let device_mapped task region =
 let attach_kernel_handler t ~line ~name f =
   let sys = t.sys in
   Machine.Irq.register sys.machine.Machine.irq ~line ~name (fun () ->
-      Ktext.exec sys.ktext [ Ktext.irq_entry sys.ktext ];
+      Ktext.exec sys.ktext [ Ktext.irq_entry ];
       f ())
 
 let next_interrupt t ~line =
@@ -46,8 +46,7 @@ let attach_user_handler t ~line ~name =
   let r = { waiter = None; pending = 0 } in
   Hashtbl.replace t.tbl line r;
   Machine.Irq.register sys.machine.Machine.irq ~line ~name (fun () ->
-      Ktext.exec sys.ktext
-        [ Ktext.irq_entry sys.ktext; Ktext.irq_reflect sys.ktext ];
+      Ktext.exec sys.ktext [ Ktext.irq_entry; Ktext.irq_reflect ];
       match r.waiter with
       | Some th ->
           r.waiter <- None;
@@ -59,12 +58,12 @@ let detach t ~line =
   Hashtbl.remove t.tbl line
 
 let dma_open t ~channel =
-  Ktext.exec t.sys.ktext [ Ktext.dma_setup t.sys.ktext ];
+  Ktext.exec t.sys.ktext [ Ktext.dma_setup ];
   { ch_id = channel; ch_busy = false }
 
 let dma_transfer t ch ~bytes k =
   let sys = t.sys in
-  Ktext.exec sys.ktext [ Ktext.dma_setup sys.ktext ];
+  Ktext.exec sys.ktext [ Ktext.dma_setup ];
   ch.ch_busy <- true;
   (* ~4 bytes per bus cycle, and the bus traffic lands on completion *)
   let cycles = max 1 (bytes / 4) in

@@ -118,25 +118,25 @@ let chunk_bytes c = c.ck_bytes
 
 (* Trap path: chosen so its pieces occupy disjoint set ranges — the hot
    trap path of a tuned kernel stays cache-resident. *)
-let c_trap_entry =
+let trap_entry =
   chunk ~offset:0x0100 ~bytes:560
     ~stores:[ (Frame 0, 128) ]  (* push register frame *)
     ~loads:[ (Kdata 0x040, 16) ] ()
 
-let c_syscall_dispatch =
+let syscall_dispatch =
   chunk ~offset:0x0c00 ~bytes:192 ~loads:[ (Kdata 0x080, 32) ] ()
 
-let c_thread_self_service =
+let thread_self_service =
   chunk ~offset:0x0800 ~bytes:560
     ~loads:[ (Kdata 0x100, 32) ]
     ~stores:[ (Frame 128, 96) ] ()
 
-let c_generic_service =
+let generic_service =
   chunk ~offset:0x0a30 ~bytes:448
     ~loads:[ (Kdata 0x140, 64) ]
     ~stores:[ (Frame 128, 32) ] ()
 
-let c_trap_exit =
+let trap_exit =
   chunk ~offset:0x0400 ~bytes:416 ~loads:[ (Frame 0, 128) ] ()
 
 (* IBM RPC path: the rework's lighter kernel entry plus send/reply
@@ -144,52 +144,52 @@ let c_trap_exit =
    4 KB (0x1100 = 0x100, 0x1400/0x1500 = 0x400/0x500, 0x2400 = 0x400),
    the way an unlaid-out kernel link map falls out; this is the source
    of the RPC path's steady-state I-cache misses. *)
-let c_rpc_entry =
+let rpc_entry =
   chunk ~offset:0x1100 ~bytes:384 ~stores:[ (Frame 0, 96) ]
     ~loads:[ (Kdata 0x040, 16) ] ()
 
-let c_rpc_send =
+let rpc_send =
   chunk ~offset:0x1500 ~bytes:512
     ~loads:[ (Kdata 0x200, 96) ]
     ~stores:[ (Kdata 0x240, 256); (Frame 160, 64) ] ()
 
-let c_rpc_reply =
+let rpc_reply =
   chunk ~offset:0x1400 ~bytes:448
     ~loads:[ (Kdata 0x240, 96) ]
     ~stores:[ (Kdata 0x280, 192) ] ()
 
-let c_cap_translate =
+let cap_translate =
   chunk ~offset:0x1f00 ~bytes:160 ~loads:[ (Kdata 0x300, 64) ] ()
 
-let c_rpc_handoff =
+let rpc_handoff =
   chunk ~offset:0x1c00 ~bytes:288
     ~loads:[ (Kdata 0x340, 32) ]
     ~stores:[ (Kdata 0x360, 96) ] ()
 
 (* Scheduler and switch machinery. *)
-let c_sched_pick =
+let sched_pick =
   chunk ~offset:0x2100 ~bytes:192 ~loads:[ (Kdata 0x400, 96) ] ()
 
-let c_context_switch =
+let context_switch =
   chunk ~offset:0x2400 ~bytes:288
     ~stores:[ (Frame 0, 224) ]  (* save outgoing register state *)
     ~loads:[ (Frame 256, 224) ]  (* load incoming state *) ()
 
-let c_pmap_switch =
+let pmap_switch =
   chunk ~offset:0x2900 ~bytes:160 ~loads:[ (Kdata 0x480, 32) ] ()
 
 (* VM paths. *)
-let c_vm_fault =
+let vm_fault_path =
   chunk ~offset:0x3000 ~bytes:1280
     ~loads:[ (Kdata 0x500, 128) ]
     ~stores:[ (Kdata 0x580, 64); (Frame 0, 64) ] ()
 
-let c_vm_map_enter =
+let vm_map_enter =
   chunk ~offset:0x3800 ~bytes:512
     ~loads:[ (Kdata 0x600, 64) ]
     ~stores:[ (Kdata 0x640, 64) ] ()
 
-let c_vm_page_insert =
+let vm_page_insert =
   chunk ~offset:0x3a00 ~bytes:256 ~stores:[ (Kdata 0x680, 32) ] ()
 
 (* Zero-copy remap: clip/split the source map entry, enter the object
@@ -197,63 +197,63 @@ let c_vm_page_insert =
    entry regardless of how many bytes it covers — that independence from
    byte count is the whole point of the remap path (the per-page cost is
    the TLB shootdown the caller charges at the machine layer). *)
-let c_vm_remap_entry =
+let vm_remap_entry =
   chunk ~offset:0x3c00 ~bytes:480
     ~loads:[ (Kdata 0x600, 64); (Kdata 0x680, 32) ]
     ~stores:[ (Kdata 0x640, 64) ] ()
 
-let c_pageout =
+let pageout_path =
   chunk ~offset:0x3e00 ~bytes:640
     ~loads:[ (Kdata 0x6c0, 96) ]
     ~stores:[ (Kdata 0x700, 64) ] ()
 
 (* Interrupts, I/O, timers, synchronizers. *)
-let c_irq_entry =
+let irq_entry =
   chunk ~offset:0x4100 ~bytes:384 ~stores:[ (Frame 0, 96) ] ()
 
-let c_irq_reflect =
+let irq_reflect =
   chunk ~offset:0x4300 ~bytes:512
     ~loads:[ (Kdata 0x740, 32) ]
     ~stores:[ (Kdata 0x760, 32) ] ()
 
-let c_dma_setup =
+let dma_setup =
   chunk ~offset:0x4600 ~bytes:448
     ~loads:[ (Kdata 0x7a0, 32) ]
     ~stores:[ (Kdata 0x7c0, 48) ] ()
 
-let c_timer_service =
+let timer_service =
   chunk ~offset:0x4900 ~bytes:384
     ~loads:[ (Kdata 0x800, 48) ]
     ~stores:[ (Kdata 0x820, 16) ] ()
 
-let c_sync_fast =
+let sync_fast =
   chunk ~offset:0x4b00 ~bytes:224
     ~loads:[ (Kdata 0x840, 16) ]
     ~stores:[ (Kdata 0x850, 16) ] ()
 
-let c_sync_block =
+let sync_block =
   chunk ~offset:0x4d00 ~bytes:320
     ~loads:[ (Kdata 0x860, 32) ]
     ~stores:[ (Kdata 0x880, 32) ] ()
 
 (* Dead-name notification delivery: walk the port's watcher list and
    post each notification (the supervision machinery rides on this). *)
-let c_notify =
+let notify_path =
   chunk ~offset:0x5100 ~bytes:224
     ~loads:[ (Kdata 0x8a0, 32) ]
     ~stores:[ (Kdata 0x8c0, 32) ] ()
 
 (* Fault-injection bookkeeping: only charged when a plan actually
    injects something, so a disabled plan perturbs no measurement. *)
-let c_fault_inject =
+let fault_inject =
   chunk ~offset:0x5300 ~bytes:160 ~loads:[ (Kdata 0x8e0, 16) ] ()
 
 (* The copy loop: one fetch of the loop body per 32-byte line moved. *)
-let c_copy_loop = chunk ~offset:0x2300 ~bytes:32 ()
+let copy_loop = chunk ~offset:0x2300 ~bytes:32 ()
 
 (* The user-level system-call stub shape (lives in each task's text; the
    offset here is within *that* region). *)
-let c_user_stub =
+let user_stub =
   chunk ~offset:0x0100 ~bytes:128 ~stores:[ (Frame 512, 64) ] ()
 
 (* --- Mach 3.0 mach_msg path (the code the rework deleted) ------------- *)
@@ -263,65 +263,65 @@ let c_user_stub =
 let ipc ~offset ~bytes ?(loads = []) ?(stores = []) () =
   chunk ~region:`Ipc ~offset ~bytes ~loads ~stores ()
 
-let c_mach_msg_entry =
+let mach_msg_entry =
   ipc ~offset:0x0100 ~bytes:2304
     ~loads:[ (Kdata 0x900, 192) ]
     ~stores:[ (Frame 0, 192); (Kdata 0x940, 96) ] ()
 
-let c_msg_copyin =
+let msg_copyin =
   ipc ~offset:0x0c00 ~bytes:1536
     ~loads:[ (Kdata 0x980, 96) ]
     ~stores:[ (Kdata 0x9c0, 96) ] ()
 
-let c_right_transfer =
+let right_transfer =
   ipc ~offset:0x1400 ~bytes:1024
     ~loads:[ (Kdata 0xa00, 96) ]
     ~stores:[ (Kdata 0xa40, 96) ] ()
 
-let c_msg_enqueue =
+let msg_enqueue =
   ipc ~offset:0x1900 ~bytes:1280
     ~loads:[ (Kdata 0xa80, 128) ]
     ~stores:[ (Kdata 0xac0, 192) ] ()
 
-let c_reply_port_setup =
+let reply_port_setup =
   ipc ~offset:0x1f00 ~bytes:1152
     ~loads:[ (Kdata 0xb00, 64) ]
     ~stores:[ (Kdata 0xb40, 64) ] ()
 
 (* The per-thread reply-port cache hit: a table lookup and a liveness
    check instead of allocate/setup/deallocate on every interaction. *)
-let c_reply_port_reuse =
+let reply_port_reuse =
   ipc ~offset:0x5600 ~bytes:160 ~loads:[ (Kdata 0xb00, 32) ] ()
 
-let c_msg_dequeue =
+let msg_dequeue =
   ipc ~offset:0x2500 ~bytes:1280
     ~loads:[ (Kdata 0xac0, 128) ]
     ~stores:[ (Kdata 0xa80, 64) ] ()
 
-let c_msg_copyout =
+let msg_copyout =
   ipc ~offset:0x2b00 ~bytes:1536
     ~loads:[ (Kdata 0x9c0, 96) ]
     ~stores:[ (Kdata 0x980, 96) ] ()
 
-let c_receive_path =
+let receive_path =
   ipc ~offset:0x3200 ~bytes:2048
     ~loads:[ (Kdata 0xb80, 192) ]
     ~stores:[ (Frame 0, 160); (Kdata 0xbc0, 96) ] ()
 
-let c_mach_msg_exit =
+let mach_msg_exit =
   ipc ~offset:0x3b00 ~bytes:896 ~loads:[ (Frame 0, 192) ] ()
 
-let c_port_alloc =
+let port_alloc_path =
   ipc ~offset:0x4000 ~bytes:2048
     ~loads:[ (Kdata 0xc00, 128) ]
     ~stores:[ (Kdata 0xc40, 192) ] ()
 
-let c_port_dealloc =
+let port_dealloc_path =
   ipc ~offset:0x4900 ~bytes:1536
     ~loads:[ (Kdata 0xc40, 128) ]
     ~stores:[ (Kdata 0xc00, 96) ] ()
 
-let c_virtual_copy_per_page =
+let virtual_copy_per_page =
   ipc ~offset:0x4f00 ~bytes:1216
     ~loads:[ (Kdata 0xc80, 96) ]
     ~stores:[ (Kdata 0xcc0, 96) ] ()
@@ -380,8 +380,8 @@ let copy t ~src ~dst ~bytes =
     for i = 0 to lines - 1 do
       let off = i * 32 in
       let n = min 32 (bytes - off) in
-      Machine.Cpu.fetch cpu t.text ~offset:c_copy_loop.ck_offset
-        ~bytes:c_copy_loop.ck_bytes;
+      Machine.Cpu.fetch cpu t.text ~offset:copy_loop.ck_offset
+        ~bytes:copy_loop.ck_bytes;
       Machine.Cpu.load cpu ~addr:(src + off) ~bytes:n;
       Machine.Cpu.store cpu ~addr:(dst + off) ~bytes:n
     done
@@ -557,46 +557,3 @@ let buffer_region t = t.buffers
 
 let exec_in t region ~offset ~bytes =
   Machine.Cpu.fetch t.machine.Machine.cpu region ~offset ~bytes
-
-(* --- Accessors --------------------------------------------------------- *)
-
-let user_stub _ = c_user_stub
-let trap_entry _ = c_trap_entry
-let syscall_dispatch _ = c_syscall_dispatch
-let thread_self_service _ = c_thread_self_service
-let generic_service _ = c_generic_service
-let trap_exit _ = c_trap_exit
-let rpc_send _ = c_rpc_send
-let rpc_reply _ = c_rpc_reply
-let cap_translate _ = c_cap_translate
-let rpc_entry _ = c_rpc_entry
-let rpc_handoff _ = c_rpc_handoff
-let mach_msg_entry _ = c_mach_msg_entry
-let msg_copyin _ = c_msg_copyin
-let msg_copyout _ = c_msg_copyout
-let right_transfer _ = c_right_transfer
-let msg_enqueue _ = c_msg_enqueue
-let msg_dequeue _ = c_msg_dequeue
-let receive_path _ = c_receive_path
-let reply_port_setup _ = c_reply_port_setup
-let reply_port_reuse _ = c_reply_port_reuse
-let mach_msg_exit _ = c_mach_msg_exit
-let port_alloc_path _ = c_port_alloc
-let port_dealloc_path _ = c_port_dealloc
-let virtual_copy_per_page _ = c_virtual_copy_per_page
-let sched_pick _ = c_sched_pick
-let context_switch _ = c_context_switch
-let pmap_switch _ = c_pmap_switch
-let vm_fault_path _ = c_vm_fault
-let vm_map_enter _ = c_vm_map_enter
-let vm_remap_entry _ = c_vm_remap_entry
-let vm_page_insert _ = c_vm_page_insert
-let pageout_path _ = c_pageout
-let irq_entry _ = c_irq_entry
-let irq_reflect _ = c_irq_reflect
-let dma_setup _ = c_dma_setup
-let timer_service _ = c_timer_service
-let sync_fast _ = c_sync_fast
-let sync_block _ = c_sync_block
-let notify_path _ = c_notify
-let fault_inject _ = c_fault_inject

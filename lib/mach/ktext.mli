@@ -93,76 +93,76 @@ val chunk_bytes : chunk -> int
 
 (** {1 Trap path} *)
 
-val user_stub : t -> chunk
+val user_stub : chunk
 (** The user-level system call stub; fetched from the *caller's* text
     region, see {!exec_in}. *)
 
-val trap_entry : t -> chunk
-val syscall_dispatch : t -> chunk
-val thread_self_service : t -> chunk
-val generic_service : t -> chunk
+val trap_entry : chunk
+val syscall_dispatch : chunk
+val thread_self_service : chunk
+val generic_service : chunk
 (** A typical in-kernel service routine body (used by the monolithic OS
     and by kernel services other than [thread_self]). *)
 
-val trap_exit : t -> chunk
+val trap_exit : chunk
 
 (** {1 IBM RPC path} *)
 
-val rpc_entry : t -> chunk
+val rpc_entry : chunk
 (** The rework's simplified kernel entry for RPC traps. *)
 
-val rpc_send : t -> chunk
-val rpc_reply : t -> chunk
-val cap_translate : t -> chunk
-val rpc_handoff : t -> chunk
+val rpc_send : chunk
+val rpc_reply : chunk
+val cap_translate : chunk
+val rpc_handoff : chunk
 
 (** {1 Mach 3.0 mach_msg path} *)
 
-val mach_msg_entry : t -> chunk
-val msg_copyin : t -> chunk
-val msg_copyout : t -> chunk
-val right_transfer : t -> chunk
-val msg_enqueue : t -> chunk
-val msg_dequeue : t -> chunk
-val receive_path : t -> chunk
-val reply_port_setup : t -> chunk
+val mach_msg_entry : chunk
+val msg_copyin : chunk
+val msg_copyout : chunk
+val right_transfer : chunk
+val msg_enqueue : chunk
+val msg_dequeue : chunk
+val receive_path : chunk
+val reply_port_setup : chunk
 
 (** The cheap path taken when a thread's cached reply port is reused
     instead of allocated and destroyed per interaction. *)
-val reply_port_reuse : t -> chunk
-val mach_msg_exit : t -> chunk
-val port_alloc_path : t -> chunk
-val port_dealloc_path : t -> chunk
-val virtual_copy_per_page : t -> chunk
+val reply_port_reuse : chunk
+val mach_msg_exit : chunk
+val port_alloc_path : chunk
+val port_dealloc_path : chunk
+val virtual_copy_per_page : chunk
 (** Map-manipulation cost per page of out-of-line data (the Mach 3.0
     virtual-copy strategy replaced by physical copy in the rework). *)
 
 (** {1 Scheduler, VM, interrupts, devices} *)
 
-val sched_pick : t -> chunk
-val context_switch : t -> chunk
-val pmap_switch : t -> chunk
-val vm_fault_path : t -> chunk
-val vm_map_enter : t -> chunk
+val sched_pick : chunk
+val context_switch : chunk
+val pmap_switch : chunk
+val vm_fault_path : chunk
+val vm_map_enter : chunk
 
-val vm_remap_entry : t -> chunk
+val vm_remap_entry : chunk
 (** Per-map-entry cost of the zero-copy remap path (clip/split source
     entry, enter into the destination map, adjust protections) — charged
     once per region regardless of byte count. *)
 
-val vm_page_insert : t -> chunk
-val pageout_path : t -> chunk
-val irq_entry : t -> chunk
-val irq_reflect : t -> chunk
-val dma_setup : t -> chunk
-val timer_service : t -> chunk
-val sync_fast : t -> chunk
-val sync_block : t -> chunk
+val vm_page_insert : chunk
+val pageout_path : chunk
+val irq_entry : chunk
+val irq_reflect : chunk
+val dma_setup : chunk
+val timer_service : chunk
+val sync_fast : chunk
+val sync_block : chunk
 
-val notify_path : t -> chunk
+val notify_path : chunk
 (** Dead-name notification delivery when a watched port dies. *)
 
-val fault_inject : t -> chunk
+val fault_inject : chunk
 (** Fault-plan bookkeeping, charged only when a fault is injected. *)
 
 val exec_in :

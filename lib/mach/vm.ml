@@ -35,7 +35,7 @@ let overlaps_entry map start size =
     map.entries
 
 let insert_entry (sys : Sched.t) map entry =
-  Ktext.exec sys.ktext [ Ktext.vm_map_enter sys.ktext ];
+  Ktext.exec sys.ktext [ Ktext.vm_map_enter ];
   map.entries <-
     List.sort (fun a b -> compare a.ent_start b.ent_start) (entry :: map.entries)
 
@@ -74,7 +74,7 @@ let rec evict_one (sys : Sched.t) =
       | Some p when p.pg_resident && not p.pg_wired ->
           p.pg_resident <- false;
           sys.pages_resident <- sys.pages_resident - 1;
-          Ktext.exec sys.ktext [ Ktext.pageout_path sys.ktext ];
+          Ktext.exec sys.ktext [ Ktext.pageout_path ];
           if p.pg_dirty then begin
             p.pg_dirty <- false;
             p.pg_written_back <- true;
@@ -113,7 +113,7 @@ let make_resident (sys : Sched.t) obj idx ~addr ~fill =
   let p = get_page obj idx in
   if not p.pg_resident then begin
     if sys.pages_resident >= sys.page_limit then evict_one sys;
-    Ktext.exec sys.ktext [ Ktext.vm_page_insert sys.ktext ];
+    Ktext.exec sys.ktext [ Ktext.vm_page_insert ];
     (match fill with
     | `Zero -> zero_fill_cost sys addr
     | `Pager -> page_in sys obj idx
@@ -127,7 +127,7 @@ let make_resident (sys : Sched.t) obj idx ~addr ~fill =
 (* Resolve a fault at [addr] within [entry]. *)
 let fault (sys : Sched.t) entry addr ~write =
   sys.fault_count <- sys.fault_count + 1;
-  Ktext.exec sys.ktext [ Ktext.vm_fault_path sys.ktext ];
+  Ktext.exec sys.ktext [ Ktext.vm_fault_path ];
   let obj = entry.ent_obj in
   let idx = (entry.ent_offset + (addr - entry.ent_start)) / page_size in
   let page_addr = addr / page_size * page_size in
@@ -295,7 +295,7 @@ let deallocate (sys : Sched.t) task ~addr =
   match find_entry task.vm addr with
   | None -> raise (Kern_error Kern_invalid_argument)
   | Some entry ->
-      Ktext.exec sys.ktext [ Ktext.vm_map_enter sys.ktext ];
+      Ktext.exec sys.ktext [ Ktext.vm_map_enter ];
       (* the range is leaving this map: any moved-out bookkeeping for it
          is now moot, and a mapped-out object tells its owner *)
       Mcheck.remap_clear sys task ~addr:entry.ent_start ~bytes:entry.ent_size;
@@ -359,7 +359,7 @@ let virtual_copy (sys : Sched.t) ~src_task ~addr ~bytes ~dst_task =
   | None -> raise (Kern_error Kern_invalid_argument)
   | Some src_entry ->
       let pages = pages_of_bytes bytes in
-      Ktext.exec_n sys.ktext pages (Ktext.virtual_copy_per_page sys.ktext);
+      Ktext.exec_n sys.ktext pages Ktext.virtual_copy_per_page;
       let first =
         (src_entry.ent_offset + (addr - src_entry.ent_start)) / page_size
       in
@@ -445,7 +445,7 @@ let remap_move (sys : Sched.t) ~src_task ~addr ~bytes ~dst_task =
   let entry = entry_covering src_task.vm ~addr ~bytes in
   let orig = entry.ent_obj in
   let first = (entry.ent_offset + (addr - entry.ent_start)) / page_size in
-  Ktext.exec1 sys.ktext (Ktext.vm_remap_entry sys.ktext);
+  Ktext.exec1 sys.ktext Ktext.vm_remap_entry;
   Mcheck.remap_moved sys src_task ~addr ~bytes;
   (* the receiver maps the donated object over the moved range *)
   let dst_addr =
@@ -474,7 +474,7 @@ let remap_move (sys : Sched.t) ~src_task ~addr ~bytes ~dst_task =
 let remap_cow (sys : Sched.t) ~src_task ~addr ~bytes ~dst_task =
   require_page_aligned ~addr ~bytes;
   let entry = entry_covering src_task.vm ~addr ~bytes in
-  Ktext.exec1 sys.ktext (Ktext.vm_remap_entry sys.ktext);
+  Ktext.exec1 sys.ktext Ktext.vm_remap_entry;
   let src_offset = entry.ent_offset + (addr - entry.ent_start) in
   let base, dst_offset =
     match entry.ent_obj.obj_shadow_of with

@@ -216,7 +216,7 @@ let zc_region t =
 let charge_remap t ~chunks ~bytes =
   let ktext = (sys t).Mach.Sched.ktext in
   for _ = 1 to chunks do
-    Mach.Ktext.exec1 ktext (Mach.Ktext.vm_remap_entry ktext)
+    Mach.Ktext.exec1 ktext Mach.Ktext.vm_remap_entry
   done;
   let region = zc_region t in
   Machine.Cpu.tlb_shootdown (machine t).Machine.cpu

@@ -167,7 +167,7 @@ let reflect t ?(handler_bytes = 256) () =
   let sys = t.kernel.Mach.Kernel.sys in
   let k = sys.Mach.Sched.ktext in
   Mach.Ktext.exec k
-    [ Mach.Ktext.trap_entry k; Mach.Ktext.irq_reflect k; Mach.Ktext.trap_exit k ];
+    [ Mach.Ktext.trap_entry; Mach.Ktext.irq_reflect; Mach.Ktext.trap_exit ];
   Mach.Ktext.exec_in k t.vdm_lib ~offset:0x400 ~bytes:handler_bytes
 
 let vdm_file t v rw bytes =
