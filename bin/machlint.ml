@@ -9,14 +9,14 @@
 
    --bench additionally writes BENCH_lint.json (or FILE): scan size,
    findings by rule and the deterministic analysis-cycle model, under
-   the same provenance envelope as every other BENCH writer — so the
-   A/B harness can regression-gate the analyzer like any experiment. *)
+   the provenance envelope every BENCH writer shares (Run_meta.envelope)
+   — so the A/B harness can regression-gate the analyzer like any
+   experiment. *)
 
 let bench_json r roots =
   let open Bench_json in
-  Obj
-    [ ("experiment", Str "machlint"); ("schema_version", int 2);
-      ("run", Run_meta.block ()); ("roots", Arr (List.map (fun x -> Str x) roots));
+  Run_meta.envelope "machlint"
+    [ ("roots", Arr (List.map (fun x -> Str x) roots));
       ("files", int r.Lint.r_files); ("definitions", int r.Lint.r_defs);
       ("ast_nodes", int r.Lint.r_nodes);
       ("analysis_cycles", int r.Lint.r_cycles);

@@ -1,5 +1,5 @@
 (* Machlint driver: scan directories, parse every .ml with
-   compiler-libs, build the call graph once, run the five rules.
+   compiler-libs, build the call graph once, run the four rules.
 
    The rules and their dynamic Machcheck counterparts:
 
@@ -11,9 +11,7 @@
                      (machcheck: wait-for-graph)
      interface       open-variant message vocabulary and VOP tables
                      complete (no dynamic counterpart — this is the gap
-                     machlint exists to close)
-     provenance      BENCH_*.json writers carry schema_version+Run_meta
-                     (enforced dynamically by bench ab; here at build) *)
+                     machlint exists to close) *)
 
 module Report = Lint_report
 module Ast = Lint_ast
@@ -106,7 +104,6 @@ let run ~roots () =
     @ Lint_lockorder.check g
     @ Lint_noblock.check g
     @ Lint_interface.check sources g
-    @ Lint_provenance.check g
   in
   let spans = allow_spans g in
   let findings = List.filter (fun f -> not (allowed spans f)) findings in

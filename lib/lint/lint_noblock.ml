@@ -1,9 +1,12 @@
 (* Rule: no-block contexts.
 
-   [Sched.block] is the single primitive every wait in the tree funnels
-   through (IPC receive, RPC call, semaphores, the block cache's disk
-   waits).  We taint-propagate "may block" through the call graph and
-   reject it in contexts that run with the world stopped:
+   Every wait in the tree ends in [Sched.block]: the block cache's disk
+   waits and timer sleeps call it directly, and every IPC, RPC and
+   synchronizer wait reaches it through [Sched.wait], the one wait that
+   queues the thread and reports its Machcheck wait-for edge.  We
+   taint-propagate "may block" from both (and from the public IPC entry
+   points) through the call graph and reject it in contexts that run
+   with the world stopped:
 
    - functions annotated [@machlint.no_block] — IPI delivery, interrupt
      dispatch;
@@ -28,6 +31,7 @@ let any_sources = [ "Sched.block"; "Clock.sleep_for" ]
 
 let ipc_sources =
   [
+    "Sched.wait";
     "Ipc.receive";
     "Ipc.send";
     "Ipc.call";

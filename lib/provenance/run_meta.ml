@@ -87,3 +87,10 @@ let block ?(seed = 0) () =
         ("timestamp", Str (timestamp ())) ])
 
 let json ?seed () = String.trim (Bench_json.to_string (block ?seed ()))
+
+let envelope experiment ?seed body =
+  Bench_json.(
+    Obj
+      ([ ("experiment", Str experiment); ("schema_version", int 2);
+         ("run", block ?seed ()) ]
+      @ body))

@@ -18,3 +18,10 @@ val block : ?seed:int -> unit -> Bench_json.t
 
 val json : ?seed:int -> unit -> string
 (** {!block} printed on one line, for writers that build text. *)
+
+val envelope :
+  string -> ?seed:int -> (string * Bench_json.t) list -> Bench_json.t
+(** The one BENCH document envelope: ["experiment"], ["schema_version"]
+    and the {!block} under ["run"], followed by [body]'s fields.  Every
+    BENCH_*.json writer builds its document through this; [bench ab]
+    refuses a file whose schema_version differs from its partner's. *)

@@ -471,12 +471,6 @@ let find name = List.find_opt (fun e -> e.name = name) all
 
 (* --- documents ------------------------------------------------------------ *)
 
-let envelope experiment ?seed body =
-  J.Obj
-    ([ ("experiment", J.Str experiment); ("schema_version", J.int 2);
-       ("run", Run_meta.block ?seed ()) ]
-    @ body)
-
 let document e o =
   let seed =
     match J.member "seed" o.json with
@@ -487,13 +481,13 @@ let document e o =
     match o.json with J.Obj fields -> fields | j -> [ ("result", j) ]
   in
   let check = Option.map (fun r -> ("machcheck", Check.to_json r)) o.check in
-  envelope e.name ?seed (body @ Option.to_list check)
+  Run_meta.envelope e.name ?seed (body @ Option.to_list check)
 
 let check_document reports =
   let total =
     List.fold_left (fun acc (_, r) -> acc + Check.total_findings r) 0 reports
   in
-  envelope "machcheck"
+  Run_meta.envelope "machcheck"
     [ ("total_findings", J.int total);
       ( "workloads",
         J.Obj (List.map (fun (name, r) -> (name, Check.to_json r)) reports) ) ]

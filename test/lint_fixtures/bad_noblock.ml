@@ -1,7 +1,7 @@
 (* Known-bad fixture: no-block.
    Blocking primitives reached from contexts that run with the world
-   stopped: an annotated interrupt path, an event-queue callback, and a
-   txn body that parks on IPC. *)
+   stopped: an annotated interrupt path, an event-queue callback, and
+   txn bodies that park on RPC or directly in the kernel's IPC wait. *)
 
 let[@machlint.no_block] isr sys =
   (* interrupt delivery must never sleep *)
@@ -14,3 +14,10 @@ let completion_blocks eq port =
 
 let txn_waits_on_rpc fs port =
   { txn_run = (fun () -> ignore (Rpc.call port Q_sync)) }
+
+let txn_waits_in_kernel fs sys th q =
+  { txn_run =
+      (fun () ->
+        ignore
+          (Sched.wait sys ~q th ~res:"msgq:1" ~rdesc:"receive" ~holders:[]
+             "msg-receive")) }
