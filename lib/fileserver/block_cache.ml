@@ -32,6 +32,7 @@ type t = {
   lru : slot;  (* sentinel: [lru.next] = most recent, [lru.prev] = victim *)
   buf_region : Machine.Layout.region;  (* cache memory, for data costing *)
   mutable pool : pool option;
+  mutable journal : Journal.t option;  (* mounted over this cache, if any *)
   mutable hits : int;
   mutable misses : int;
   mutable writebacks : int;
@@ -62,6 +63,7 @@ let create (kernel : Mach.Kernel.t) disk ?(capacity = 256) () =
     lru = sentinel;
     buf_region;
     pool = None;
+    journal = None;
     hits = 0;
     misses = 0;
     writebacks = 0;
@@ -218,14 +220,13 @@ let lru_block t =
   let victim = t.lru.prev in
   if victim == t.lru then None else Some victim.s_block
 
-let dirty_blocks t =
-  Hashtbl.fold (fun _ s acc -> if s.dirty then acc + 1 else acc) t.slots 0
-
 let hits t = t.hits
 let misses t = t.misses
 let writebacks t = t.writebacks
 let kernel t = t.kernel
 let disk t = t.disk
+let journal t = t.journal
+let set_journal t j = t.journal <- Some j
 
 (* --- mapout pool --------------------------------------------------------- *)
 

@@ -45,11 +45,13 @@ val hits : t -> int
 val misses : t -> int
 val writebacks : t -> int
 
-val dirty_blocks : t -> int
-(** Currently dirty cached blocks (observability for tests). *)
-
 val kernel : t -> Mach.Kernel.t
 val disk : t -> Machine.Disk.t
+
+val journal : t -> Journal.t option
+val set_journal : t -> Journal.t -> unit
+(** The journal mounted over this cache, which holds its statistics:
+    they live exactly as long as the cache does. *)
 
 (** {2 Mapout pool}
 

@@ -54,28 +54,15 @@ type t = {
   mutable txn : (int * bytes) list option;  (* newest first *)
 }
 
-(* journal write counters per cache, for observability *)
-let journal_counters : (Block_cache.t * int ref) list ref = ref []
-
-let journal_counter cache =
-  match List.find_opt (fun (c, _) -> c == cache) !journal_counters with
-  | Some (_, r) -> r
-  | None ->
-      let r = ref 0 in
-      journal_counters := (cache, r) :: !journal_counters;
-      r
-
-let journal_writes cache = !(journal_counter cache)
-
-(* last recovery scan per cache, for observability *)
-let recoveries : (Block_cache.t * Journal.recovery) list ref = ref []
-
-let set_recovery cache rv =
-  recoveries :=
-    (cache, rv) :: List.filter (fun (c, _) -> c != cache) !recoveries
+(* Journal statistics live in the journal itself, which the cache can
+   reach: nothing here outlives the mount. *)
+let journal_writes cache =
+  match Block_cache.journal cache with
+  | Some j -> Journal.records_written j
+  | None -> 0
 
 let last_recovery cache =
-  Option.map snd (List.find_opt (fun (c, _) -> c == cache) !recoveries)
+  Option.map Journal.last_recovery (Block_cache.journal cache)
 
 let get16 b off = Char.code (Bytes.get b off) lor (Char.code (Bytes.get b (off + 1)) lsl 8)
 
@@ -131,31 +118,27 @@ let meta_write t block data = cache_write t block data
 (* Run one mutating operation as a journal transaction.  On [Ok] the
    overlay is committed (journal records + barrier, the durability
    point) and applied to the write-back cache; on [Error] or an
-   exception the overlay is discarded and the volume is untouched.
-   Non-journalled configs run the operation directly. *)
-let in_txn t f =
-  match t.journal with
-  | None -> f ()
-  | Some _ when t.txn <> None -> f ()  (* nested: join the open txn *)
-  | Some j -> (
-      t.txn <- Some [];
-      match f () with
-      | exception e ->
-          t.txn <- None;
-          raise e
-      | Error _ as r ->
-          t.txn <- None;
-          r
-      | Ok _ as r ->
-          let ov =
-            match t.txn with Some o -> List.rev o | None -> []
-          in
-          t.txn <- None;
-          if ov <> [] then begin
-            Journal.commit j ov;
-            List.iter (fun (b, d) -> Block_cache.write t.cache b d) ov
-          end;
-          r)
+   exception the overlay is discarded and the volume is untouched. *)
+let in_txn t j f =
+  if t.txn <> None then f ()  (* nested: join the open txn *)
+  else begin
+    t.txn <- Some [];
+    match f () with
+    | exception e ->
+        t.txn <- None;
+        raise e
+    | Error _ as r ->
+        t.txn <- None;
+        r
+    | Ok _ as r ->
+        let ov = match t.txn with Some o -> List.rev o | None -> [] in
+        t.txn <- None;
+        if ov <> [] then begin
+          Journal.commit j ov;
+          List.iter (fun (b, d) -> Block_cache.write t.cache b d) ov
+        end;
+        r
+  end
 
 (* --- bitmap -------------------------------------------------------------- *)
 
@@ -577,7 +560,6 @@ let recover t =
   | Some j ->
       Block_cache.invalidate t.cache;
       let rv = Journal.recover j in
-      set_recovery t.cache rv;
       {
         rr_journal_txns = rv.Journal.rv_replayed_txns;
         rr_journal_blocks = rv.Journal.rv_replayed_blocks;
@@ -615,149 +597,138 @@ let ensure_inode t ino ~want_dir =
     | Some false when i.i_dir -> Error E_is_dir
     | Some _ | None -> Ok i
 
-(* Register the operation vector.  The mutating entries are written as
-   plain un-journalled bodies: [vop_compile] wraps each of them in the
-   transaction hook below, so journaling lives at the VOP layer rather
-   than inside every operation. *)
+(* The operation vector.  The mutating entries are written as plain
+   un-journalled bodies; a journalled volume wraps them with
+   [Fs_types.journalled], so journaling lives at the vector rather than
+   inside every operation. *)
 let ops t =
-  let root = 0 in
-  let limits =
+  let pfs =
     {
-      fl_format = t.cfg.cfg_format;
-      fl_max_name = t.cfg.cfg_max_name;
-      fl_case_sensitive = t.cfg.cfg_case_sensitive;
-      fl_preserves_case = true;
-      fl_eight_dot_three = false;
-      fl_journalled = t.cfg.cfg_journalled;
+      pfs_limits =
+        {
+          fl_format = t.cfg.cfg_format;
+          fl_max_name = t.cfg.cfg_max_name;
+          fl_case_sensitive = t.cfg.cfg_case_sensitive;
+          fl_preserves_case = true;
+          fl_eight_dot_three = false;
+          fl_journalled = t.cfg.cfg_journalled;
+        };
+      pfs_root = 0;
+      pfs_lookup =
+        (fun ~dir name ->
+          let* name = valid_name t name in
+          let* d = ensure_inode t dir ~want_dir:(Some true) in
+          match find_in_dir t d name with
+          | Some (_, ino) -> Ok ino
+          | None -> Error E_not_found);
+      pfs_create =
+        (fun ~dir name ~is_dir ->
+          let* name = valid_name t name in
+          let* d = ensure_inode t dir ~want_dir:(Some true) in
+          match find_in_dir t d name with
+          | Some _ -> Error E_exists
+          | None ->
+              let* i = alloc_inode t ~dir:is_dir in
+              let* () =
+                write_entries t d (dir_entries t d @ [ (name, i.ino) ])
+              in
+              Ok i.ino);
+      pfs_remove =
+        (fun ~dir name ->
+          let* name = valid_name t name in
+          let* d = ensure_inode t dir ~want_dir:(Some true) in
+          match find_in_dir t d name with
+          | None -> Error E_not_found
+          | Some (ename, ino) ->
+              let* i = ensure_inode t ino ~want_dir:None in
+              let* () =
+                if i.i_dir && dir_entries t i <> [] then Error E_dir_not_empty
+                else Ok ()
+              in
+              free_inode t i;
+              write_entries t d
+                (List.filter (fun (n, _) -> n <> ename) (dir_entries t d)));
+      pfs_readdir =
+        (fun ~dir ->
+          let* d = ensure_inode t dir ~want_dir:(Some true) in
+          Ok (List.sort compare (List.map fst (dir_entries t d))));
+      pfs_stat =
+        (fun ino ->
+          let* i = ensure_inode t ino ~want_dir:None in
+          Ok
+            {
+              st_id = ino;
+              st_size = i.i_size;
+              st_is_dir = i.i_dir;
+              st_blocks = blocks_held i;
+            });
+      pfs_read =
+        (fun ino ~off ~len ->
+          let* i = ensure_inode t ino ~want_dir:(Some false) in
+          Ok (read_data t i ~off ~len));
+      pfs_map_pool = (fun task -> Block_cache.map_pool t.cache task);
+      pfs_read_paged =
+        (fun ino ~off ~len ->
+          let* i = ensure_inode t ino ~want_dir:(Some false) in
+          Ok (read_paged t i ~off ~len));
+      pfs_release_paged =
+        (fun ~addr ~bytes ->
+          Block_cache.pool_release t.cache ~addr
+            ~pages:(Mach.Ktypes.pages_of_bytes bytes));
+      pfs_write =
+        (fun ino ~off data ->
+          let* i = ensure_inode t ino ~want_dir:(Some false) in
+          write_data t i ~off data);
+      pfs_truncate =
+        (fun ino ~len ->
+          let* i = ensure_inode t ino ~want_dir:(Some false) in
+          if len > i.i_size then Error E_no_space
+          else begin
+            i.i_size <- len;
+            write_inode t i;
+            Ok ()
+          end);
+      pfs_rename =
+        (fun ~src_dir name ~dst_dir new_name ->
+          let* name = valid_name t name in
+          let* new_name = valid_name t new_name in
+          let* sd = ensure_inode t src_dir ~want_dir:(Some true) in
+          match find_in_dir t sd name with
+          | None -> Error E_not_found
+          | Some (ename, ino) ->
+              let* dd = ensure_inode t dst_dir ~want_dir:(Some true) in
+              (match find_in_dir t dd new_name with
+              | Some _ -> Error E_exists
+              | None ->
+                  if src_dir = dst_dir then
+                    write_entries t sd
+                      (List.map
+                         (fun (n, x) ->
+                           if n = ename then (new_name, x) else (n, x))
+                         (dir_entries t sd))
+                  else
+                    let* () =
+                      write_entries t sd
+                        (List.filter
+                           (fun (n, _) -> n <> ename)
+                           (dir_entries t sd))
+                    in
+                    write_entries t dd
+                      (dir_entries t dd @ [ (new_name, ino) ])));
+      pfs_sync = (fun () -> Block_cache.flush t.cache);
+      pfs_free_blocks =
+        (fun () ->
+          let free = ref 0 in
+          for b = 0 to t.g.data_blocks - 1 do
+            if not (block_used t b) then incr free
+          done;
+          !free);
+      pfs_recover = (fun () -> recover t);
     }
   in
-  vop_compile
-    {
-      (vop_null ~limits ~root) with
-      vp_txn = Some { txn_run = (fun f -> in_txn t f) };
-      vp_lookup =
-        Some
-          (fun ~dir name ->
-            let* name = valid_name t name in
-            let* d = ensure_inode t dir ~want_dir:(Some true) in
-            match find_in_dir t d name with
-            | Some (_, ino) -> Ok ino
-            | None -> Error E_not_found);
-      vp_create =
-        Some
-          (fun ~dir name ~is_dir ->
-            let* name = valid_name t name in
-            let* d = ensure_inode t dir ~want_dir:(Some true) in
-            match find_in_dir t d name with
-            | Some _ -> Error E_exists
-            | None ->
-                let* i = alloc_inode t ~dir:is_dir in
-                let* () =
-                  write_entries t d (dir_entries t d @ [ (name, i.ino) ])
-                in
-                Ok i.ino);
-      vp_remove =
-        Some
-          (fun ~dir name ->
-            let* name = valid_name t name in
-            let* d = ensure_inode t dir ~want_dir:(Some true) in
-            match find_in_dir t d name with
-            | None -> Error E_not_found
-            | Some (ename, ino) ->
-                let* i = ensure_inode t ino ~want_dir:None in
-                let* () =
-                  if i.i_dir && dir_entries t i <> [] then Error E_dir_not_empty
-                  else Ok ()
-                in
-                free_inode t i;
-                write_entries t d
-                  (List.filter (fun (n, _) -> n <> ename) (dir_entries t d)));
-      vp_readdir =
-        Some
-          (fun ~dir ->
-            let* d = ensure_inode t dir ~want_dir:(Some true) in
-            Ok (List.sort compare (List.map fst (dir_entries t d))));
-      vp_stat =
-        Some
-          (fun ino ->
-            let* i = ensure_inode t ino ~want_dir:None in
-            Ok
-              {
-                st_id = ino;
-                st_size = i.i_size;
-                st_is_dir = i.i_dir;
-                st_blocks = blocks_held i;
-              });
-      vp_read =
-        Some
-          (fun ino ~off ~len ->
-            let* i = ensure_inode t ino ~want_dir:(Some false) in
-            Ok (read_data t i ~off ~len));
-      vp_map_pool = Some (fun task -> Block_cache.map_pool t.cache task);
-      vp_read_paged =
-        Some
-          (fun ino ~off ~len ->
-            let* i = ensure_inode t ino ~want_dir:(Some false) in
-            Ok (read_paged t i ~off ~len));
-      vp_release_paged =
-        Some
-          (fun ~addr ~bytes ->
-            Block_cache.pool_release t.cache ~addr
-              ~pages:(Mach.Ktypes.pages_of_bytes bytes));
-      vp_write =
-        Some
-          (fun ino ~off data ->
-            let* i = ensure_inode t ino ~want_dir:(Some false) in
-            write_data t i ~off data);
-      vp_truncate =
-        Some
-          (fun ino ~len ->
-            let* i = ensure_inode t ino ~want_dir:(Some false) in
-            if len > i.i_size then Error E_no_space
-            else begin
-              i.i_size <- len;
-              write_inode t i;
-              Ok ()
-            end);
-      vp_rename =
-        Some
-          (fun ~src_dir name ~dst_dir new_name ->
-            let* name = valid_name t name in
-            let* new_name = valid_name t new_name in
-            let* sd = ensure_inode t src_dir ~want_dir:(Some true) in
-            match find_in_dir t sd name with
-            | None -> Error E_not_found
-            | Some (ename, ino) ->
-                let* dd = ensure_inode t dst_dir ~want_dir:(Some true) in
-                (match find_in_dir t dd new_name with
-                | Some _ -> Error E_exists
-                | None ->
-                    if src_dir = dst_dir then
-                      write_entries t sd
-                        (List.map
-                           (fun (n, x) ->
-                             if n = ename then (new_name, x) else (n, x))
-                           (dir_entries t sd))
-                    else
-                      let* () =
-                        write_entries t sd
-                          (List.filter
-                             (fun (n, _) -> n <> ename)
-                             (dir_entries t sd))
-                      in
-                      write_entries t dd
-                        (dir_entries t dd @ [ (new_name, ino) ])));
-      vp_sync = Some (fun () -> Block_cache.flush t.cache);
-      vp_free_blocks =
-        Some
-          (fun () ->
-            let free = ref 0 in
-            for b = 0 to t.g.data_blocks - 1 do
-              if not (block_used t b) then incr free
-            done;
-            !free);
-      vp_recover = Some (fun () -> recover t);
-    }
+  match t.journal with
+  | None -> pfs
+  | Some j -> journalled { txn_run = (fun f -> in_txn t j f) } pfs
 
 let mount cache cfg ?(start = 0) () =
   let sb = Block_cache.read cache start in
@@ -772,14 +743,13 @@ let mount cache cfg ?(start = 0) () =
         (* attaching runs recovery: committed-but-unapplied transactions
            from a previous incarnation replay into the cache before the
            first operation can observe the volume *)
-        let j, rv =
+        let j =
           Journal.attach (Block_cache.kernel cache) (Block_cache.disk cache)
             ~start:(start + g.journal_start) ~blocks:g.journal_blocks
-            ~note_write:(fun () -> incr (journal_counter cache))
             ~home_write:(fun b d -> Block_cache.write cache b d)
             ~flush_home:(fun () -> Block_cache.flush_wait cache)
         in
-        set_recovery cache rv;
+        Block_cache.set_journal cache j;
         Some j
       end
       else None

@@ -392,22 +392,22 @@ and write_file t id ~off data =
     Ok len
   end
 
-(* FAT registers only the operations its layout supports; the zero-copy
-   pool entries, recovery and the transaction hook all fall back to the
-   VOP defaults (copy-path reads, clean recovery, no journal). *)
+(* FAT writes out the four entries its layout has no use for: no
+   zero-copy pool (reads take the copy path), and no journal, so
+   recovery has nothing to replay or scan. *)
 and ops t =
-  vop_compile
-    {
-    (vop_null ~limits ~root:root_id) with
-    vp_lookup =
-      Some (fun ~dir name ->
+  {
+    pfs_limits = limits;
+    pfs_root = root_id;
+    pfs_lookup =
+      (fun ~dir name ->
         let* () = ensure_dir t dir in
         let* name = valid_name name in
         match find_dirent t dir name with
         | Some de -> Ok de.de_cluster
         | None -> Error E_not_found);
-    vp_create =
-      Some (fun ~dir name ~is_dir ->
+    pfs_create =
+      (fun ~dir name ~is_dir ->
         let* () = ensure_dir t dir in
         let* name = valid_name name in
         match find_dirent t dir name with
@@ -423,8 +423,8 @@ and ops t =
               ~attr:(if is_dir then 0x10 else 0x00)
               ~size:0 ~cluster:c;
             Ok c);
-    vp_remove =
-      Some (fun ~dir name ->
+    pfs_remove =
+      (fun ~dir name ->
         let* () = ensure_dir t dir in
         let* name = valid_name name in
         match find_dirent t dir name with
@@ -442,17 +442,17 @@ and ops t =
             Hashtbl.remove t.entries de.de_cluster;
             clear_dirent t ~block:de.de_block ~slot:de.de_slot;
             Ok ());
-    vp_readdir =
-      Some (fun ~dir ->
+    pfs_readdir =
+      (fun ~dir ->
         let* () = ensure_dir t dir in
         let acc = ref [] in
         iter_dirents t dir (fun de -> acc := de.de_name :: !acc);
         Ok (List.sort compare !acc));
-    vp_stat = Some (fun id -> stat_of t id);
-    vp_read = Some (fun id ~off ~len -> read_file t id ~off ~len);
-    vp_write = Some (fun id ~off data -> write_file t id ~off data);
-    vp_truncate =
-      Some (fun id ~len ->
+    pfs_stat = (fun id -> stat_of t id);
+    pfs_read = (fun id ~off ~len -> read_file t id ~off ~len);
+    pfs_write = (fun id ~off data -> write_file t id ~off data);
+    pfs_truncate =
+      (fun id ~len ->
         let* st = stat_of t id in
         if st.st_is_dir then Error E_is_dir
         else if len > st.st_size then Error E_no_space
@@ -472,8 +472,8 @@ and ops t =
           cut 0 cs;
           set_size t id len
         end);
-    vp_rename =
-      Some (fun ~src_dir name ~dst_dir new_name ->
+    pfs_rename =
+      (fun ~src_dir name ~dst_dir new_name ->
         let* () = ensure_dir t src_dir in
         let* () = ensure_dir t dst_dir in
         let* name = valid_name name in
@@ -489,13 +489,16 @@ and ops t =
                   ~size:de.de_size ~cluster:de.de_cluster;
                 clear_dirent t ~block:de.de_block ~slot:de.de_slot;
                 Ok ()));
-    vp_sync = Some (fun () -> Block_cache.flush t.cache);
-    vp_free_blocks =
-      Some
-        (fun () ->
-          let free = ref 0 in
-          for c = 2 to t.g.clusters + 1 do
-            if fat_get t c = 0 then incr free
-          done;
-          !free);
-    }
+    pfs_map_pool = (fun _ -> ());
+    pfs_read_paged = (fun _ ~off:_ ~len:_ -> Ok None);
+    pfs_release_paged = (fun ~addr:_ ~bytes:_ -> ());
+    pfs_sync = (fun () -> Block_cache.flush t.cache);
+    pfs_free_blocks =
+      (fun () ->
+        let free = ref 0 in
+        for c = 2 to t.g.clusters + 1 do
+          if fat_get t c = 0 then incr free
+        done;
+        !free);
+    pfs_recover = (fun () -> clean_recovery);
+  }

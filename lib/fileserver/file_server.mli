@@ -38,8 +38,6 @@ val set_retry :
     service port before each attempt, so clients survive a crash-and-
     restart under supervision. *)
 
-val clear_retry : t -> unit
-
 val port : t -> Mach.Ktypes.port
 
 (** The current incarnation's heartbeat port: a dedicated thread answers
@@ -65,7 +63,6 @@ val map_file :
     mapping techniques to buffer file data" of the paper's file server. *)
 
 val mapped_pageins : t -> int
-val mapped_pageouts : t -> int
 
 module Client : sig
   type handle

@@ -1,7 +1,7 @@
 (* Common file-system types shared by the physical file systems, the
    vnode layer and the file server: error vocabulary, per-format
-   semantics profiles, the physical-operation record, and the VOP
-   partial-vector layer that compiles per-format tables into it. *)
+   semantics profiles, the physical-operation record, and the journal
+   wrapper over it. *)
 
 type fs_error =
   | E_not_found
@@ -50,8 +50,8 @@ val clean_recovery : recover_report
 val merge_recovery : recover_report -> recover_report -> recover_report
 
 (* The physical-file-system operations record — the extended vnode
-   architecture's per-format plug.  Produced by [vop_compile]; consumed
-   by the vnode layer. *)
+   architecture's per-format plug.  Each format builds one per mount;
+   the vnode layer dispatches through it. *)
 type pfs = {
   pfs_limits : format_limits;
   pfs_root : file_id;
@@ -80,52 +80,11 @@ type pfs = {
 val ( let* ) :
   ('a, 'e) result -> ('a -> ('b, 'e) result) -> ('b, 'e) result
 
-(* Journal transaction hook: begin / commit-or-rollback around the body.
-   [vop_compile] wraps every mutating entry of the compiled vector in
-   it. *)
+(* Journal transaction hook: begin / commit-or-rollback around the body. *)
 type txn = {
   txn_run : 'a. (unit -> ('a, fs_error) result) -> ('a, fs_error) result;
 }
 
-val txn_none : txn
-
-(* What a physical file system registers: a partial operation vector.
-   [None] entries fall back to the defaults in [vop_compile]. *)
-type vop_partial = {
-  vp_limits : format_limits;
-  vp_root : file_id;
-  vp_lookup : (dir:file_id -> string -> (file_id, fs_error) result) option;
-  vp_create :
-    (dir:file_id -> string -> is_dir:bool -> (file_id, fs_error) result)
-    option;
-  vp_remove : (dir:file_id -> string -> (unit, fs_error) result) option;
-  vp_readdir : (dir:file_id -> (string list, fs_error) result) option;
-  vp_stat : (file_id -> (stat, fs_error) result) option;
-  vp_read :
-    (file_id -> off:int -> len:int -> (bytes, fs_error) result) option;
-  vp_map_pool : (Mach.Ktypes.task -> unit) option;
-  vp_read_paged :
-    (file_id -> off:int -> len:int ->
-     ((int * int * bytes) option, fs_error) result)
-    option;
-  vp_release_paged : (addr:int -> bytes:int -> unit) option;
-  vp_write : (file_id -> off:int -> bytes -> (int, fs_error) result) option;
-  vp_truncate : (file_id -> len:int -> (unit, fs_error) result) option;
-  vp_rename :
-    (src_dir:file_id -> string -> dst_dir:file_id -> string ->
-     (unit, fs_error) result)
-    option;
-  vp_sync : (unit -> unit) option;
-  vp_free_blocks : (unit -> int) option;
-  vp_recover : (unit -> recover_report) option;
-  vp_txn : txn option;
-}
-
-(* An all-[None] partial vector to build real ones from. *)
-val vop_null : limits:format_limits -> root:file_id -> vop_partial
-
-(* Compile a partial vector into the complete per-mount [pfs]: missing
-   core operations become uniform E_io errors, missing optional ones
-   become benign defaults, and when the format supplied a transaction
-   hook every mutating entry is wrapped in it. *)
-val vop_compile : vop_partial -> pfs
+(* The same vector with create, remove, write, truncate and rename each
+   run as one transaction. *)
+val journalled : txn -> pfs -> pfs

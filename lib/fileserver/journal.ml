@@ -45,14 +45,13 @@ type t = {
   disk : Machine.Disk.t;
   start : int;  (* first journal block on disk *)
   blocks : int;  (* ring size in blocks *)
-  note_write : unit -> unit;  (* per journal-record write (stats) *)
   home_write : int -> bytes -> unit;  (* replay target: the block cache *)
   flush_home : unit -> unit;  (* durable cache flush, incl. barrier *)
   mutable seq : int;  (* next record sequence; slot = seq mod blocks *)
   mutable checkpointed : int;  (* highest seq covered by a checkpoint *)
   mutable txn_id : int;
-  mutable records : int;
-  mutable commits : int;
+  mutable records : int;  (* journal-record writes, for stats *)
+  mutable last_scan : recovery;  (* the most recent recovery scan *)
 }
 
 (* --- little-endian fields and checksums --------------------------------- *)
@@ -162,8 +161,7 @@ let put t data =
   if in_thread t then Machine.Disk.write t.disk ~block data (fun () -> ())
   else Machine.Disk.write_now t.disk ~block data;
   t.seq <- t.seq + 1;
-  t.records <- t.records + 1;
-  t.note_write ()
+  t.records <- t.records + 1
 
 (* --- checkpoints and ring room ------------------------------------------ *)
 
@@ -217,8 +215,7 @@ let rec commit t writes =
         writes;
       put t (encode t ~magic:magic_commit ~seq:t.seq ~txn ~a:k ~b:0);
       (* durability point: everything above reached the media, in order *)
-      barrier_sync t;
-      t.commits <- t.commits + 1
+      barrier_sync t
 
 (* --- recovery ------------------------------------------------------------ *)
 
@@ -290,14 +287,16 @@ let scan_and_replay t =
   t.seq <- !max_seq + 1;
   t.checkpointed <- !through;
   if !max_seq >= 0 then checkpoint t;
-  {
-    rv_scanned = t.blocks;
-    rv_replayed_txns = !replayed_txns;
-    rv_replayed_blocks = !replayed_blocks;
-    rv_discarded = !discarded;
-  }
+  t.last_scan <-
+    {
+      rv_scanned = t.blocks;
+      rv_replayed_txns = !replayed_txns;
+      rv_replayed_blocks = !replayed_blocks;
+      rv_discarded = !discarded;
+    };
+  t.last_scan
 
-let attach kernel disk ~start ~blocks ~note_write ~home_write ~flush_home =
+let attach kernel disk ~start ~blocks ~home_write ~flush_home =
   if blocks < 8 then invalid_arg "Journal.attach: ring too small";
   let t =
     {
@@ -305,20 +304,18 @@ let attach kernel disk ~start ~blocks ~note_write ~home_write ~flush_home =
       disk;
       start;
       blocks;
-      note_write;
       home_write;
       flush_home;
       seq = 0;
       checkpointed = -1;
       txn_id = 0;
       records = 0;
-      commits = 0;
+      last_scan = clean_scan;
     }
   in
-  let rv = scan_and_replay t in
-  (t, rv)
+  ignore (scan_and_replay t : recovery);
+  t
 
 let recover t = scan_and_replay t
+let last_recovery t = t.last_scan
 let records_written t = t.records
-let txns_committed t = t.commits
-let ring_blocks t = t.blocks

@@ -34,15 +34,14 @@ val attach :
   Machine.Disk.t ->
   start:int ->
   blocks:int ->
-  note_write:(unit -> unit) ->
   home_write:(int -> bytes -> unit) ->
   flush_home:(unit -> unit) ->
-  t * recovery
+  t
 (** Bind an engine to the ring at [start] and run recovery immediately:
     scan, replay committed-but-uncheckpointed transactions through
-    [home_write], durably flush, and fence with a checkpoint.
-    [note_write] is called once per journal-record write (stats);
-    [flush_home] must make the home cache durable (flush + barrier).
+    [home_write], durably flush, and fence with a checkpoint (its scan
+    is {!last_recovery}).  [flush_home] must make the home cache durable
+    (flush + barrier).
     @raise Invalid_argument if the ring has fewer than 8 blocks. *)
 
 val commit : t -> (int * bytes) list -> unit
@@ -56,6 +55,10 @@ val recover : t -> recovery
 (** Re-run the recovery scan (used when a supervised restart hands the
     engine a freshly invalidated cache). *)
 
+val last_recovery : t -> recovery
+(** The most recent recovery scan: the one {!attach} ran, or the last
+    {!recover}. *)
+
 val records_written : t -> int
-val txns_committed : t -> int
-val ring_blocks : t -> int
+(** Journal-record writes since {!attach}, recovery checkpoints
+    included. *)

@@ -55,14 +55,14 @@ let chk t =
           t.space <- Some (c, sp);
           t.space)
 
-let create ?kernel ?(namecache = true) ?(cache_capacity = 512) () =
+let create ?kernel () =
   let t =
     {
       mount_table = [];
       next_mount_id = 0;
       compromise_count = 0;
-      cache = Namecache.create ~capacity:cache_capacity ();
-      cache_on = namecache;
+      cache = Namecache.create ~capacity:512 ();
+      cache_on = true;
       kernel;
       space = None;
     }
@@ -86,7 +86,7 @@ let mount t ~at pfs =
       else begin
         let id = t.next_mount_id in
         t.next_mount_id <- id + 1;
-        let m = Vnode.make_mount ~id ~point ~space:(fun () -> chk t) pfs in
+        let m = Vnode.make_mount ~id ~space:(fun () -> chk t) pfs in
         t.mount_table <- (point, m) :: t.mount_table;
         Ok ()
       end
@@ -339,8 +339,6 @@ let recover t =
     clean_recovery t.mount_table
 
 (* --- name-cache controls (A/B and tests) --------------------------------- *)
-
-let namecache_on t = t.cache_on
 
 let set_namecache t on =
   if not on then begin

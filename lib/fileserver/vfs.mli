@@ -33,11 +33,9 @@ type node = Root | File of Vnode.t
 (** What a path resolves to: ["/"] is the synthetic root directory
     (its entries are the mount points), everything else a vnode. *)
 
-val create :
-  ?kernel:Mach.Kernel.t -> ?namecache:bool -> ?cache_capacity:int ->
-  unit -> t
-(** [?kernel] lets the walk charge simulated cycles for cache probes;
-    [?namecache:false] disables the cache (A/B baseline). *)
+val create : ?kernel:Mach.Kernel.t -> unit -> t
+(** [?kernel] lets the walk charge simulated cycles for cache probes.
+    The name cache holds 512 entries and starts enabled. *)
 
 val mount : t -> at:string -> pfs -> (unit, string) result
 (** Mount points are single top-level components, e.g. ["/c"]. *)
@@ -48,13 +46,6 @@ val mounts : t -> (string * string) list
 val resolve : t -> semantics -> path:string -> (node, fs_error) result
 (** Walk the path through the mount table and directories.  [""] and
     ["/"] resolve to {!Root}. *)
-
-val resolve_parent :
-  t -> semantics -> path:string ->
-  (Vnode.mount * Vnode.t * string, fs_error) result
-(** Resolve all but the last component; returns the mount, the parent
-    directory vnode and the leaf name (semantic checks applied to the
-    leaf). *)
 
 val compromises : t -> int
 (** Number of semantic compromises taken so far: distinct names whose
@@ -82,8 +73,7 @@ val recover : t -> Fs_types.recover_report
 
 (** {2 Name-cache controls (A/B runs and tests)} *)
 
-val namecache_on : t -> bool
 val set_namecache : t -> bool -> unit
-(** Disabling clears the cache. *)
+(** Disabling clears the cache (the A/B baseline). *)
 
 val cache_stats : t -> Namecache.stats

@@ -1,7 +1,7 @@
 (* The vnode layer: per-mount file identity above the physical file
    systems.  A vnode names one (mount, file_id) incarnation; the VFS
    interns vnodes per mount so a file resolved twice is the same object,
-   and every operation dispatches through the mount's compiled operation
+   and every operation dispatches through the mount's operation
    vector.  Unlink and crash recovery reclaim vnodes; a reclaimed vnode
    rejects further operations with [E_bad_handle], and every lifecycle
    event is mirrored to Machcheck's vnode checker when one is
@@ -11,7 +11,6 @@ open Fs_types
 
 type mount = {
   m_id : int;
-  m_point : string;
   m_pfs : pfs;
   m_vnodes : (file_id, t) Hashtbl.t;
   (* distinct folded names already counted as union-semantics
@@ -28,10 +27,9 @@ and t = {
   mutable v_reclaimed : bool;
 }
 
-let make_mount ~id ~point ~space pfs =
+let make_mount ~id ~space pfs =
   {
     m_id = id;
-    m_point = point;
     m_pfs = pfs;
     m_vnodes = Hashtbl.create 64;
     m_folded = Hashtbl.create 8;
@@ -39,7 +37,6 @@ let make_mount ~id ~point ~space pfs =
   }
 
 let mount_id m = m.m_id
-let mount_point m = m.m_point
 let limits m = m.m_pfs.pfs_limits
 let pfs m = m.m_pfs
 

@@ -1,12 +1,12 @@
 (* The vnode layer: per-mount file identity above the physical file
    systems.  A vnode names one (mount, file_id) incarnation; the VFS
    interns vnodes per mount so a file resolved twice is the same object,
-   and every operation dispatches through the mount's compiled operation
+   and every operation dispatches through the mount's operation
    vector.  A reclaimed vnode rejects further operations with
    [E_bad_handle]; every lifecycle event is mirrored to Machcheck's
    vnode checker when one is installed. *)
 
-(* One mounted file system: a compiled operation vector plus the vnode
+(* One mounted file system: its operation vector plus the vnode
    intern table for that mount. *)
 type mount
 
@@ -17,13 +17,11 @@ type t
    mirror lifecycle events into; [None] disables the mirroring. *)
 val make_mount :
   id:int ->
-  point:string ->
   space:(unit -> (Check.t * int) option) ->
   Fs_types.pfs ->
   mount
 
 val mount_id : mount -> int
-val mount_point : mount -> string
 val limits : mount -> Fs_types.format_limits
 val pfs : mount -> Fs_types.pfs
 

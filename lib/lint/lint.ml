@@ -9,9 +9,9 @@
                      (machcheck: wait-for-graph, at runtime)
      no-block        blocking reachable from IPI/interrupt/txn contexts
                      (machcheck: wait-for-graph)
-     interface       open-variant message vocabulary and VOP tables
-                     complete (no dynamic counterpart — this is the gap
-                     machlint exists to close) *)
+     interface       open-variant message vocabulary complete (no
+                     dynamic counterpart — this is the gap machlint
+                     exists to close) *)
 
 module Report = Lint_report
 module Ast = Lint_ast
@@ -103,7 +103,7 @@ let run ~roots () =
     @ Lint_linearity.check g
     @ Lint_lockorder.check g
     @ Lint_noblock.check g
-    @ Lint_interface.check sources g
+    @ Lint_interface.check sources
   in
   let spans = allow_spans g in
   let findings = List.filter (fun f -> not (allowed spans f)) findings in

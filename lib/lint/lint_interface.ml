@@ -1,22 +1,14 @@
 (* Rule: interface completeness (MIG-style conformance).
 
-   Two interface surfaces in this tree are invisible to the type
-   checker:
-
-   1. The IPC message vocabulary is one *open* extensible variant
-      ([Mach.Ktypes.payload]) that every server extends with
-      [type payload += ...].  OCaml cannot check exhaustiveness over an
-      open type, so (a) a constructor that is declared but never matched
-      anywhere is a message the registered interface accepts and no
-      handler answers, and (b) a match over payload constructors without
-      a terminal catch-all dies with [Match_failure] the first time a
-      fault-injected or newer-interface message arrives.
-
-   2. The VOP layer compiles per-format partial tables ([vop_partial])
-      into full vectors.  A [vp_*] field that [vop_compile] never reads
-      is a silently dead interface slot; a format that registers a
-      journal wrapper ([vp_txn]) without a recovery entry ([vp_recover])
-      replays nothing after a crash.
+   The IPC message vocabulary is one *open* extensible variant
+   ([Mach.Ktypes.payload]) that every server extends with
+   [type payload += ...], an interface surface invisible to the type
+   checker.  OCaml cannot check exhaustiveness over an open type, so
+   (a) a constructor that is declared but never matched anywhere is a
+   message the registered interface accepts and no handler answers, and
+   (b) a match over payload constructors without a terminal catch-all
+   dies with [Match_failure] the first time a fault-injected or
+   newer-interface message arrives.
 
    Machcheck sees none of this — it only meets messages a workload
    happens to send — which is why this rule exists at build time. *)
@@ -141,122 +133,7 @@ let check_catch_all (sources : Lint_ast.source list) payload_set findings =
   in
   List.iter (fun (s : Lint_ast.source) -> it.structure it s.s_ast) sources
 
-(* (2) VOP table conformance. *)
-let check_vop (sources : Lint_ast.source list) (g : Lint_graph.t) findings =
-  (* fields of the vop_partial record type *)
-  let fields = ref [] in
-  List.iter
-    (fun (src : Lint_ast.source) ->
-      List.iter
-        (fun item ->
-          match item.pstr_desc with
-          | Pstr_type (_, decls) ->
-              List.iter
-                (fun d ->
-                  if d.ptype_name.Location.txt = "vop_partial" then
-                    match d.ptype_kind with
-                    | Ptype_record lds ->
-                        fields :=
-                          List.map
-                            (fun ld ->
-                              (ld.pld_name.Location.txt, ld.pld_loc))
-                            lds
-                    | _ -> ())
-                decls
-          | _ -> ())
-        src.s_ast)
-    sources;
-  (match !fields with
-  | [] -> ()
-  | fs -> (
-      (* every field must be consulted by vop_compile *)
-      match
-        List.find_map
-          (fun (k : string) -> Lint_graph.find g k)
-          (List.filter
-             (fun k ->
-               String.length k >= 11
-               && String.sub k (String.length k - 11) 11 = "vop_compile")
-             g.Lint_graph.fn_order)
-      with
-      | None -> ()
-      | Some fn ->
-          let read = Hashtbl.create 32 in
-          let it =
-            {
-              Ast_iterator.default_iterator with
-              expr =
-                (fun it e ->
-                  (match e.pexp_desc with
-                  | Pexp_field (_, { txt; _ }) -> (
-                      match Lint_ast.flatten_lid txt with
-                      | Some p -> Hashtbl.replace read (Lint_ast.last_of p) ()
-                      | None -> ())
-                  | _ -> ());
-                  Ast_iterator.default_iterator.expr it e);
-            }
-          in
-          it.expr it fn.Lint_graph.fn_body;
-          List.iter
-            (fun (f, loc) ->
-              if not (Hashtbl.mem read f) then
-                findings :=
-                  Lint_report.make ~rule:Lint_report.rule_interface ~loc
-                    (Printf.sprintf
-                       "vop_partial field %s is never consulted by \
-                        vop_compile: formats setting it are silently ignored"
-                       f)
-                  :: !findings)
-            fs));
-  (* a format that registers vp_txn must also register vp_recover *)
-  let check_record loc fields_set =
-    let has name is_some =
-      List.exists
-        (fun (n, v) ->
-          n = name
-          &&
-          match v.pexp_desc with
-          | Pexp_construct ({ txt = Longident.Lident "Some"; _ }, _) -> is_some
-          | Pexp_construct ({ txt = Longident.Lident "None"; _ }, _) ->
-              not is_some
-          | _ -> is_some (* non-literal: assume set *))
-        fields_set
-    in
-    if has "vp_txn" true && not (has "vp_recover" true) then
-      findings :=
-        Lint_report.make ~rule:Lint_report.rule_interface ~loc
-          "format registers a journal txn wrapper (vp_txn) without a \
-           recovery entry (vp_recover): nothing replays the journal after \
-           a crash"
-        :: !findings
-  in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_record (fs, _) ->
-              let named =
-                List.filter_map
-                  (fun ({ Location.txt; _ }, v) ->
-                    match Lint_ast.flatten_lid txt with
-                    | Some p ->
-                        let n = Lint_ast.last_of p in
-                        if String.length n > 3 && String.sub n 0 3 = "vp_"
-                        then Some (n, v)
-                        else None
-                    | None -> None)
-                  fs
-              in
-              if named <> [] then check_record e.pexp_loc named
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  List.iter (fun (s : Lint_ast.source) -> it.structure it s.s_ast) sources
-
-let check (sources : Lint_ast.source list) (g : Lint_graph.t) =
+let check (sources : Lint_ast.source list) =
   let findings = ref [] in
   let ctors = collect_payload_ctors sources in
   let matched, built = collect_heads sources in
@@ -277,5 +154,4 @@ let check (sources : Lint_ast.source list) (g : Lint_graph.t) =
   let payload_set = Hashtbl.create 64 in
   List.iter (fun c -> Hashtbl.replace payload_set c.pc_name ()) ctors;
   check_catch_all sources payload_set findings;
-  check_vop sources g findings;
   List.rev !findings

@@ -1,7 +1,6 @@
 (* Known-bad fixture: interface completeness.
-   A payload constructor that is sent but never handled, a payload
-   match without a catch-all, and a format registering a txn wrapper
-   with no recovery entry. *)
+   A payload constructor that is sent but never handled, and a payload
+   match without a catch-all. *)
 
 type payload += Fx_ping of int | Fx_pong of int
 
@@ -14,8 +13,3 @@ let server port =
      Fx_ping (or any fault-injected message) raises Match_failure *)
   match Ipc.receive port ~timeout:None with
   | Fx_pong n -> n
-
-let format_table =
-  { vp_lookup = None;
-    vp_txn = Some run_in_txn;
-    vp_recover = None }

@@ -1,6 +1,6 @@
 (* Known-clean fixture: interface completeness.
-   Every sendable constructor has a handler, the payload match carries a
-   catch-all, and the txn-registering format also registers recovery. *)
+   Every sendable constructor has a handler, and the payload match
+   carries a catch-all. *)
 
 type payload += Fx_ping of int | Fx_pong of int
 
@@ -15,8 +15,3 @@ let server port =
   | _ ->
       (* unknown vocabulary bounces as a generic error *)
       0
-
-let format_table =
-  { vp_lookup = None;
-    vp_txn = Some run_in_txn;
-    vp_recover = Some replay_journal }

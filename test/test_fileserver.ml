@@ -271,6 +271,23 @@ let test_jfs_journal_writes () =
       ignore (ok "hpfs create" (hpfs.pfs_create ~dir:hpfs.pfs_root "h" ~is_dir:false));
       Alcotest.(check int) "hpfs does not journal" j1 (F.Extfs.journal_writes cache))
 
+(* A mount's journal statistics live in the journal, which the cache
+   reaches: once every handle is dropped the cache — and the whole
+   simulated machine it holds — is garbage. *)
+let test_jfs_mount_releases_cache () =
+  let w = Weak.create 1 in
+  let[@inline never] mount_and_drop () =
+    let k = Test_util.kernel_on () in
+    let disk = k.Mach.Kernel.machine.Machine.disk in
+    F.Jfs.mkfs disk ();
+    let cache = F.Block_cache.create k disk () in
+    ignore (ok "mount jfs" (F.Jfs.mount cache ()) : pfs);
+    Weak.set w 0 (Some cache)
+  in
+  mount_and_drop ();
+  Gc.full_major ();
+  Alcotest.(check bool) "cache collected" false (Weak.check w 0)
+
 let test_extfs_rename_and_truncate () =
   run_jfs (fun _k pfs ->
       let id = ok "create" (pfs.pfs_create ~dir:pfs.pfs_root "old" ~is_dir:false) in
@@ -467,6 +484,41 @@ let test_stale_handle () =
       | Error E_bad_handle -> ()
       | _ -> Alcotest.fail "stale handle accepted")
 
+(* FAT has no zero-copy pool and no journal: a zero-copy read comes back
+   by the copy path without pinning a pool page, and a restart recovers
+   with nothing to replay and nothing for a scan to find. *)
+let test_file_server_fat () =
+  let k = Test_util.kernel_on () in
+  let runtime = Mk_services.Runtime.install k in
+  let disk = k.Mach.Kernel.machine.Machine.disk in
+  F.Fat.mkfs disk ();
+  let vfs = F.Vfs.create () in
+  let cache = F.Block_cache.create k disk () in
+  (match F.Vfs.mount vfs ~at:"/c" (ok "mount fat" (F.Fat.mount cache ())) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let fs = F.File_server.start k runtime vfs () in
+  Test_util.run_in_thread k (fun () ->
+      let sem = F.Vfs.os2_semantics in
+      let h =
+        ok "open"
+          (F.File_server.Client.open_ fs sem ~path:"/c/ZC.DAT" ~create:true ())
+      in
+      let data = Bytes.init 4096 (fun i -> Char.chr (i land 0x7f)) in
+      ignore (ok "write" (F.File_server.Client.write fs h data) : int);
+      F.File_server.Client.seek fs h ~pos:0;
+      let got = ok "read_zc" (F.File_server.Client.read_zc fs h ~bytes:4096) in
+      Alcotest.(check bytes) "copy path returns the written bytes" data got;
+      Alcotest.(check int) "no pool page pinned" 0
+        (F.Block_cache.pool_pinned cache);
+      ignore (F.File_server.restart fs : Mach.Ktypes.port);
+      match F.File_server.last_recovery fs with
+      | Some rep ->
+          Alcotest.(check int) "nothing replayed" 0 rep.rr_journal_txns;
+          Alcotest.(check (list string)) "no fsck findings" []
+            rep.rr_fsck_findings
+      | None -> Alcotest.fail "no recovery report after restart")
+
 let test_map_file () =
   with_file_server (fun k fs ->
       let sem = F.Vfs.os2_semantics in
@@ -507,6 +559,8 @@ let suite =
     Alcotest.test_case "hpfs long names" `Quick test_hpfs_long_names_case_insensitive;
     Alcotest.test_case "jfs case sensitivity" `Quick test_jfs_case_sensitive;
     Alcotest.test_case "jfs journal writes" `Quick test_jfs_journal_writes;
+    Alcotest.test_case "jfs mount releases its cache" `Quick
+      test_jfs_mount_releases_cache;
     Alcotest.test_case "extfs rename+truncate" `Quick test_extfs_rename_and_truncate;
     Alcotest.test_case "extfs sparse files" `Quick test_extfs_sparse_and_holes;
     Alcotest.test_case "vfs union semantics" `Quick test_vfs_union_semantics;
@@ -516,6 +570,7 @@ let suite =
     Alcotest.test_case "file server zero-copy read/write" `Quick
       test_file_server_zero_copy;
     Alcotest.test_case "stale handle" `Quick test_stale_handle;
+    Alcotest.test_case "file server over fat" `Quick test_file_server_fat;
   ]
 
 let _ = with_fs

@@ -68,7 +68,7 @@ let test_bad_counts () =
       ("bad_lockorder.ml", 2);
       ("bad_noblock.ml", 4);
       ("bad_heartbeat.ml", 3);
-      ("bad_interface.ml", 3);
+      ("bad_interface.ml", 2);
     ]
 
 (* Findings are deterministic: two runs over the same corpus agree. *)

@@ -18,7 +18,8 @@ let sem = Vfs.unix_semantics
 let with_vfs ?(namecache = true) formats body =
   let k = Test_util.kernel_on () in
   let disk = k.Mach.Kernel.machine.Machine.disk in
-  let vfs = Vfs.create ~kernel:k ~namecache () in
+  let vfs = Vfs.create ~kernel:k () in
+  Vfs.set_namecache vfs namecache;
   let cache = F.Block_cache.create k disk () in
   List.iteri
     (fun i (point, mk, mount) ->
@@ -256,7 +257,8 @@ let op_print = function
 let run_script ~namecache ops =
   let k = Test_util.kernel_on () in
   let disk = k.Mach.Kernel.machine.Machine.disk in
-  let vfs = Vfs.create ~kernel:k ~namecache () in
+  let vfs = Vfs.create ~kernel:k () in
+  Vfs.set_namecache vfs namecache;
   let cache = F.Block_cache.create k disk () in
   F.Hpfs.mkfs disk ();
   F.Fat.mkfs disk ~start:4096 ();
