@@ -85,7 +85,7 @@ let do_write t ~block data =
   t.reqs <- t.reqs + 1;
   dma_setup t;
   await_disk t (fun k ->
-      Machine.Disk.write t.disk ~block data (fun () -> k Bytes.empty))
+      Machine.Disk.write t.disk ~block [ data ] (fun () -> k Bytes.empty))
   |> fun (_ : bytes) -> ()
 
 let user_serve t port =

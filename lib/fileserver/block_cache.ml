@@ -115,7 +115,7 @@ let evict_if_full t =
         t.writebacks <- t.writebacks + 1;
         if in_thread t then
           Machine.Disk.write t.disk ~block:victim.s_block
-            (Bytes.copy victim.data) (fun () -> ())
+            [ Bytes.copy victim.data ] (fun () -> ())
         else Machine.Disk.write_now t.disk ~block:victim.s_block
             (Bytes.copy victim.data)
       end;
@@ -189,7 +189,7 @@ let flush t =
         slot.dirty <- false;
         t.writebacks <- t.writebacks + 1;
         if in_thread t then
-          Machine.Disk.write t.disk ~block (Bytes.copy slot.data) (fun () -> ())
+          Machine.Disk.write t.disk ~block [ Bytes.copy slot.data ] (fun () -> ())
         else Machine.Disk.write_now t.disk ~block (Bytes.copy slot.data)
       end)
     t.slots

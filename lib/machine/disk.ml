@@ -17,7 +17,8 @@ type write_fault =
 
 type request =
   | Read of { block : int; count : int; k : bytes -> unit }
-  | Write of { block : int; data : bytes; k : unit -> unit }
+  | Write of { block : int; data : bytes list; k : unit -> unit }
+      (* a gather list laid out from [block] on, one media write each *)
   | Barrier of { k : unit -> unit }
 
 (* a reordered write waiting to land: countdown in later write events *)
@@ -90,9 +91,11 @@ let check t ~block ~count =
 let request_cycles t count =
   t.geometry.seek_cycles + (count * t.geometry.transfer_cycles_per_block)
 
-let blocks_of_request = function
+let gather_bytes data = List.fold_left (fun n d -> n + Bytes.length d) 0 data
+
+let blocks_of_request t = function
   | Read { count; _ } -> count
-  | Write { data; _ } -> Bytes.length data
+  | Write { data; _ } -> gather_bytes data / t.geometry.block_size
   | Barrier _ -> 0
 
 (* --- media application, with the interceptor in the path ----------------- *)
@@ -112,7 +115,7 @@ let tick_held t =
   t.held <- still;
   if t.powered then List.iter (fun h -> land_write t ~block:h.h_block h.h_data) ready
 
-(* One write request reaching the media, in FIFO order.  Power loss
+(* One media write reaching the store, in FIFO order.  Power loss
    freezes the store: the write (and every later one) is dropped, though
    the request still completes — the machine lost power, not the
    simulation's event plumbing. *)
@@ -149,13 +152,7 @@ let apply_write t ~block data =
 
 let rec start t req =
   t.busy <- true;
-  let count =
-    match req with
-    | Read { count; _ } -> count
-    | Write { data; _ } -> Bytes.length data / t.geometry.block_size
-    | Barrier _ -> 0
-  in
-  let done_at = Cpu.now t.cpu + request_cycles t count in
+  let done_at = Cpu.now t.cpu + request_cycles t (blocks_of_request t req) in
   Event_queue.schedule t.events ~at:done_at (fun () -> complete t req)
 
 and complete t req =
@@ -163,7 +160,7 @@ and complete t req =
   let finish k =
     t.served <- t.served + 1;
     (* DMA moved [blocks] of data across the bus during the transfer *)
-    let words = blocks_of_request req * bs / 4 in
+    let words = blocks_of_request t req * bs / 4 in
     Perf.add_bus_cycles (Cpu.perf t.cpu) (words / 8);
     t.pending_completion <- Some k;
     Irq.raise_line t.irq t.line;
@@ -179,7 +176,14 @@ and complete t req =
       let data = Bytes.sub t.store (block * bs) (count * bs) in
       finish (fun () -> k data)
   | Write { block; data; k } ->
-      apply_write t ~block data;
+      (* each element lands as its own media write, in list order *)
+      ignore
+        (List.fold_left
+           (fun block d ->
+             apply_write t ~block d;
+             block + (Bytes.length d / bs))
+           block data
+          : int);
       finish k
   | Barrier { k } ->
       release_held t;
@@ -194,9 +198,9 @@ let read t ~block ~count k =
 
 let write t ~block data k =
   let bs = t.geometry.block_size in
-  if Bytes.length data = 0 || Bytes.length data mod bs <> 0 then
-    invalid_arg "Disk.write: data must be a whole number of blocks";
-  check t ~block ~count:(Bytes.length data / bs);
+  if List.exists (fun d -> Bytes.length d = 0 || Bytes.length d mod bs <> 0) data
+  then invalid_arg "Disk.write: each buffer must be a whole number of blocks";
+  check t ~block ~count:(gather_bytes data / bs);
   submit t (Write { block; data; k })
 
 let barrier t k =

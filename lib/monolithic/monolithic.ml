@@ -49,7 +49,7 @@ let install_swap (kernel : Mach.Kernel.t) =
         (fun obj idx k ->
           Machine.Disk.write disk
             ~block:(slot_for (obj.Mach.Ktypes.obj_id, idx))
-            (Bytes.make Mach.Ktypes.page_size '\000')
+            [ Bytes.make Mach.Ktypes.page_size '\000' ]
             (fun () -> k ()));
     }
 

@@ -69,7 +69,7 @@ let start (kernel : Mach.Kernel.t) ?(swap_blocks = 16384) ?(swap_start = 24576)
           charge t;
           let block = slot_for t (obj.obj_id, idx) in
           Machine.Disk.write disk ~block
-            (Bytes.make page_size '\000')
+            [ Bytes.make page_size '\000' ]
             (fun () -> k ()));
     }
   in

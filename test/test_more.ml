@@ -40,10 +40,16 @@ let test_perf_cpi_nan () =
 
 let test_disk_write_bad_length () =
   let m = Test_util.pentium () in
-  Alcotest.check_raises "partial block rejected" (Invalid_argument "len")
-    (fun () ->
-      try Machine.Disk.write m.Machine.disk ~block:0 (Bytes.make 100 'x') (fun () -> ())
-      with Invalid_argument _ -> raise (Invalid_argument "len"))
+  let rejects label data =
+    Alcotest.check_raises label (Invalid_argument "len") (fun () ->
+        try Machine.Disk.write m.Machine.disk ~block:0 data (fun () -> ())
+        with Invalid_argument _ -> raise (Invalid_argument "len"))
+  in
+  rejects "partial block rejected" [ Bytes.make 100 'x' ];
+  (* every element of a gather list must be whole blocks, not just the sum *)
+  rejects "partial element rejected"
+    [ Bytes.make 512 'a'; Bytes.make 100 'x'; Bytes.make 412 'b' ];
+  rejects "empty gather list rejected" []
 
 let test_framebuffer_blit_row_bounds () =
   let m = Test_util.pentium () in

@@ -22,31 +22,74 @@ let barrier_wait k disk =
 
 (* --- disk-level fault primitives ------------------------------------------- *)
 
-let test_torn_write_lands_prefix () =
+(* Submit one gather write of one-block [elems] at block 100, with a
+   scripted fault at the [n]th media write, and wait for it to land.
+   Returns the plan, the media writes the request counted and each
+   element's block as read back. *)
+let gather_write_rig ?fault elems =
   let k = Test_util.kernel_on () in
   let sys = k.Mach.Kernel.sys in
   let disk = k.Mach.Kernel.machine.Machine.disk in
   Drivers.Disk_driver.arm_faults k disk;
   let plan = Mach.Fault.create ~seed:5 () in
-  Mach.Fault.at_disk_write plan ~disk:(Machine.Disk.name disk) ~n:1
-    Mach.Fault.Torn_write;
+  Option.iter
+    (fun (n, action) ->
+      Mach.Fault.at_disk_write plan ~disk:(Machine.Disk.name disk) ~n action)
+    fault;
   sys.Mach.Sched.faults <- Some plan;
-  let data = Bytes.init 512 (fun i -> Char.chr (65 + (i mod 26))) in
+  let before = Machine.Disk.writes_applied disk in
   Test_util.run_in_thread k (fun () ->
-      Machine.Disk.write disk ~block:100 data (fun () -> ());
+      Machine.Disk.write disk ~block:100 elems (fun () -> ());
       barrier_wait k disk);
-  Alcotest.(check int) "the tear was injected" 1
-    (Mach.Fault.injected_torn_writes plan);
-  let got = Machine.Disk.read_now disk ~block:100 ~count:1 in
-  (* some 4-byte-aligned prefix landed, never the whole sector *)
+  let landed =
+    List.mapi
+      (fun i _ -> Machine.Disk.read_now disk ~block:(100 + i) ~count:1)
+      elems
+  in
+  (plan, Machine.Disk.writes_applied disk - before, landed)
+
+let sector c = Bytes.init 512 (fun i -> Char.chr (c + (i mod 26)))
+
+(* some 4-byte-aligned prefix of [data] landed, never the whole sector *)
+let check_torn label data got =
   let keep = ref 0 in
   while !keep < 512 && Bytes.get got !keep = Bytes.get data !keep do incr keep done;
-  Alcotest.(check bool) "not the whole sector" true (!keep < 512);
-  Alcotest.(check int) "tear at a word boundary" 0 (!keep mod 4);
+  Alcotest.(check bool) (label ^ ": not the whole sector") true (!keep < 512);
+  Alcotest.(check int) (label ^ ": tear at a word boundary") 0 (!keep mod 4);
   for i = !keep to 511 do
-    Alcotest.(check char) (Printf.sprintf "byte %d untouched" i) '\000'
+    Alcotest.(check char) (Printf.sprintf "%s: byte %d untouched" label i) '\000'
       (Bytes.get got i)
   done
+
+let test_torn_write_lands_prefix () =
+  let data = sector 65 in
+  let plan, _, landed =
+    gather_write_rig ~fault:(1, Mach.Fault.Torn_write) [ data ]
+  in
+  Alcotest.(check int) "the tear was injected" 1
+    (Mach.Fault.injected_torn_writes plan);
+  check_torn "sector" data (List.hd landed)
+
+(* Each element of a gather list is its own media write: it counts, and
+   a scripted fault at write n hits element n alone. *)
+let test_gather_write_per_element_faults () =
+  let elems = [ sector 65; sector 70; sector 75 ] in
+  let zero = Bytes.make 512 '\000' in
+  let _, applied, landed = gather_write_rig elems in
+  Alcotest.(check int) "one media write per element" 3 applied;
+  Alcotest.(check (list bytes)) "every element landed" elems landed;
+  let _, _, landed =
+    gather_write_rig ~fault:(2, Mach.Fault.Power_cut) elems
+  in
+  Alcotest.(check (list bytes)) "a cut at element 2 lands element 1 only"
+    [ List.nth elems 0; zero; zero ] landed;
+  let plan, _, landed =
+    gather_write_rig ~fault:(2, Mach.Fault.Torn_write) elems
+  in
+  Alcotest.(check int) "one tear" 1 (Mach.Fault.injected_torn_writes plan);
+  Alcotest.(check bytes) "element 1 whole" (List.nth elems 0) (List.nth landed 0);
+  check_torn "element 2" (List.nth elems 1) (List.nth landed 1);
+  Alcotest.(check bytes) "element 3 whole" (List.nth elems 2) (List.nth landed 2)
 
 let drive_seeded_disk_faults ~seed =
   let k = Test_util.kernel_on () in
@@ -60,7 +103,7 @@ let drive_seeded_disk_faults ~seed =
   Test_util.run_in_thread k (fun () ->
       for i = 0 to 39 do
         Machine.Disk.write disk ~block:(100 + i)
-          (Bytes.make 512 (Char.chr (33 + i)))
+          [ Bytes.make 512 (Char.chr (33 + i)) ]
           (fun () -> ())
       done;
       barrier_wait k disk);
@@ -101,6 +144,76 @@ let test_jfs_commit_durable_without_sync () =
             (rv.F.Journal.rv_replayed_txns > 0)
       | None -> Alcotest.fail "no recovery report");
       let id2 = ok "lookup" (pfs2.pfs_lookup ~dir:pfs2.pfs_root "durable") in
+      Alcotest.(check bytes) "content survived" data
+        (ok "read" (pfs2.pfs_read id2 ~off:0 ~len:(Bytes.length data))))
+
+(* A commit's records go to the disk as one request, then the barrier;
+   the per-record media writes and record count are unchanged. *)
+let test_journal_commit_one_request () =
+  let k = Test_util.kernel_on () in
+  let disk = k.Mach.Kernel.machine.Machine.disk in
+  Test_util.run_in_thread k (fun () ->
+      let j =
+        F.Journal.attach k disk ~start:1000 ~blocks:16
+          ~home_write:(fun _ _ -> ())
+          ~flush_home:(fun () -> ())
+      in
+      let writes = List.init 3 (fun i -> (2000 + i, sector (65 + i))) in
+      let records0 = F.Journal.records_written j in
+      let applied0 = Machine.Disk.writes_applied disk in
+      (* a queued read keeps the disk busy, so the barrier is a request *)
+      Machine.Disk.read disk ~block:0 ~count:1 (fun _ -> ());
+      let served0 = Machine.Disk.requests_served disk in
+      F.Journal.commit j writes;
+      Alcotest.(check int) "one write and one barrier" 2
+        (Machine.Disk.requests_served disk - served0 - 1);
+      Alcotest.(check int) "2k+1 records" 7
+        (F.Journal.records_written j - records0);
+      Alcotest.(check int) "one media write per record" 7
+        (Machine.Disk.writes_applied disk - applied0))
+
+(* A transaction that straddles the ring's end goes out as two runs and
+   still replays byte-exact on a recovery mount. *)
+let test_jfs_commit_wraps_ring () =
+  let k = Test_util.kernel_on () in
+  let disk = k.Mach.Kernel.machine.Machine.disk in
+  F.Jfs.mkfs disk ();
+  Test_util.run_in_thread k (fun () ->
+      let cache = F.Block_cache.create k disk () in
+      let pfs = ok "mount" (F.Jfs.mount cache ()) in
+      (* a fresh ring starts at seq 0 and every record advances it by
+         one, so the record count is the next seq; the ring is 64 slots *)
+      let seq () = F.Extfs.journal_writes cache in
+      let data = Bytes.init 8192 (fun i -> Char.chr (33 + (i mod 90))) in
+      let id = ok "create" (pfs.pfs_create ~dir:pfs.pfs_root "wrap" ~is_dir:false) in
+      let pad = ref 0 in
+      (* pad with small transactions until 2..30 slots are left: the
+         16-block write below (at least 35 records) must then wrap *)
+      while
+        let left = 64 - (seq () mod 64) in
+        left < 2 || left > 30
+      do
+        incr pad;
+        ignore
+          (ok "pad"
+             (pfs.pfs_create ~dir:pfs.pfs_root (Printf.sprintf "p%d" !pad)
+                ~is_dir:false))
+      done;
+      let s1 = seq () in
+      ignore (ok "write" (pfs.pfs_write id ~off:0 data));
+      let s2 = seq () in
+      (* a checkpoint record may precede the transaction; its last record
+         still lands a lap after its first *)
+      Alcotest.(check bool) "the write's records straddle the ring's end" true
+        ((s2 - 1) / 64 > (s1 + 1) / 64);
+      let cache2 = F.Block_cache.create k disk () in
+      let pfs2 = ok "recovery mount" (F.Jfs.mount cache2 ()) in
+      (match F.Jfs.last_recovery cache2 with
+      | Some rv ->
+          Alcotest.(check bool) "the wrapped transaction replayed" true
+            (rv.F.Journal.rv_replayed_blocks >= 16)
+      | None -> Alcotest.fail "no recovery report");
+      let id2 = ok "lookup" (pfs2.pfs_lookup ~dir:pfs2.pfs_root "wrap") in
       Alcotest.(check bytes) "content survived" data
         (ok "read" (pfs2.pfs_read id2 ~off:0 ~len:(Bytes.length data))))
 
@@ -359,10 +472,16 @@ let suite =
   [
     Alcotest.test_case "torn write lands an aligned prefix" `Quick
       test_torn_write_lands_prefix;
+    Alcotest.test_case "gather write faults each element" `Quick
+      test_gather_write_per_element_faults;
     Alcotest.test_case "disk faults replay deterministically" `Quick
       test_disk_faults_replay_deterministically;
     Alcotest.test_case "jfs commit durable without sync" `Quick
       test_jfs_commit_durable_without_sync;
+    Alcotest.test_case "journal commit is one request" `Quick
+      test_journal_commit_one_request;
+    Alcotest.test_case "jfs commit wraps the ring" `Quick
+      test_jfs_commit_wraps_ring;
     Alcotest.test_case "power-cut recovery keeps acked writes" `Quick
       test_power_cut_recovery;
     Alcotest.test_case "damaged journal record discarded" `Quick
