@@ -32,32 +32,22 @@ let sys t = t.kernel.Mach.Kernel.sys
 (* block the calling thread until the disk completion runs *)
 let await_disk t submit =
   let s = sys t in
-  let th = Mach.Sched.self () in
-  let result = ref None in
-  submit (fun data ->
-      t.intrs <- t.intrs + 1;
-      (* the completion runs in interrupt context; charge by model *)
-      (match t.a with
-      | Kernel_bsd ->
-          Mach.Ktext.exec s.Mach.Sched.ktext [ Mach.Ktext.irq_entry ]
-      | User_level ->
-          Mach.Ktext.exec s.Mach.Sched.ktext
-            [ Mach.Ktext.irq_entry; Mach.Ktext.irq_reflect ]
-      | Ooddm -> (
-          Mach.Ktext.exec s.Mach.Sched.ktext [ Mach.Ktext.irq_entry ];
-          match (t.oo_runtime, t.oo_driver) with
-          | Some rt, Some d -> Finegrain.invoke rt d ~work_units:10
-          | _ -> ()));
-      result := Some data;
-      Mach.Sched.wake s th);
-  let rec wait () =
-    match !result with
-    | Some data -> data
-    | None ->
-        ignore (Mach.Sched.block "disk-driver" : kern_return);
-        wait ()
-  in
-  wait ()
+  Mach.Sched.await s "disk-driver" (fun k ->
+      submit (fun data ->
+          t.intrs <- t.intrs + 1;
+          (* the completion runs in interrupt context; charge by model *)
+          (match t.a with
+          | Kernel_bsd ->
+              Mach.Ktext.exec s.Mach.Sched.ktext [ Mach.Ktext.irq_entry ]
+          | User_level ->
+              Mach.Ktext.exec s.Mach.Sched.ktext
+                [ Mach.Ktext.irq_entry; Mach.Ktext.irq_reflect ]
+          | Ooddm -> (
+              Mach.Ktext.exec s.Mach.Sched.ktext [ Mach.Ktext.irq_entry ];
+              match (t.oo_runtime, t.oo_driver) with
+              | Some rt, Some d -> Finegrain.invoke rt d ~work_units:10
+              | _ -> ()));
+          k data))
 
 let kernel_entry t =
   let s = sys t in

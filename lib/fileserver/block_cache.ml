@@ -132,22 +132,9 @@ let insert t block data ~dirty =
   Hashtbl.replace t.slots block s
 
 let disk_read_blocking t block =
-  if in_thread t then begin
-    let sys = t.kernel.Mach.Kernel.sys in
-    let th = Mach.Sched.self () in
-    let result = ref None in
-    Machine.Disk.read t.disk ~block ~count:1 (fun data ->
-        result := Some data;
-        Mach.Sched.wake sys th);
-    let rec wait () =
-      match !result with
-      | Some data -> data
-      | None ->
-          ignore (Mach.Sched.block "disk-read" : Mach.Ktypes.kern_return);
-          wait ()
-    in
-    wait ()
-  end
+  if in_thread t then
+    Mach.Sched.await t.kernel.Mach.Kernel.sys "disk-read"
+      (Machine.Disk.read t.disk ~block ~count:1)
   else Machine.Disk.read_now t.disk ~block ~count:1
 
 let read t block =
@@ -199,17 +186,9 @@ let flush t =
    a thread everything was written synchronously, so the barrier
    completes immediately unless the device is mid-request. *)
 let barrier_wait t =
-  if in_thread t then begin
-    let sys = t.kernel.Mach.Kernel.sys in
-    let th = Mach.Sched.self () in
-    let arrived = ref false in
-    Machine.Disk.barrier t.disk (fun () ->
-        arrived := true;
-        Mach.Sched.wake sys th);
-    while not !arrived do
-      ignore (Mach.Sched.block "disk-barrier" : Mach.Ktypes.kern_return)
-    done
-  end
+  if in_thread t then
+    Mach.Sched.await t.kernel.Mach.Kernel.sys "disk-barrier"
+      (Machine.Disk.barrier t.disk)
   else Machine.Disk.barrier t.disk (fun () -> ())
 
 let flush_wait t =

@@ -1,12 +1,14 @@
 (* Rule: no-block contexts.
 
-   Every wait in the tree ends in [Sched.block]: the block cache's disk
-   waits and timer sleeps call it directly, and every IPC, RPC and
-   synchronizer wait reaches it through [Sched.wait], the one wait that
-   queues the thread and reports its Machcheck wait-for edge.  We
-   taint-propagate "may block" from both (and from the public IPC entry
-   points) through the call graph and reject it in contexts that run
-   with the world stopped:
+   Every wait in the tree ends in [Sched.block]: timer sleeps call it
+   directly, the disk and page-in waits (block cache, journal, disk
+   driver, VM) reach it through [Sched.await], the one wait for an
+   asynchronous completion, and every IPC, RPC and synchronizer wait
+   reaches it through [Sched.wait], the one wait that queues the thread
+   and reports its Machcheck wait-for edge.  We taint-propagate "may
+   block" from all three (and from the public IPC entry points) through
+   the call graph and reject it in contexts that run with the world
+   stopped:
 
    - functions annotated [@machlint.no_block] — IPI delivery, interrupt
      dispatch;
@@ -27,7 +29,7 @@ type policy = Deny_any | Deny_ipc
 (* Waits that are acceptable inside a txn body (disk barriers) are in
    [any_sources] only; everything in [ipc_sources] is rejected by both
    policies. *)
-let any_sources = [ "Sched.block"; "Clock.sleep_for" ]
+let any_sources = [ "Sched.block"; "Sched.await"; "Clock.sleep_for" ]
 
 let ipc_sources =
   [

@@ -221,6 +221,24 @@ let wake t ?(result = Kern_success) th =
       end
   | Th_runnable | Th_running | Th_terminated -> ()
 
+(* Wait for one asynchronous completion: [start] gets the callback that
+   stores the result and wakes us.  A wake from anything else finds no
+   result yet and blocks again. *)
+let await t reason start =
+  let th = self () in
+  let result = ref None in
+  start (fun v ->
+      result := Some v;
+      wake t th);
+  let rec loop () =
+    match !result with
+    | Some v -> v
+    | None ->
+        ignore (block reason : kern_return);
+        loop ()
+  in
+  loop ()
+
 (* Thread wait-queue hygiene.  A waiter belongs in a port's queue at
    most once: a spurious wake (a timeout, fault injection, an abort)
    resumes the thread while its entry is still queued, and blindly

@@ -116,6 +116,14 @@ val wake : t -> ?result:kern_return -> thread -> unit
     CPU flips the thread runnable at its next dispatch.  No-op for
     running/terminated threads. *)
 
+val await : t -> string -> (('a -> unit) -> unit) -> 'a
+(** [await t reason start] calls [start k] to begin an asynchronous
+    operation (a disk request, a page-in) whose completion calls [k v],
+    then {!block}s the calling thread with [reason] until [k] has run,
+    and returns [v].  A completion that runs before [start] returns
+    costs no block; a wake from anything else blocks again.  Must be
+    called from inside a thread body. *)
+
 val migrate : t -> thread -> cpu:int -> unit
 (** Re-home a thread on another CPU.  Runnable threads leave their old
     queue immediately and arrive by [X_migrate] message; blocked and

@@ -101,13 +101,7 @@ let page_in (sys : Sched.t) obj idx =
   | Some bs -> (
       match sys.current with
       | None -> bs.bs_page_in obj idx (fun () -> ())
-      | Some _ ->
-          let th = Sched.self () in
-          let done_ = ref false in
-          bs.bs_page_in obj idx (fun () ->
-              done_ := true;
-              Sched.wake sys th);
-          if not !done_ then ignore (Sched.block "page-in" : kern_return))
+      | Some _ -> Sched.await sys "page-in" (bs.bs_page_in obj idx))
 
 let make_resident (sys : Sched.t) obj idx ~addr ~fill =
   let p = get_page obj idx in

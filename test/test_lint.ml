@@ -51,6 +51,7 @@ let pairs =
     ("bad_lockorder.ml", "clean_lockorder.ml", Lint.Report.rule_lockorder);
     ("bad_noblock.ml", "clean_noblock.ml", Lint.Report.rule_noblock);
     ("bad_heartbeat.ml", "clean_heartbeat.ml", Lint.Report.rule_noblock);
+    ("bad_await.ml", "clean_await.ml", Lint.Report.rule_noblock);
     ("bad_interface.ml", "clean_interface.ml", Lint.Report.rule_interface);
   ]
 
@@ -68,6 +69,7 @@ let test_bad_counts () =
       ("bad_lockorder.ml", 2);
       ("bad_noblock.ml", 4);
       ("bad_heartbeat.ml", 3);
+      ("bad_await.ml", 1);
       ("bad_interface.ml", 2);
     ]
 
