@@ -19,7 +19,14 @@ type request =
   | Read of { block : int; count : int; k : bytes -> unit }
   | Write of { block : int; data : bytes list; k : unit -> unit }
       (* a gather list laid out from [block] on, one media write each *)
-  | Barrier of { k : unit -> unit }
+
+(* A queued or in-flight request and the barriers that ride on it: the
+   disk has no volatile cache, so a barrier is only an ordering point and
+   completes with the newest request submitted before it. *)
+type slot = {
+  req : request;
+  mutable waiters : (unit -> unit) list;  (* barriers, newest first *)
+}
 
 (* a reordered write waiting to land: countdown in later write events *)
 type held = { mutable h_ttl : int; h_block : int; h_data : bytes }
@@ -32,8 +39,8 @@ type t = {
   name : string;
   geometry : geometry;
   store : bytes;
-  mutable queue : request list;  (* reversed: newest first *)
-  mutable busy : bool;
+  mutable queue : slot list;  (* reversed: newest first *)
+  mutable inflight : slot option;
   mutable served : int;
   mutable pending_completion : (unit -> unit) option;
   mutable interceptor : (block:int -> data:bytes -> write_fault) option;
@@ -62,7 +69,7 @@ let create cpu events irq ~line ~name geometry =
       geometry;
       store = Bytes.make (geometry.blocks * geometry.block_size) '\000';
       queue = [];
-      busy = false;
+      inflight = None;
       served = 0;
       pending_completion = None;
       interceptor = None;
@@ -96,7 +103,6 @@ let gather_bytes data = List.fold_left (fun n d -> n + Bytes.length d) 0 data
 let blocks_of_request t = function
   | Read { count; _ } -> count
   | Write { data; _ } -> gather_bytes data / t.geometry.block_size
-  | Barrier _ -> 0
 
 (* --- media application, with the interceptor in the path ----------------- *)
 
@@ -150,47 +156,55 @@ let apply_write t ~block data =
     if t.powered then tick_held t
   end
 
-let rec start t req =
-  t.busy <- true;
-  let done_at = Cpu.now t.cpu + request_cycles t (blocks_of_request t req) in
-  Event_queue.schedule t.events ~at:done_at (fun () -> complete t req)
+let rec start t slot =
+  t.inflight <- Some slot;
+  let done_at = Cpu.now t.cpu + request_cycles t (blocks_of_request t slot.req) in
+  Event_queue.schedule t.events ~at:done_at (fun () -> complete t slot)
 
-and complete t req =
+and complete t slot =
   let bs = t.geometry.block_size in
-  let finish k =
-    t.served <- t.served + 1;
-    (* DMA moved [blocks] of data across the bus during the transfer *)
-    let words = blocks_of_request t req * bs / 4 in
-    Perf.add_bus_cycles (Cpu.perf t.cpu) (words / 8);
-    t.pending_completion <- Some k;
-    Irq.raise_line t.irq t.line;
-    t.busy <- false;
-    match List.rev t.queue with
-    | [] -> ()
-    | next :: rest ->
-        t.queue <- List.rev rest;
-        start t next
+  let k =
+    match slot.req with
+    | Read { block; count; k } ->
+        let data = Bytes.sub t.store (block * bs) (count * bs) in
+        fun () -> k data
+    | Write { block; data; k } ->
+        (* each element lands as its own media write, in list order *)
+        ignore
+          (List.fold_left
+             (fun block d ->
+               apply_write t ~block d;
+               block + (Bytes.length d / bs))
+             block data
+            : int);
+        k
   in
-  match req with
-  | Read { block; count; k } ->
-      let data = Bytes.sub t.store (block * bs) (count * bs) in
-      finish (fun () -> k data)
-  | Write { block; data; k } ->
-      (* each element lands as its own media write, in list order *)
-      ignore
-        (List.fold_left
-           (fun block d ->
-             apply_write t ~block d;
-             block + (Bytes.length d / bs))
-           block data
-          : int);
-      finish k
-  | Barrier { k } ->
-      release_held t;
-      finish k
+  t.served <- t.served + 1;
+  (* DMA moved [blocks] of data across the bus during the transfer *)
+  let words = blocks_of_request t slot.req * bs / 4 in
+  Perf.add_bus_cycles (Cpu.perf t.cpu) (words / 8);
+  t.pending_completion <-
+    Some
+      (fun () ->
+        k ();
+        (* every write submitted before the attached barriers is on the
+           media now; the reorder-held ones land before they run *)
+        if slot.waiters <> [] then begin
+          release_held t;
+          List.iter (fun w -> w ()) (List.rev slot.waiters)
+        end);
+  Irq.raise_line t.irq t.line;
+  t.inflight <- None;
+  match List.rev t.queue with
+  | [] -> ()
+  | next :: rest ->
+      t.queue <- List.rev rest;
+      start t next
 
 let submit t req =
-  if t.busy then t.queue <- req :: t.queue else start t req
+  let slot = { req; waiters = [] } in
+  if Option.is_some t.inflight then t.queue <- slot :: t.queue
+  else start t slot
 
 let read t ~block ~count k =
   check t ~block ~count;
@@ -204,12 +218,12 @@ let write t ~block data k =
   submit t (Write { block; data; k })
 
 let barrier t k =
-  if t.busy || t.queue <> [] then submit t (Barrier { k })
-  else begin
-    (* idle disk: the flush has nothing to wait for *)
-    release_held t;
-    k ()
-  end
+  match (t.queue, t.inflight) with
+  | newest :: _, _ | [], Some newest -> newest.waiters <- k :: newest.waiters
+  | [], None ->
+      (* idle disk: the flush has nothing to wait for *)
+      release_held t;
+      k ()
 
 let read_now t ~block ~count =
   check t ~block ~count;
@@ -233,4 +247,4 @@ let power_restore t = t.powered <- true
 let powered_on t = t.powered
 let writes_applied t = t.writes_applied
 let requests_served t = t.served
-let busy t = t.busy || t.queue <> []
+let busy t = Option.is_some t.inflight || t.queue <> []
