@@ -600,7 +600,8 @@ let ensure_inode t ino ~want_dir =
 (* The operation vector.  The mutating entries are written as plain
    un-journalled bodies; a journalled volume wraps them with
    [Fs_types.journalled], so journaling lives at the vector rather than
-   inside every operation. *)
+   inside every operation.  The mount lock ([Fs_types.serialized]) goes
+   outside the journal, so no transaction body ever waits on it. *)
 let ops t =
   let pfs =
     {
@@ -726,9 +727,12 @@ let ops t =
       pfs_recover = (fun () -> recover t);
     }
   in
-  match t.journal with
-  | None -> pfs
-  | Some j -> journalled { txn_run = (fun f -> in_txn t j f) } pfs
+  let pfs =
+    match t.journal with
+    | None -> pfs
+    | Some j -> journalled { txn_run = (fun f -> in_txn t j f) } pfs
+  in
+  serialized (Block_cache.kernel t.cache).Mach.Kernel.sys pfs
 
 let mount cache cfg ?(start = 0) () =
   let sb = Block_cache.read cache start in

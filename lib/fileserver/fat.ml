@@ -278,7 +278,7 @@ let rec mount cache ?(start = 0) () =
           if de.de_attr land 0x10 <> 0 then scan_dir de.de_cluster)
     in
     scan_dir root_id;
-    Ok (ops t)
+    Ok (serialized (Block_cache.kernel cache).Mach.Kernel.sys (ops t))
   end
 
 (* --- pfs operations ----------------------------------------------------- *)

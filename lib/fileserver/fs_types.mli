@@ -88,3 +88,11 @@ type txn = {
 (* The same vector with create, remove, write, truncate and rename each
    run as one transaction. *)
 val journalled : txn -> pfs -> pfs
+
+(* The same vector with every entry that touches the mount's blocks
+   (lookup, create, remove, readdir, stat, read, read_paged, write,
+   truncate, rename, sync) run under one per-mount lock.  A free acquire
+   costs nothing; a contended one waits in [Sched.wait].  [pfs_recover]
+   frees a lock whose holder was terminated.  Wrap outside
+   {!journalled}, so no transaction body waits on the lock. *)
+val serialized : Mach.Sched.t -> pfs -> pfs
