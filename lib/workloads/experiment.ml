@@ -409,6 +409,7 @@ let storm_gates r =
   let open Fault_storm in
   let avail = min_availability r and fastfail = degraded_fastfail r in
   [ zero "acked operations lost" (total_lost r);
+    zero "fsck findings on the file-server volumes" (total_fsck_findings r);
     gate "worst availability %.3f >= 0.90" avail (avail >= 0.9);
     gate "untouched shards golden" (golden_ok r);
     gate "degraded fast-fail %d cycles in [0, 100000]" fastfail

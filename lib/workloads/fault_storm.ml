@@ -58,6 +58,7 @@ type point = {
   fp_reincarnations : int;
   fp_golden_ok : bool;  (* untouched shards identical to the control run *)
   fp_fastfail_cycles : int;  (* degraded-mode error latency (-1 = n/a) *)
+  fp_fsck_findings : int;  (* file-server scenarios' final scan: must be 0 *)
 }
 
 type result = {
@@ -89,6 +90,7 @@ let base scenario =
     fp_reincarnations = 0;
     fp_golden_ok = true;
     fp_fastfail_cycles = -1;
+    fp_fsck_findings = 0;
   }
 
 (* --- op ledger: completion-stamped outcomes vs fault windows -------------- *)
@@ -325,7 +327,7 @@ let fs_scenario ~scenario ~seed ~clients ~sessions ~server_threads ~watchdog
   let ns = Mk_services.Bootstrap.name_service_exn boot in
   let disk = m.Machine.disk in
   let vfs = F.Vfs.create () in
-  mount_hpfs k disk vfs;
+  let cache = mount_hpfs k disk vfs in
   let fs = F.File_server.start k runtime vfs ~server_threads () in
   let sup = Mk_services.Supervisor.create k runtime ns in
   Drivers.Disk_driver.arm_faults k disk;
@@ -390,6 +392,7 @@ let fs_scenario ~scenario ~seed ~clients ~sessions ~server_threads ~watchdog
          Mk_services.Supervisor.stop sup)
       : thread);
   Mach.Kernel.run k;
+  let wall = Machine.global_now m in
   sys.Mach.Sched.faults <- None;
   Drivers.Disk_driver.disarm_faults disk;
   let completed = List.length (List.filter snd lg.lg) in
@@ -403,9 +406,12 @@ let fs_scenario ~scenario ~seed ~clients ~sessions ~server_threads ~watchdog
       fp_wedge_kills =
         Mk_services.Supervisor.path_wedge_kills sup ~path:service_path;
       fp_degraded = Mk_services.Supervisor.degraded_count sup;
+      (* the volume as the server sees it, through its live cache (the
+         scan's charges land after [wall]) *)
+      fp_fsck_findings = List.length (F.Hpfs.fsck cache ());
     }
   in
-  let p = with_availability p lg !windows ~wall:(Machine.global_now m) in
+  let p = with_availability p lg !windows ~wall in
   (* prefer the supervisor's own death-to-rebind MTTR when it has one *)
   match Mk_services.Supervisor.mttr sup ~path:service_path with
   | Some c -> { p with fp_mttr = float_of_int c }
@@ -508,10 +514,8 @@ let crash_loop () =
 (* --- sweep ----------------------------------------------------------------- *)
 
 (* fs-crash at 30000 ppm is one of the five scenarios; the lower rates of
-   its sweep run after them.  No 0 ppm row: without crashes to serialize
-   them, the two server threads' concurrent creates in one HPFS directory
-   race (ROADMAP). *)
-let crash_ppms = [ 2_000; 10_000 ]
+   its sweep run after them. *)
+let crash_ppms = [ 0; 2_000; 10_000 ]
 
 let run ?(seed = 42) ?(endpoints = 16) ?(rounds = 40) ?(victim_ops = 12)
     ?(clients = 3) ?(sessions = 6) () =
@@ -532,6 +536,9 @@ let run ?(seed = 42) ?(endpoints = 16) ?(rounds = 40) ?(victim_ops = 12)
 
 let total_lost r =
   List.fold_left (fun acc p -> acc + p.fp_lost) 0 r.fr_points
+
+let total_fsck_findings r =
+  List.fold_left (fun acc p -> acc + p.fp_fsck_findings) 0 r.fr_points
 
 let min_availability r =
   List.fold_left
@@ -569,6 +576,7 @@ let to_json r =
           ("reboot_drops", int p.fp_reboot_drops);
           ("reincarnations", int p.fp_reincarnations);
           ("golden_ok", Bool p.fp_golden_ok);
-          ("fastfail_cycles", int p.fp_fastfail_cycles) ])
+          ("fastfail_cycles", int p.fp_fastfail_cycles);
+          ("fsck_findings", int p.fp_fsck_findings) ])
   in
   Obj [ ("seed", int r.fr_seed); ("results", Arr (List.map point r.fr_points)) ]

@@ -54,6 +54,9 @@ type point = {
   fp_reincarnations : int;
   fp_golden_ok : bool;  (** untouched shards identical to the control run *)
   fp_fastfail_cycles : int;  (** degraded-mode error latency (-1 = n/a) *)
+  fp_fsck_findings : int;
+      (** file-server scenarios: invariant-scan findings on the final
+          volume, read through the server's live cache; must be 0 *)
 }
 
 type result = {
@@ -62,7 +65,13 @@ type result = {
 }
 
 val crash_ppms : int list
-(** [[2000; 10000]]: fs-crash's sweep below the scenario's 30000. *)
+(** [[0; 2000; 10000]]: fs-crash's sweep below the scenario's 30000. *)
+
+val fs_crash :
+  seed:int -> clients:int -> sessions:int -> crash_ppm:int -> unit -> point
+(** One fs-crash run: [clients] editors of [sessions] sessions each
+    against a two-thread HPFS file server, with server crashes and disk
+    write reorders both injected at [crash_ppm]. *)
 
 val run :
   ?seed:int -> ?endpoints:int -> ?rounds:int -> ?victim_ops:int ->
@@ -79,6 +88,9 @@ val run :
 val total_lost : result -> int
 (** Acked/attempted operations lost across all scenarios — the
     zero-acked-loss gate. *)
+
+val total_fsck_findings : result -> int
+(** Invariant-scan findings summed over the file-server scenarios. *)
 
 val min_availability : result -> float
 (** Worst success ratio over every scenario's in-window and out-of-window

@@ -106,7 +106,7 @@ let fileserver_factor ?(ops = 400) () =
     let services = B.boot ~naming:B.Simple_naming m in
     let k = services.B.kernel in
     let vfs = Fileserver.Vfs.create () in
-    Rig.mount_hpfs k m.Machine.disk vfs;
+    ignore (Rig.mount_hpfs k m.Machine.disk vfs : Fileserver.Block_cache.t);
     let fs = Fileserver.File_server.start k services.B.runtime vfs () in
     let sem = Fileserver.Vfs.os2_semantics in
     let app = Mach.Kernel.task_create k ~name:"app" () in

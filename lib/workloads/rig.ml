@@ -43,16 +43,17 @@ let poll_reply sys net s ~polls ~gap =
   go polls
 
 (* A fresh HPFS volume on [disk], behind its own block cache, mounted at
-   /os2 in [vfs]. *)
+   /os2 in [vfs]; returns the cache. *)
 let mount_hpfs k disk vfs =
   F.Hpfs.mkfs disk ();
   let cache = F.Block_cache.create k disk () in
-  match F.Hpfs.mount cache () with
+  (match F.Hpfs.mount cache () with
   | Ok pfs -> (
       match F.Vfs.mount vfs ~at:"/os2" pfs with
       | Ok () -> ()
       | Error e -> failwith e)
-  | Error e -> fail_fs e
+  | Error e -> fail_fs e);
+  cache
 
 (* One edit session: create [path], write 256 bytes of [fill], read them
    back in [reads] 64-byte chunks, close, and sync. *)

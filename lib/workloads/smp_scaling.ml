@@ -138,7 +138,7 @@ let measure_fileserver ~ncpus ~clients ~sessions =
   let runtime = boot.Mk_services.Bootstrap.runtime in
   let disk = m.Machine.disk in
   let vfs = F.Vfs.create () in
-  Rig.mount_hpfs k disk vfs;
+  ignore (Rig.mount_hpfs k disk vfs : F.Block_cache.t);
   (* server and boot services stay on CPU 0 (spawned there); clients
      spread round-robin over the remaining CPUs *)
   let fs = F.File_server.start k runtime vfs () in

@@ -62,7 +62,7 @@ let run ?(depth = 12) ?(files = 48) ?(repeats = 6) ?(cpus = 4) () =
   let k = Mach.Kernel.boot m in
   let disk = m.Machine.disk in
   let vfs = F.Vfs.create ~kernel:k () in
-  Rig.mount_hpfs k disk vfs;
+  ignore (Rig.mount_hpfs k disk vfs : F.Block_cache.t);
   let sem = F.Vfs.os2_semantics in
   let phases = ref [] in
   let measure name ops f =

@@ -319,7 +319,7 @@ let test_fault_sweep_smoke () =
         | _ -> Alcotest.failf "missing %s" key
       in
       Alcotest.(check (list int)) "swept rates, in order"
-        [ 2_000; 10_000; 30_000 ]
+        [ 0; 2_000; 10_000; 30_000 ]
         (List.map (num "crash_ppm") rows);
       List.iter
         (fun row ->
@@ -328,7 +328,23 @@ let test_fault_sweep_smoke () =
           Alcotest.(check int) "no acknowledged op lost" 0 (num "lost" row))
         rows;
       Alcotest.(check bool) "the top rate restarts the server" true
-        (num "restarts" (List.nth rows 2) > 0)
+        (num "restarts" (List.nth rows 3) > 0)
+
+(* fs-crash with no faults at all: three editors against two serve
+   threads, whose creates in one HPFS directory race unless each mount's
+   operations are serialized.  Every seed must finish every session on a
+   clean volume. *)
+let test_fs_crash_no_faults_seeds () =
+  for seed = 1 to 8 do
+    let p =
+      Workloads.Fault_storm.fs_crash ~seed ~clients:3 ~sessions:6 ~crash_ppm:0
+        ()
+    in
+    let label what = Printf.sprintf "seed %d: %s" seed what in
+    Alcotest.(check int) (label "sessions") 18 p.fp_ops;
+    Alcotest.(check int) (label "no session lost") 0 p.fp_lost;
+    Alcotest.(check int) (label "fsck clean") 0 p.fp_fsck_findings
+  done
 
 let suite =
   [
@@ -350,4 +366,6 @@ let suite =
       test_fault_replay_deterministic;
     Alcotest.test_case "fault-sweep smoke + json" `Quick
       test_fault_sweep_smoke;
+    Alcotest.test_case "fs-crash at 0 ppm, seeds 1-8" `Quick
+      test_fs_crash_no_faults_seeds;
   ]
