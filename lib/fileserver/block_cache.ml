@@ -169,17 +169,40 @@ let write t block data =
       evict_if_full t;
       insert t block (Bytes.copy data) ~dirty:true
 
+(* Write back the dirty set in block order.  In a thread each maximal
+   run of consecutive dirty blocks goes out as one gather request: one
+   seek for the run, while every block still lands as its own media
+   write (faults, crash points and reorder holds see each one).  Outside
+   a thread the blocks are written synchronously, one at a time. *)
 let flush t =
-  Hashtbl.iter
-    (fun block slot ->
-      if slot.dirty then begin
-        slot.dirty <- false;
-        t.writebacks <- t.writebacks + 1;
-        if in_thread t then
-          Machine.Disk.write t.disk ~block [ Bytes.copy slot.data ] (fun () -> ())
-        else Machine.Disk.write_now t.disk ~block (Bytes.copy slot.data)
-      end)
-    t.slots
+  let dirty =
+    Hashtbl.fold
+      (fun block slot acc -> if slot.dirty then (block, slot) :: acc else acc)
+      t.slots []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  List.iter (fun (_, slot) -> slot.dirty <- false) dirty;
+  t.writebacks <- t.writebacks + List.length dirty;
+  if in_thread t then begin
+    (* the run starting at [first], gathered newest first in [acc] *)
+    let rec gather first next acc = function
+      | (block, slot) :: rest when block = next ->
+          gather first (next + 1) (Bytes.copy slot.data :: acc) rest
+      | rest ->
+          Machine.Disk.write t.disk ~block:first (List.rev acc) (fun () -> ());
+          start rest
+    and start = function
+      | [] -> ()
+      | (block, slot) :: rest ->
+          gather block (block + 1) [ Bytes.copy slot.data ] rest
+    in
+    start dirty
+  end
+  else
+    List.iter
+      (fun (block, slot) ->
+        Machine.Disk.write_now t.disk ~block (Bytes.copy slot.data))
+      dirty
 
 (* Blocking barrier: returns once every write submitted so far has
    reached the media (and any reorder-held writes have landed).  Outside

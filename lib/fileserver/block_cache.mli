@@ -18,8 +18,13 @@ val write : t -> int -> bytes -> unit
     @raise Invalid_argument unless exactly one block long. *)
 
 val flush : t -> unit
-(** Queue write-back of every dirty block (fire-and-forget: the disk
-    services them in order, delaying subsequent misses). *)
+(** Queue write-back of every dirty block, in block order
+    (fire-and-forget: the disk services them in order, delaying
+    subsequent misses).  In a thread each maximal run of consecutive
+    dirty blocks is one gather request, so a run pays one seek; each of
+    its blocks is still its own media write for faults, crash points and
+    reorder holds, and {!writebacks} still counts blocks.  Outside a
+    thread the blocks are written synchronously, one at a time. *)
 
 val flush_wait : t -> unit
 (** Durable flush: queue write-back of every dirty block, then block the
