@@ -184,6 +184,27 @@ let compare_files ~a ~b ~threshold =
   | exception Sys_error e -> Error e
   | sa, sb -> compare_json ~a:sa ~b:sb ~threshold
 
+let bench_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f ->
+         String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
+
+let compare_dirs ~a ~b ~threshold =
+  match (bench_files a, bench_files b) with
+  | exception Sys_error e -> [ (a, Error e) ]
+  | [], [] -> [ (a, Error (Printf.sprintf "no BENCH_*.json in %s or %s" a b)) ]
+  | fa, fb ->
+      List.map
+        (fun name ->
+          let missing dir = Error (Printf.sprintf "%s: no %s" dir name) in
+          ( name,
+            if not (List.mem name fa) then missing a
+            else if not (List.mem name fb) then missing b
+            else
+              compare_files ~a:(Filename.concat a name)
+                ~b:(Filename.concat b name) ~threshold ))
+        (List.sort_uniq compare (fa @ fb))
+
 let pp_verdict ppf v =
   Format.fprintf ppf
     "experiment %s: %d metrics compared (%d only in A, %d only in B), \
@@ -194,8 +215,12 @@ let pp_verdict ppf v =
     Format.fprintf ppf "%-52s %14s %14s %9s@\n" "metric" "A" "B" "change";
     List.iter
       (fun d ->
-        Format.fprintf ppf "%-52s %14.1f %14.1f %8.1f%%%s@\n" d.d_path d.d_a
-          d.d_b (d.d_change *. 100.0)
+        let pct = d.d_change *. 100.0 in
+        (* below 0.05% one decimal would print a real change as 0.0% *)
+        Format.fprintf ppf "%-52s %14.1f %14.1f %8s%%%s@\n" d.d_path d.d_a
+          d.d_b
+          (if Float.abs pct < 0.05 then Printf.sprintf "%.2g" pct
+           else Printf.sprintf "%.1f" pct)
           (if d.d_regression then "  << REGRESSION"
            else
              match d.d_direction with

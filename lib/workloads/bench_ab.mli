@@ -33,4 +33,15 @@ val compare_json : a:string -> b:string -> threshold:float -> (verdict, string) 
 
 val compare_files : a:string -> b:string -> threshold:float -> (verdict, string) result
 
+val compare_dirs :
+  a:string ->
+  b:string ->
+  threshold:float ->
+  (string * (verdict, string) result) list
+(** Every [BENCH_*.json] in directory [a] against the same name in [b],
+    in name order: one verdict per file, or [Error _] for a file missing
+    from either side or failing {!compare_files}.  A directory that
+    cannot be read, or two with no BENCH file between them, give a
+    single [Error _]. *)
+
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -9,10 +9,7 @@
 open Mach.Ktypes
 module F = Fileserver
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
+let contains = Test_util.contains
 
 let find_kind rep kind =
   List.filter (fun f -> f.Check.f_kind = kind) rep.Check.findings

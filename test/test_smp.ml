@@ -8,10 +8,7 @@ open Mach.Ktypes
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
+let contains = Test_util.contains
 
 let smp_config n = Machine.Config.with_ncpus Machine.Config.pentium_133 ~n
 

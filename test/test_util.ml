@@ -26,6 +26,11 @@ let run_in_thread ?(name = "test") kernel body =
 let spawn kernel task name body =
   ignore (Mach.Kernel.thread_spawn kernel task ~name body : Mach.Ktypes.thread)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
 let check_fs_ok label = function
   | Ok v -> v
   | Error e -> Alcotest.fail (label ^ ": " ^ Fileserver.Fs_types.fs_error_to_string e)

@@ -189,7 +189,65 @@ let test_ab_flags_regressions () =
             (List.length v.Workloads.Bench_ab.v_deltas))
     [ ("BENCH_ipc.json", "sim_cycles_per_op", 1.05);
       ("BENCH_storm.json", "completed", 0.95);
-      ("BENCH_storm.json", "availability_in", 0.95) ]
+      ("BENCH_storm.json", "availability_in", 0.95) ];
+  (* over two directories, every regressed file is reported, and a file
+     with no counterpart is an error *)
+  let write_dir files =
+    let dir = Filename.temp_dir "bench-ab" "" in
+    List.iter
+      (fun (name, text) ->
+        Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+            output_string oc text))
+      files;
+    dir
+  in
+  let names = [ "BENCH_ipc.json"; "BENCH_recovery.json"; "BENCH_vfs.json" ] in
+  let a = write_dir (List.map (fun n -> (n, baseline n)) names) in
+  let b =
+    write_dir
+      [ ("BENCH_ipc.json",
+         perturb ~key:"sim_cycles_per_op" ~factor:1.05 (baseline "BENCH_ipc.json"));
+        (* +0.03%: must not print as 0.0% *)
+        ("BENCH_recovery.json",
+         perturb ~key:"recovery_cycles" ~factor:1.0003
+           (baseline "BENCH_recovery.json"));
+        ("BENCH_vfs.json", baseline "BENCH_vfs.json") ]
+  in
+  let regressions results =
+    List.map
+      (fun (name, r) ->
+        match r with
+        | Ok v -> (name, v.Workloads.Bench_ab.v_regressions)
+        | Error e -> Alcotest.fail e)
+      results
+  in
+  let results = Workloads.Bench_ab.compare_dirs ~a ~b ~threshold:0.0 in
+  Alcotest.(check (list (pair string int))) "both regressed files reported"
+    [ ("BENCH_ipc.json", 1); ("BENCH_recovery.json", 1); ("BENCH_vfs.json", 0) ]
+    (regressions results);
+  (match List.assoc "BENCH_recovery.json" results with
+  | Ok v ->
+      let flagged =
+        String.split_on_char '\n'
+          (Format.asprintf "%a" Workloads.Bench_ab.pp_verdict v)
+        |> List.filter (fun l -> Test_util.contains l "REGRESSION")
+      in
+      Alcotest.(check int) "one flagged line" 1 (List.length flagged);
+      Alcotest.(check bool) "a small regression does not read 0.0%" false
+        (Test_util.contains (List.hd flagged) " 0.0%")
+  | Error e -> Alcotest.fail e);
+  Sys.remove (Filename.concat b "BENCH_vfs.json");
+  let missing =
+    List.assoc "BENCH_vfs.json"
+      (Workloads.Bench_ab.compare_dirs ~a ~b ~threshold:0.0)
+  in
+  List.iter
+    (fun dir ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    [ a; b ];
+  Alcotest.(check bool) "a missing counterpart is an error" true
+    (Result.is_error missing)
 
 let suite =
   [
