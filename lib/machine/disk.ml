@@ -133,27 +133,36 @@ let apply_write t ~block data =
       | None -> Wf_pass
       | Some f -> f ~block ~data
     in
-    (match fault with
-    | Wf_pass -> land_write t ~block data
-    | Wf_power_cut ->
-        t.powered <- false;
-        t.held <- []
-    | Wf_torn r ->
-        (* a prefix of the write lands, torn at a 4-byte granule *)
-        let len = Bytes.length data in
-        let keep = r mod (len / 4) * 4 in
-        if keep > 0 then
-          Bytes.blit data 0 t.store (block * t.geometry.block_size) keep
-    | Wf_bit_rot r ->
-        land_write t ~block data;
-        let bit = r mod (Bytes.length data * 8) in
-        let off = (block * t.geometry.block_size) + (bit / 8) in
-        let v = Char.code (Bytes.get t.store off) lxor (1 lsl (bit mod 8)) in
-        Bytes.set t.store off (Char.chr v)
-    | Wf_reorder n ->
-        t.held <-
-          t.held @ [ { h_ttl = max 1 n; h_block = block; h_data = Bytes.copy data } ]);
-    if t.powered then tick_held t
+    let fresh =
+      match fault with
+      | Wf_pass ->
+          land_write t ~block data;
+          None
+      | Wf_power_cut ->
+          t.powered <- false;
+          t.held <- [];
+          None
+      | Wf_torn r ->
+          (* a prefix of the write lands, torn at a 4-byte granule *)
+          let len = Bytes.length data in
+          let keep = r mod (len / 4) * 4 in
+          if keep > 0 then
+            Bytes.blit data 0 t.store (block * t.geometry.block_size) keep;
+          None
+      | Wf_bit_rot r ->
+          land_write t ~block data;
+          let bit = r mod (Bytes.length data * 8) in
+          let off = (block * t.geometry.block_size) + (bit / 8) in
+          let v = Char.code (Bytes.get t.store off) lxor (1 lsl (bit mod 8)) in
+          Bytes.set t.store off (Char.chr v);
+          None
+      | Wf_reorder n ->
+          Some { h_ttl = max 1 n; h_block = block; h_data = Bytes.copy data }
+    in
+    (* this event ages only the writes held before it: a fresh hold
+       outlasts n later writes and lands with the nth *)
+    if t.powered then tick_held t;
+    Option.iter (fun h -> t.held <- t.held @ [ h ]) fresh
   end
 
 let rec start t slot =

@@ -206,9 +206,9 @@ let test_barrier_after_earlier_writes () =
   Alcotest.(check (list bytes)) "both writes on the media" [ a; b ] !seen
 
 (* The seeded known-bad case: a barrier that skipped the reorder-held
-   writes would see the held write's block still empty.  Seed 2 draws a
-   hold window that outlasts the write's own media event (a window of 1
-   lands at once, see the ROADMAP), and the test checks the hold. *)
+   writes would see the held write's block still empty.  The write is
+   the only one before the barrier, so whatever window seed 2 draws,
+   only the barrier can land it; the test checks the hold. *)
 let test_barrier_lands_held_writes () =
   let k = Test_util.kernel_on () in
   let sys = k.Mach.Kernel.sys in
@@ -229,6 +229,25 @@ let test_barrier_lands_held_writes () =
   Alcotest.(check int) "the write was held" 1 (Mach.Fault.injected_reorders plan);
   Alcotest.(check bytes) "held past its own completion" zero !at_write;
   Alcotest.(check bytes) "landed before the barrier ran" data !at_barrier
+
+(* A hold of one write outlasts exactly one later write: it is not on
+   the media at its own completion and lands with the next write. *)
+let test_reorder_hold_of_one () =
+  let m = create Config.pentium_133 in
+  let a = Bytes.make 512 'a' and b = Bytes.make 512 'b' in
+  Disk.set_write_interceptor m.disk
+    (Some
+       (fun ~block ~data:_ -> if block = 60 then Disk.Wf_reorder 1 else Disk.Wf_pass));
+  let at_a = ref Bytes.empty and at_b = ref [] in
+  Disk.write m.disk ~block:60 [ a ] (fun () ->
+      at_a := Disk.read_now m.disk ~block:60 ~count:1);
+  Disk.write m.disk ~block:61 [ b ] (fun () ->
+      at_b := [ Disk.read_now m.disk ~block:60 ~count:1;
+                Disk.read_now m.disk ~block:61 ~count:1 ]);
+  drain m;
+  Alcotest.(check bytes) "held past its own completion" (Bytes.make 512 '\000')
+    !at_a;
+  Alcotest.(check (list bytes)) "landed with the next write" [ a; b ] !at_b
 
 let test_barriers_run_in_call_order () =
   let m = create Config.pentium_133 in
@@ -309,6 +328,8 @@ let suite =
       test_barrier_after_earlier_writes;
     Alcotest.test_case "barrier lands held writes" `Quick
       test_barrier_lands_held_writes;
+    Alcotest.test_case "reorder hold of one write" `Quick
+      test_reorder_hold_of_one;
     Alcotest.test_case "barriers run in call order" `Quick
       test_barriers_run_in_call_order;
     Alcotest.test_case "barrier on idle disk" `Quick test_barrier_on_idle_disk;
