@@ -1,13 +1,15 @@
 (** Write-ahead journal over a reserved ring of disk blocks.
 
     A transaction is the set of block images mutated by one file-system
-    operation.  {!commit} writes header+data record pairs followed by a
-    commit record, in FIFO disk order, as one gather request per
-    contiguous run of ring slots (two when the records wrap past the
-    ring's end), and blocks the calling thread only on the closing
-    barrier — the commit record is the durability point, after which
-    the caller applies the same images to the write-back cache (home
-    locations).
+    operation.  {!commit} writes a transaction of k images as k+2
+    records, [\[descriptor\]\[image 1\] … \[image k\]\[commit\]], in
+    FIFO disk order, as one gather request per contiguous run of ring
+    slots (two when the records wrap past the ring's end), and blocks
+    the calling thread only on the closing barrier.  The descriptor
+    tags each image with its home block and checksum (at most 61 tags
+    in a 512-byte block); the commit record is the durability point,
+    after which the caller applies the same images to the write-back
+    cache (home locations).
 
     Every record occupies one ring slot and one sequence number with
     [slot = seq mod ring-size], so the ring always holds a contiguous
@@ -25,8 +27,8 @@ type recovery = {
   rv_replayed_txns : int;
   rv_replayed_blocks : int;
   rv_discarded : int;
-      (** transactions dropped: no commit record, or a record failed its
-          checksum (torn or rotted journal write) *)
+      (** transactions dropped: no commit record, or its descriptor or
+          an image failed its checksum (torn or rotted journal write) *)
 }
 
 val clean_scan : recovery
@@ -51,8 +53,11 @@ val commit : t -> (int * bytes) list -> unit
     request (two on a ring wrap) and one barrier.  Blocks the calling
     thread once, on that barrier.  The caller is responsible for then
     applying the images to the cache.
-    Operations larger than the ring are committed in bounded batches
-    (write-ahead ordering kept; whole-operation atomicity is not). *)
+    Operations larger than one descriptor (61 images on 512-byte
+    blocks) or the ring are committed in bounded batches (write-ahead
+    ordering kept; whole-operation atomicity is not); each batch but
+    the last is applied through [home_write] before the next commits,
+    so a checkpoint never retires images that are not home. *)
 
 val recover : t -> recovery
 (** Re-run the recovery scan (used when a supervised restart hands the

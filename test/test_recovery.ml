@@ -139,9 +139,9 @@ let test_jfs_commit_durable_without_sync () =
       Alcotest.(check bytes) "content survived" data
         (ok "read" (pfs2.pfs_read id2 ~off:0 ~len:(Bytes.length data))))
 
-(* A commit's records go to the disk as one request, and the barrier
-   rides on it; the per-record media writes and record count are
-   unchanged. *)
+(* A commit's k+2 records (descriptor, k images, commit) go to the disk
+   as one request, and the barrier rides on it; each record is still
+   its own media write. *)
 let test_journal_commit_one_request () =
   let k = Test_util.kernel_on () in
   let disk = k.Mach.Kernel.machine.Machine.disk in
@@ -159,9 +159,9 @@ let test_journal_commit_one_request () =
       F.Journal.commit j writes;
       Alcotest.(check int) "one write" 1
         (Machine.Disk.requests_served disk - served0 - 1);
-      Alcotest.(check int) "2k+1 records" 7
+      Alcotest.(check int) "k+2 records" 5
         (F.Journal.records_written j - records0);
-      Alcotest.(check int) "one media write per record" 7
+      Alcotest.(check int) "one media write per record" 5
         (Machine.Disk.writes_applied disk - applied0))
 
 (* A transaction that straddles the ring's end goes out as two runs and
@@ -179,11 +179,11 @@ let test_jfs_commit_wraps_ring () =
       let data = Bytes.init 8192 (fun i -> Char.chr (33 + (i mod 90))) in
       let id = ok "create" (pfs.pfs_create ~dir:pfs.pfs_root "wrap" ~is_dir:false) in
       let pad = ref 0 in
-      (* pad with small transactions until 2..30 slots are left: the
-         16-block write below (at least 35 records) must then wrap *)
+      (* pad with small transactions until 2..16 slots are left: the
+         16-block write below (at least 18 records) must then wrap *)
       while
         let left = 64 - (seq () mod 64) in
-        left < 2 || left > 30
+        left < 2 || left > 16
       do
         incr pad;
         ignore
@@ -265,13 +265,19 @@ let cksum b off len =
   done;
   !h
 
-let find_newest_journal_header disk =
+let set32 b off v =
+  for i = 0 to 3 do
+    Bytes.set b (off + i) (Char.chr ((v lsr (8 * i)) land 0xFF))
+  done
+
+(* the newest descriptor record on the disk: its sequence and block *)
+let find_newest_journal_descriptor disk =
   let best = ref None in
   for block = 0 to 4095 do
     let raw = Machine.Disk.read_now disk ~block ~count:1 in
     if
       Bytes.length raw >= 24
-      && Bytes.sub_string raw 0 4 = "WJH1"
+      && Bytes.sub_string raw 0 4 = "WJD1"
       && get32 raw 20 = cksum raw 0 20
     then
       let seq = get32 raw 4 in
@@ -297,13 +303,13 @@ let test_torn_journal_record_discarded () =
         ignore (ok "write" (pfs.pfs_write id ~off:0 (Bytes.make 600 'j')))
       done);
   Mach.Kernel.run k;
-  (* damage the newest header record — a torn write inside the journal
-     itself.  Recovery must notice (checksums, slot discipline) and
-     discard that transaction rather than replay garbage. *)
-  (match find_newest_journal_header disk with
+  (* damage the newest descriptor record — a torn write inside the
+     journal itself.  Recovery must notice (checksums, slot discipline)
+     and discard that transaction rather than replay garbage. *)
+  (match find_newest_journal_descriptor disk with
   | Some (_, block) ->
       Machine.Disk.write_now disk ~block (Bytes.make 512 '\xAB')
-  | None -> Alcotest.fail "no journal header found on disk");
+  | None -> Alcotest.fail "no journal descriptor found on disk");
   Test_util.run_in_thread k (fun () ->
       let cache2 = F.Block_cache.create k disk () in
       ignore (ok "recovery mount" (F.Jfs.mount cache2 ()) : pfs);
@@ -314,6 +320,183 @@ let test_torn_journal_record_discarded () =
       | None -> Alcotest.fail "no recovery report");
       Alcotest.(check (list string)) "volume still consistent" []
         (F.Jfs.fsck cache2 ()))
+
+(* --- descriptor-block transactions ---------------------------------------------- *)
+
+(* The tags of the newest descriptor on [disk] with the images that
+   follow it: (home block, image) in image order. *)
+let newest_transaction disk =
+  match find_newest_journal_descriptor disk with
+  | None -> Alcotest.fail "no journal descriptor found on disk"
+  | Some (_, block) ->
+      let d = Machine.Disk.read_now disk ~block ~count:1 in
+      List.init (get32 d 12) (fun i ->
+          ( get32 d (24 + (8 * i)),
+            Machine.Disk.read_now disk ~block:(block + 1 + i) ~count:1 ))
+
+let small_write = Bytes.make 300 'q'
+
+(* A JFS volume with an empty file "tx" durably home, then one 3-image
+   transaction (a 300-byte write into it) and a sync.  [fault] scripts
+   an action at media write n counted from the write's start.  Returns
+   the write's record and media-write counts, then runs the body in a
+   second thread against a cold cache on the repowered disk. *)
+let jfs_txn_rig ?fault after =
+  let k = Test_util.kernel_on () in
+  let sys = k.Mach.Kernel.sys in
+  let disk = k.Mach.Kernel.machine.Machine.disk in
+  F.Jfs.mkfs disk ();
+  Drivers.Disk_driver.arm_faults k disk;
+  let counts =
+    Test_util.run_in_thread k (fun () ->
+        let cache = F.Block_cache.create k disk () in
+        let pfs = ok "mount" (F.Jfs.mount cache ()) in
+        let id = ok "create" (pfs.pfs_create ~dir:pfs.pfs_root "tx" ~is_dir:false) in
+        F.Block_cache.flush_wait cache;
+        let plan = Mach.Fault.create ~seed:3 () in
+        Option.iter
+          (fun (n, action) ->
+            Mach.Fault.at_disk_write plan ~disk:(Machine.Disk.name disk) ~n
+              action)
+          fault;
+        sys.Mach.Sched.faults <- Some plan;
+        let records0 = F.Extfs.journal_writes cache in
+        let applied0 = Machine.Disk.writes_applied disk in
+        ignore (pfs.pfs_write id ~off:0 small_write);
+        let counts =
+          ( F.Extfs.journal_writes cache - records0,
+            Machine.Disk.writes_applied disk - applied0 )
+        in
+        F.Block_cache.flush_wait cache;
+        counts)
+  in
+  sys.Mach.Sched.faults <- None;
+  Machine.Disk.power_restore disk;
+  (counts, Test_util.run_in_thread k (fun () -> after k disk))
+
+(* Recover on a cold cache: the recovery report, fsck's findings, the
+   home blocks [targets] as the volume now reads them, and tx's size. *)
+let recover_and_read targets k disk =
+  let cache = F.Block_cache.create k disk () in
+  let pfs = ok "recovery mount" (F.Jfs.mount cache ()) in
+  let rv =
+    match F.Jfs.last_recovery cache with
+    | Some rv -> rv
+    | None -> Alcotest.fail "no recovery report"
+  in
+  let id = ok "lookup" (pfs.pfs_lookup ~dir:pfs.pfs_root "tx") in
+  let size = (ok "stat" (pfs.pfs_stat id)).st_size in
+  (rv, F.Jfs.fsck cache (), List.map (F.Block_cache.read cache) targets, size)
+
+(* A transaction is all or nothing: a power cut at any of its k+2 media
+   writes (the commit is the last) replays none of its images; a cut at
+   the first write after the commit replays all of them. *)
+let test_descriptor_txn_all_or_nothing () =
+  let (records, applied), txn =
+    jfs_txn_rig (fun _ disk -> newest_transaction disk)
+  in
+  Alcotest.(check int) "k+2 records" 5 records;
+  Alcotest.(check int) "one media write per record" 5 applied;
+  Alcotest.(check int) "three images" 3 (List.length txn);
+  let targets = List.map fst txn and images = List.map snd txn in
+  for n = 1 to 6 do
+    let _, (rv, findings, homes, size) =
+      jfs_txn_rig ~fault:(n, Mach.Fault.Power_cut) (recover_and_read targets)
+    in
+    let label = Printf.sprintf "cut@%d" n in
+    Alcotest.(check (list string)) (label ^ ": fsck clean") [] findings;
+    if n <= 5 then begin
+      List.iter2
+        (fun image home ->
+          Alcotest.(check bool) (label ^ ": image not replayed") false
+            (Bytes.equal image home))
+        images homes;
+      Alcotest.(check int) (label ^ ": write lost whole") 0 size
+    end
+    else begin
+      Alcotest.(check (list bytes)) (label ^ ": every image replayed") images
+        homes;
+      Alcotest.(check bool) (label ^ ": replayed from the journal") true
+        (rv.F.Journal.rv_replayed_blocks >= 3);
+      Alcotest.(check int) (label ^ ": write kept") (Bytes.length small_write)
+        size
+    end
+  done
+
+(* Damage to the newest transaction's descriptor or images discards it.
+   [damage] gets the descriptor's block and returns the (block, bytes)
+   to write over it. *)
+let damaged_txn_discarded label damage =
+  let (_, _), (rv, findings, _, size) =
+    jfs_txn_rig
+      (fun k disk ->
+        (match find_newest_journal_descriptor disk with
+        | Some (_, block) ->
+            let at, raw = damage disk block in
+            Machine.Disk.write_now disk ~block:at raw
+        | None -> Alcotest.fail "no journal descriptor found on disk");
+        recover_and_read [] k disk)
+      ~fault:(6, Mach.Fault.Power_cut)
+  in
+  Alcotest.(check bool) (label ^ ": transaction discarded") true
+    (rv.F.Journal.rv_discarded >= 1);
+  Alcotest.(check (list string)) (label ^ ": fsck clean") [] findings;
+  Alcotest.(check int) (label ^ ": write not replayed") 0 size
+
+let flip_byte disk block off =
+  let raw = Machine.Disk.read_now disk ~block ~count:1 in
+  Bytes.set raw off (Char.chr (Char.code (Bytes.get raw off) lxor 0x01));
+  (block, raw)
+
+let test_damaged_descriptor_or_image () =
+  (* the first tag's home block: without the tag-area checksum the image
+     would replay over a neighbouring block *)
+  damaged_txn_discarded "tag area" (fun disk block -> flip_byte disk block 24);
+  damaged_txn_discarded "image" (fun disk block ->
+      flip_byte disk (block + 2) 100);
+  (* a well-formed descriptor of another transaction in the slot *)
+  damaged_txn_discarded "descriptor of another txn" (fun disk block ->
+      let raw = Machine.Disk.read_now disk ~block ~count:1 in
+      set32 raw 8 (get32 raw 8 + 1);
+      set32 raw 20 (cksum raw 0 20);
+      (block, raw))
+
+(* An operation dirtying more blocks than one descriptor can tag commits
+   in batches of at most 61 images, and still replays whole. *)
+let test_oversized_op_batches () =
+  let k = Test_util.kernel_on () in
+  let disk = k.Mach.Kernel.machine.Machine.disk in
+  F.Jfs.mkfs disk ();
+  (* every descriptor the disk sees: its image count *)
+  let batches = ref [] in
+  Machine.Disk.set_write_interceptor disk
+    (Some
+       (fun ~block:_ ~data ->
+         if Bytes.sub_string data 0 4 = "WJD1" then
+           batches := get32 data 12 :: !batches;
+         Machine.Disk.Wf_pass));
+  let data = Bytes.init (96 * 512) (fun i -> Char.chr (33 + (i mod 91))) in
+  Test_util.run_in_thread k (fun () ->
+      let cache = F.Block_cache.create k disk () in
+      let pfs = ok "mount" (F.Jfs.mount cache ()) in
+      let id = ok "create" (pfs.pfs_create ~dir:pfs.pfs_root "big" ~is_dir:false) in
+      batches := [];
+      ignore (ok "write" (pfs.pfs_write id ~off:0 data));
+      let batches = List.rev !batches in
+      Alcotest.(check bool) "committed in batches" true (List.length batches >= 2);
+      Alcotest.(check int) "a full batch is 61 images" 61 (List.hd batches);
+      List.iter
+        (fun n -> Alcotest.(check bool) "at most 61 images" true (n <= 61))
+        batches;
+      Alcotest.(check bool) "every data block journalled" true
+        (List.fold_left ( + ) 0 batches >= 96);
+      (* no sync: a cold-cache mount must replay what the ring holds *)
+      let cache2 = F.Block_cache.create k disk () in
+      let pfs2 = ok "recovery mount" (F.Jfs.mount cache2 ()) in
+      Alcotest.(check (list string)) "fsck clean" [] (F.Jfs.fsck cache2 ());
+      let id2 = ok "lookup" (pfs2.pfs_lookup ~dir:pfs2.pfs_root "big") in
+      Alcotest.(check bytes) "content survived" data
+        (ok "read" (pfs2.pfs_read id2 ~off:0 ~len:(Bytes.length data))))
 
 (* --- fsck --------------------------------------------------------------------- *)
 
@@ -478,6 +661,12 @@ let suite =
       test_power_cut_recovery;
     Alcotest.test_case "damaged journal record discarded" `Quick
       test_torn_journal_record_discarded;
+    Alcotest.test_case "descriptor transaction is all or nothing" `Quick
+      test_descriptor_txn_all_or_nothing;
+    Alcotest.test_case "damaged descriptor or image discarded" `Quick
+      test_damaged_descriptor_or_image;
+    Alcotest.test_case "oversized operation commits in batches" `Quick
+      test_oversized_op_batches;
     Alcotest.test_case "fsck detects deliberate corruption" `Quick
       test_fsck_detects_corruption;
     Alcotest.test_case "jfs rolls back a failed operation" `Quick
