@@ -1,11 +1,14 @@
 (* Slots live in a hash table for lookup and on an intrusive circular
    doubly-linked LRU list (with sentinel) for eviction: a hit relinks in
    O(1), and the victim is always the sentinel's predecessor — no O(n)
-   scan over the whole cache on every miss. *)
+   scan over the whole cache on every miss.  [logged] is the journal
+   commit sequence of the block's newest journal copy, or -1 when its
+   contents have none (a partial checkpoint always writes those home). *)
 type slot = {
   mutable s_block : int;
   mutable data : bytes;
   mutable dirty : bool;
+  mutable logged : int;
   mutable prev : slot;
   mutable next : slot;
 }
@@ -52,8 +55,8 @@ let create (kernel : Mach.Kernel.t) disk ?(capacity = 256) () =
           ~size:(capacity * bs)
   in
   let rec sentinel =
-    { s_block = -1; data = Bytes.empty; dirty = false; prev = sentinel;
-      next = sentinel }
+    { s_block = -1; data = Bytes.empty; dirty = false; logged = -1;
+      prev = sentinel; next = sentinel }
   in
   {
     kernel;
@@ -124,9 +127,9 @@ let evict_if_full t =
     end
   end
 
-let insert t block data ~dirty =
+let insert t block data ~dirty ~logged =
   let s =
-    { s_block = block; data; dirty; prev = t.lru; next = t.lru }
+    { s_block = block; data; dirty; logged; prev = t.lru; next = t.lru }
   in
   push_front t s;
   Hashtbl.replace t.slots block s
@@ -149,11 +152,11 @@ let read t block =
       t.misses <- t.misses + 1;
       let data = disk_read_blocking t block in
       evict_if_full t;
-      insert t block (Bytes.copy data) ~dirty:false;
+      insert t block (Bytes.copy data) ~dirty:false ~logged:(-1);
       charge_data t block ~write:false;
       data
 
-let write t block data =
+let write t ?(logged = -1) block data =
   if Bytes.length data <> block_size t then
     invalid_arg "Block_cache.write: bad block length";
   charge_lookup t;
@@ -163,21 +166,26 @@ let write t block data =
       t.hits <- t.hits + 1;
       slot.data <- Bytes.copy data;
       slot.dirty <- true;
+      slot.logged <- logged;
       touch t slot
   | None ->
       t.misses <- t.misses + 1;
       evict_if_full t;
-      insert t block (Bytes.copy data) ~dirty:true
+      insert t block (Bytes.copy data) ~dirty:true ~logged
 
-(* Write back the dirty set in block order.  In a thread each maximal
-   run of consecutive dirty blocks goes out as one gather request: one
-   seek for the run, while every block still lands as its own media
-   write (faults, crash points and reorder holds see each one).  Outside
-   a thread the blocks are written synchronously, one at a time. *)
-let flush t =
+(* Write back the dirty set in block order: with [through], only the
+   blocks logged at or below it and the unlogged ones.  In a thread each
+   maximal run of consecutive such blocks goes out as one gather
+   request: one seek for the run, while every block still lands as its
+   own media write (faults, crash points and reorder holds see each
+   one).  Outside a thread the blocks are written synchronously, one at
+   a time. *)
+let flush ?(through = max_int) t =
   let dirty =
     Hashtbl.fold
-      (fun block slot acc -> if slot.dirty then (block, slot) :: acc else acc)
+      (fun block slot acc ->
+        if slot.dirty && slot.logged <= through then (block, slot) :: acc
+        else acc)
       t.slots []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
@@ -214,8 +222,8 @@ let barrier_wait t =
       (Machine.Disk.barrier t.disk)
   else Machine.Disk.barrier t.disk (fun () -> ())
 
-let flush_wait t =
-  flush t;
+let flush_wait ?through t =
+  flush ?through t;
   barrier_wait t
 
 let lru_block t =

@@ -13,24 +13,29 @@ val create : Mach.Kernel.t -> Machine.Disk.t -> ?capacity:int -> unit -> t
 val read : t -> int -> bytes
 (** A fresh copy of the block's contents. *)
 
-val write : t -> int -> bytes -> unit
-(** Install new contents (dirty until evicted/flushed).
+val write : t -> ?logged:int -> int -> bytes -> unit
+(** Install new contents (dirty until evicted/flushed).  [logged] is
+    the journal commit sequence of these contents' newest journal copy;
+    without it the contents have none.
     @raise Invalid_argument unless exactly one block long. *)
 
-val flush : t -> unit
+val flush : ?through:int -> t -> unit
 (** Queue write-back of every dirty block, in block order
     (fire-and-forget: the disk services them in order, delaying
-    subsequent misses).  In a thread each maximal run of consecutive
-    dirty blocks is one gather request, so a run pays one seek; each of
-    its blocks is still its own media write for faults, crash points and
-    reorder holds, and {!writebacks} still counts blocks.  Outside a
-    thread the blocks are written synchronously, one at a time. *)
+    subsequent misses).  With [through], only the dirty blocks logged at
+    or below it and those written without [logged]: a journal
+    checkpoint through [through] leaves a block logged after it dirty,
+    because its newer copy is still live in the ring.  In a thread each
+    maximal run of consecutive flushed blocks is one gather request, so
+    a run pays one seek; each of its blocks is still its own media write
+    for faults, crash points and reorder holds, and {!writebacks} still
+    counts blocks.  Outside a thread the blocks are written
+    synchronously, one at a time. *)
 
-val flush_wait : t -> unit
-(** Durable flush: queue write-back of every dirty block, then block the
-    calling thread on a disk barrier until all of it (and any
-    reorder-held writes) has reached the media.  The journal checkpoints
-    through this. *)
+val flush_wait : ?through:int -> t -> unit
+(** Durable flush: {!flush}, then block the calling thread on a disk
+    barrier until all of it (and any reorder-held writes) has reached
+    the media.  The journal checkpoints through this. *)
 
 val barrier_wait : t -> unit
 (** The barrier half of {!flush_wait} alone. *)

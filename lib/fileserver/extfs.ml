@@ -64,6 +64,9 @@ let journal_writes cache =
 let last_recovery cache =
   Option.map Journal.last_recovery (Block_cache.journal cache)
 
+let journal_blocks cache =
+  match Block_cache.journal cache with Some j -> Journal.blocks j | None -> 0
+
 let get16 b off = Char.code (Bytes.get b off) lor (Char.code (Bytes.get b (off + 1)) lsl 8)
 
 let set16 b off v =
@@ -78,10 +81,12 @@ let set32 b off v =
 
 (* --- geometry ----------------------------------------------------------- *)
 
+(* The journal ring grows with the volume, as mke2fs sizes ext3's
+   journal from the file system: 1/32 of the blocks, at least 64. *)
 let geom_of cfg ~start ~blocks ~inodes =
   let bitmap_blocks = (blocks + (block_size * 8) - 1) / (block_size * 8) in
   let itable_blocks = (inodes * inode_size + block_size - 1) / block_size in
-  let journal_blocks = if cfg.cfg_journalled then 64 else 0 in
+  let journal_blocks = if cfg.cfg_journalled then max 64 (blocks / 32) else 0 in
   let data_start = 1 + bitmap_blocks + itable_blocks + journal_blocks in
   {
     start;
@@ -134,8 +139,8 @@ let in_txn t j f =
         let ov = match t.txn with Some o -> List.rev o | None -> [] in
         t.txn <- None;
         if ov <> [] then begin
-          Journal.commit j ov;
-          List.iter (fun (b, d) -> Block_cache.write t.cache b d) ov
+          let logged = Journal.commit j ov in
+          List.iter (fun (b, d) -> Block_cache.write t.cache ~logged b d) ov
         end;
         r
   end
@@ -751,7 +756,7 @@ let mount cache cfg ?(start = 0) () =
           Journal.attach (Block_cache.kernel cache) (Block_cache.disk cache)
             ~start:(start + g.journal_start) ~blocks:g.journal_blocks
             ~home_write:(fun b d -> Block_cache.write cache b d)
-            ~flush_home:(fun () -> Block_cache.flush_wait cache)
+            ~flush_home:(fun ~through -> Block_cache.flush_wait ~through cache)
         in
         Block_cache.set_journal cache j;
         Some j

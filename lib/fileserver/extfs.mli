@@ -39,6 +39,10 @@ val journal_writes : Block_cache.t -> int
 (** Journal-record writes observed through this cache (for tests and the
     driver ablation). *)
 
+val journal_blocks : Block_cache.t -> int
+(** Slots in the journal ring mounted over this cache (0 without one).
+    A volume of [blocks] blocks gets [max 64 (blocks / 32)]. *)
+
 val last_recovery : Block_cache.t -> Journal.recovery option
 (** The most recent journal recovery scan run against this cache
     (mount-time or supervised-restart), if any. *)

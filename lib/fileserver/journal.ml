@@ -22,12 +22,20 @@
    occupies exactly one slot and one sequence number, with
    slot = seq mod ring-size, so the ring always holds a contiguous
    suffix of record history.  Before a slot holding an un-checkpointed
-   record would be overwritten, the engine durably flushes the home
-   cache (so every committed transaction's effects are on the media)
-   and writes a checkpoint record carrying "checkpointed through
-   sequence S".  Recovery replays only committed transactions with
-   sequence numbers above the newest checkpoint — anything older is
-   already home, and replaying it could clobber newer durable state. *)
+   record would be overwritten, the engine picks a commit record S,
+   durably flushes home every cached block whose newest journal copy is
+   at or below S (and every block with no journal copy), and writes a
+   checkpoint record carrying "checkpointed through sequence S".  A
+   block logged again after S may stay dirty: its newer copy is still
+   live in the ring, and replay rewrites it whole (ext3's rule: a
+   buffer re-logged by a newer transaction leaves the older one's
+   checkpoint list).  S is the newest commit in the older half of the
+   ring, or the first one far enough out to fit the next transaction,
+   so a checkpoint retires about half the ring and leaves the blocks
+   the newer half keeps re-logging in the cache.  Recovery replays only
+   committed transactions with sequence numbers above the newest
+   checkpoint — anything older is already home, and replaying it could
+   clobber newer durable state. *)
 
 let magic_descriptor = "WJD1"
 let magic_commit = "WJC1"
@@ -51,11 +59,13 @@ type t = {
   start : int;  (* first journal block on disk *)
   blocks : int;  (* ring size in blocks *)
   home_write : int -> bytes -> unit;  (* replay target: the block cache *)
-  flush_home : unit -> unit;  (* durable cache flush, incl. barrier *)
+  flush_home : through:int -> unit;  (* durable cache flush, incl. barrier *)
   mutable seq : int;  (* next record sequence; slot = seq mod blocks *)
   mutable checkpointed : int;  (* highest seq covered by a checkpoint *)
+  live : int Queue.t;  (* commit seqs above [checkpointed], oldest first *)
   mutable txn_id : int;
   mutable records : int;  (* journal-record writes, for stats *)
+  mutable checkpoints : int;  (* checkpoints made to free ring room *)
   mutable last_scan : recovery;  (* the most recent recovery scan *)
 }
 
@@ -161,11 +171,12 @@ let parse_slot ~blocks ~slot raw =
 let in_thread (t : t) =
   Option.is_some t.kernel.Mach.Kernel.sys.Mach.Sched.current
 
-let read_slot_blocking t block =
+(* the whole ring, as one request *)
+let read_ring t =
   if in_thread t then
     Mach.Sched.await t.kernel.Mach.Kernel.sys "journal-read"
-      (Machine.Disk.read t.disk ~block ~count:1)
-  else Machine.Disk.read_now t.disk ~block ~count:1
+      (Machine.Disk.read t.disk ~block:t.start ~count:t.blocks)
+  else Machine.Disk.read_now t.disk ~block:t.start ~count:t.blocks
 
 let barrier_sync t =
   if in_thread t then
@@ -202,22 +213,40 @@ let rec write_records t = function
 
 (* --- checkpoints and ring room ------------------------------------------ *)
 
-let checkpoint t =
-  (* every committed transaction's home effects become durable first,
-     so records at or below [through] are dead weight from here on *)
-  t.flush_home ();
-  let through = t.seq - 1 in
+(* Durably flush home every block whose newest journal copy is at or
+   below [flush] (and every block with none), then record that the
+   records up to [through] are dead weight.  [through] must end a
+   transaction: a commit record or the newest record. *)
+let checkpoint t ~flush ~through =
+  t.flush_home ~through:flush;
   write_records t
     [ encode t ~magic:magic_checkpoint ~seq:t.seq ~txn:0 ~a:through ~b:0 ];
   barrier_sync t;
-  t.checkpointed <- through
+  t.checkpointed <- through;
+  while (not (Queue.is_empty t.live)) && Queue.peek t.live <= through do
+    ignore (Queue.pop t.live : int)
+  done
 
 (* Writing seq n reuses the slot that held seq n - blocks; that record
-   must already be checkpointed or it could still be needed by replay. *)
+   must already be checkpointed or it could still be needed by replay.
+   A checkpoint record takes the next slot itself, so the [needed]
+   records after it reach back to seq [must]: retire through the newest
+   commit in the older half of the ring if that covers [must], else
+   through the first commit that does, else through everything. *)
 let ensure_room t needed =
-  while t.seq + needed - 1 - t.blocks > t.checkpointed do
-    checkpoint t
-  done
+  if t.seq + needed - 1 - t.blocks > t.checkpointed then begin
+    let must = t.seq + needed - t.blocks in
+    let half = t.seq - (t.blocks / 2) in
+    let older = ref (-1) and reach = ref (t.seq - 1) in
+    Queue.iter
+      (fun c ->
+        if c < half then older := c;
+        if c >= must && c < !reach then reach := c)
+      t.live;
+    t.checkpoints <- t.checkpoints + 1;
+    let through = max !older !reach in
+    checkpoint t ~flush:through ~through
+  end
 
 (* --- commit -------------------------------------------------------------- *)
 
@@ -228,9 +257,12 @@ let max_data_per_txn t =
     (max_tags (Machine.Disk.geometry t.disk).Machine.Disk.block_size)
     (t.blocks - 3)
 
+(* Returns the sequence of the commit record the images are logged
+   under: for batches, the first batch's, which is at or below every
+   image's newest copy. *)
 let rec commit t writes =
   match writes with
-  | [] -> ()
+  | [] -> t.checkpointed  (* nothing logged *)
   | _ when List.length writes > max_data_per_txn t ->
       (* An oversized operation cannot fit one descriptor or the ring as
          one transaction; commit it in bounded batches.  Each batch keeps
@@ -239,9 +271,10 @@ let rec commit t writes =
          that commit's checkpoint may retire the batch's records, and
          only the home flush keeps its images then. *)
       let batch, rest = take (max_data_per_txn t) writes in
-      commit t batch;
+      let logged = commit t batch in
       List.iter (fun (block, data) -> t.home_write block data) batch;
-      commit t rest
+      ignore (commit t rest : int);
+      logged
   | _ ->
       let k = List.length writes in
       ensure_room t (k + 2);
@@ -249,12 +282,15 @@ let rec commit t writes =
       t.txn_id <- t.txn_id + 1;
       (* seqs first .. first + k + 1: descriptor, k images, commit *)
       let first = t.seq in
+      let cseq = first + k + 1 in
       write_records t
         ((encode_descriptor t ~seq:first ~txn writes
          :: List.map (fun (_, data) -> Bytes.copy data) writes)
-        @ [ encode t ~magic:magic_commit ~seq:(first + k + 1) ~txn ~a:k ~b:0 ]);
+        @ [ encode t ~magic:magic_commit ~seq:cseq ~txn ~a:k ~b:0 ]);
       (* durability point: everything above reached the media, in order *)
-      barrier_sync t
+      barrier_sync t;
+      Queue.push cseq t.live;
+      cseq
 
 (* --- recovery ------------------------------------------------------------ *)
 
@@ -262,13 +298,12 @@ let rec commit t writes =
    the home cache, and fence the result behind a fresh checkpoint so a
    second crash cannot replay twice over newer state. *)
 let scan_and_replay t =
-  let parsed = Array.make t.blocks P_raw in
-  let raw = Array.make t.blocks Bytes.empty in
-  for slot = 0 to t.blocks - 1 do
-    let data = read_slot_blocking t (t.start + slot) in
-    raw.(slot) <- data;
-    parsed.(slot) <- parse_slot ~blocks:t.blocks ~slot data
-  done;
+  let ring = read_ring t in
+  let bs = Bytes.length ring / t.blocks in
+  let raw = Array.init t.blocks (fun slot -> Bytes.sub ring (slot * bs) bs) in
+  let parsed =
+    Array.mapi (fun slot data -> parse_slot ~blocks:t.blocks ~slot data) raw
+  in
   let max_seq = ref (-1) in
   let through = ref (-1) in
   Array.iter
@@ -326,11 +361,12 @@ let scan_and_replay t =
             writes
       | None -> incr discarded)
     commits;
-  if !replayed_blocks > 0 then t.flush_home ();
+  if !replayed_blocks > 0 then t.flush_home ~through:max_int;
   (* position the engine after everything the scan saw *)
   t.seq <- !max_seq + 1;
   t.checkpointed <- !through;
-  if !max_seq >= 0 then checkpoint t;
+  Queue.clear t.live;
+  if !max_seq >= 0 then checkpoint t ~flush:max_int ~through:!max_seq;
   t.last_scan <-
     {
       rv_scanned = t.blocks;
@@ -352,8 +388,10 @@ let attach kernel disk ~start ~blocks ~home_write ~flush_home =
       flush_home;
       seq = 0;
       checkpointed = -1;
+      live = Queue.create ();
       txn_id = 0;
       records = 0;
+      checkpoints = 0;
       last_scan = clean_scan;
     }
   in
@@ -363,3 +401,5 @@ let attach kernel disk ~start ~blocks ~home_write ~flush_home =
 let recover t = scan_and_replay t
 let last_recovery t = t.last_scan
 let records_written t = t.records
+let checkpoints t = t.checkpoints
+let blocks t = t.blocks

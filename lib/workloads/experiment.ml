@@ -358,13 +358,23 @@ let ipc_gates r =
     gate "E3 improvement falls with size"
       (List.hd e3 > List.nth e3 (List.length e3 - 1)) ]
 
+(* enough ops that the full sweep's crash points cross partial
+   checkpoints of the default volume's 256-slot ring *)
+let sweep_ops = 64
+
 let recovery_sweep = function
-  | Full -> Recovery_sweep.run ~max_points:1024 ()
+  | Full -> Recovery_sweep.run ~ops:sweep_ops ~max_points:1024 ()
   | Smoke -> Recovery_sweep.run ~ops:4 ~max_points:12 ~series:[ 4 ] ()
 
 let recovery_gates (r : Recovery_sweep.result) =
   [ zero "lost acknowledged writes" r.r_lost_writes;
     zero "torn recovered states" r.r_torn_states ]
+  @
+  if r.r_ops >= sweep_ops then
+    [ gate "every write a crash point" r.r_exhaustive;
+      gate "partial checkpoints crossed %d >= 2" r.r_checkpoints
+        (r.r_checkpoints >= 2) ]
+  else []
 
 let smp_scaling = function
   | Full -> Smp_scaling.run ()

@@ -54,6 +54,7 @@ type result = {
   r_seed : int;
   r_ops : int;
   r_total_writes : int;  (* disk writes the un-faulted workload issues *)
+  r_checkpoints : int;  (* partial checkpoints the un-faulted run crossed *)
   r_points_checked : int;
   r_exhaustive : bool;  (* every write index was a crash point *)
   r_lost_writes : int;
@@ -203,17 +204,21 @@ let spawn_main k body =
   Mach.Kernel.run k
 
 (* The un-faulted reference run: how many disk writes does the workload
-   issue?  That count is the crash-point index space — the same script
-   under the same deterministic machine issues the identical write
-   sequence, so "power cut at write [n]" is meaningful for n in
-   [1 .. total]. *)
-let count_writes ~ops =
-  let m, k, disk, _cache, pfs = boot_fs Journalled in
-  ignore m;
+   issue, and how many journal checkpoints does it cross?  The write
+   count is the crash-point index space — the same script under the
+   same deterministic machine issues the identical write sequence, so
+   "power cut at write [n]" is meaningful for n in [1 .. total]. *)
+let reference_run ~ops =
+  let _m, k, disk, cache, pfs = boot_fs Journalled in
   let w0 = Machine.Disk.writes_applied disk in
   let expect = ref [] in
   spawn_main k (fun () -> run_script pfs disk (script ops) expect);
-  Machine.Disk.writes_applied disk - w0
+  let checkpoints =
+    match F.Block_cache.journal cache with
+    | Some j -> F.Journal.checkpoints j
+    | None -> 0
+  in
+  (Machine.Disk.writes_applied disk - w0, checkpoints)
 
 let run_crash_point ~seed ~ops ~n =
   let m, k, disk, _cache, pfs = boot_fs Journalled in
@@ -341,7 +346,7 @@ let run ?(seed = 42) ?(ops = 12) ?(max_points = 64) ?(series = default_series)
   if ops <= 0 then invalid_arg "Recovery_sweep.run: ops must be positive";
   if max_points <= 0 then
     invalid_arg "Recovery_sweep.run: max_points must be positive";
-  let total = count_writes ~ops in
+  let total, checkpoints = reference_run ~ops in
   let indices =
     if total <= max_points then List.init total (fun i -> i + 1)
     else
@@ -357,6 +362,7 @@ let run ?(seed = 42) ?(ops = 12) ?(max_points = 64) ?(series = default_series)
     r_seed = seed;
     r_ops = ops;
     r_total_writes = total;
+    r_checkpoints = checkpoints;
     r_points_checked = List.length points;
     r_exhaustive = total <= max_points;
     r_lost_writes = List.fold_left (fun a p -> a + p.cp_lost) 0 points;
@@ -397,6 +403,7 @@ let to_json r =
   Obj
     [ ("seed", int r.r_seed); ("ops", int r.r_ops);
       ("total_writes", int r.r_total_writes);
+      ("checkpoints", int r.r_checkpoints);
       ("points_checked", int r.r_points_checked);
       ("exhaustive", Bool r.r_exhaustive); ("lost_writes", int r.r_lost_writes);
       ("torn_states", int r.r_torn_states);

@@ -48,6 +48,9 @@ type result = {
   r_seed : int;
   r_ops : int;
   r_total_writes : int;
+  r_checkpoints : int;
+      (** partial journal checkpoints the un-faulted run crossed: the
+          crash points between them exercise the partial write-home *)
   r_points_checked : int;
   r_exhaustive : bool;
   r_lost_writes : int;

@@ -149,14 +149,14 @@ let test_journal_commit_one_request () =
       let j =
         F.Journal.attach k disk ~start:1000 ~blocks:16
           ~home_write:(fun _ _ -> ())
-          ~flush_home:(fun () -> ())
+          ~flush_home:(fun ~through:_ -> ())
       in
       let writes = List.init 3 (fun i -> (2000 + i, sector (65 + i))) in
       let records0 = F.Journal.records_written j in
       let applied0 = Machine.Disk.writes_applied disk in
       Machine.Disk.read disk ~block:0 ~count:1 (fun _ -> ());
       let served0 = Machine.Disk.requests_served disk in
-      F.Journal.commit j writes;
+      ignore (F.Journal.commit j writes : int);
       Alcotest.(check int) "one write" 1
         (Machine.Disk.requests_served disk - served0 - 1);
       Alcotest.(check int) "k+2 records" 5
@@ -174,15 +174,17 @@ let test_jfs_commit_wraps_ring () =
       let cache = F.Block_cache.create k disk () in
       let pfs = ok "mount" (F.Jfs.mount cache ()) in
       (* a fresh ring starts at seq 0 and every record advances it by
-         one, so the record count is the next seq; the ring is 64 slots *)
+         one, so the record count is the next seq *)
       let seq () = F.Extfs.journal_writes cache in
+      let ring = F.Extfs.journal_blocks cache in
+      Alcotest.(check int) "the default volume's ring" 256 ring;
       let data = Bytes.init 8192 (fun i -> Char.chr (33 + (i mod 90))) in
       let id = ok "create" (pfs.pfs_create ~dir:pfs.pfs_root "wrap" ~is_dir:false) in
       let pad = ref 0 in
       (* pad with small transactions until 2..16 slots are left: the
          16-block write below (at least 18 records) must then wrap *)
       while
-        let left = 64 - (seq () mod 64) in
+        let left = ring - (seq () mod ring) in
         left < 2 || left > 16
       do
         incr pad;
@@ -197,7 +199,7 @@ let test_jfs_commit_wraps_ring () =
       (* a checkpoint record may precede the transaction; its last record
          still lands a lap after its first *)
       Alcotest.(check bool) "the write's records straddle the ring's end" true
-        ((s2 - 1) / 64 > (s1 + 1) / 64);
+        ((s2 - 1) / ring > (s1 + 1) / ring);
       let cache2 = F.Block_cache.create k disk () in
       let pfs2 = ok "recovery mount" (F.Jfs.mount cache2 ()) in
       (match F.Jfs.last_recovery cache2 with
@@ -462,11 +464,13 @@ let test_damaged_descriptor_or_image () =
       (block, raw))
 
 (* An operation dirtying more blocks than one descriptor can tag commits
-   in batches of at most 61 images, and still replays whole. *)
+   in batches of at most 61 images, and still replays whole.  On a
+   64-slot ring the second batch's checkpoint retires the first batch's
+   records, so that batch must be home by then. *)
 let test_oversized_op_batches () =
   let k = Test_util.kernel_on () in
   let disk = k.Mach.Kernel.machine.Machine.disk in
-  F.Jfs.mkfs disk ();
+  F.Jfs.mkfs disk ~blocks:2048 ();
   (* every descriptor the disk sees: its image count *)
   let batches = ref [] in
   Machine.Disk.set_write_interceptor disk
@@ -479,7 +483,10 @@ let test_oversized_op_batches () =
   Test_util.run_in_thread k (fun () ->
       let cache = F.Block_cache.create k disk () in
       let pfs = ok "mount" (F.Jfs.mount cache ()) in
+      Alcotest.(check int) "a 64-slot ring" 64 (F.Extfs.journal_blocks cache);
       let id = ok "create" (pfs.pfs_create ~dir:pfs.pfs_root "big" ~is_dir:false) in
+      let j = Option.get (F.Block_cache.journal cache) in
+      let checkpoints0 = F.Journal.checkpoints j in
       batches := [];
       ignore (ok "write" (pfs.pfs_write id ~off:0 data));
       let batches = List.rev !batches in
@@ -490,6 +497,8 @@ let test_oversized_op_batches () =
         batches;
       Alcotest.(check bool) "every data block journalled" true
         (List.fold_left ( + ) 0 batches >= 96);
+      Alcotest.(check bool) "the batches checkpointed" true
+        (F.Journal.checkpoints j - checkpoints0 >= 2);
       (* no sync: a cold-cache mount must replay what the ring holds *)
       let cache2 = F.Block_cache.create k disk () in
       let pfs2 = ok "recovery mount" (F.Jfs.mount cache2 ()) in
@@ -497,6 +506,101 @@ let test_oversized_op_batches () =
       let id2 = ok "lookup" (pfs2.pfs_lookup ~dir:pfs2.pfs_root "big") in
       Alcotest.(check bytes) "content survived" data
         (ok "read" (pfs2.pfs_read id2 ~off:0 ~len:(Bytes.length data))))
+
+(* --- partial checkpoints ----------------------------------------------------------- *)
+
+(* A 2048-block JFS volume has a 64-slot ring.  Each op overwrites
+   block i of the preallocated file "cold" (a block no later op logs
+   again) and then block 0 of "hot" (logged by every op): one
+   single-image transaction each.  A partial checkpoint must write home
+   every cold block whose copy it retires while the hot block, re-logged
+   after S, may stay dirty. *)
+let churn_ops = 32
+let cold_block i = Bytes.make 512 (Char.chr (65 + (i mod 26)))
+let hot_block i = Bytes.init 512 (fun j -> Char.chr ((i * 7 + j) land 0xFF))
+
+(* Run the ops on a fresh volume, with [fault] scripted at the nth
+   media write counted from the first op.  Returns the media writes and
+   partial checkpoints of the ops, the number of ops acknowledged while
+   the disk was powered, and the kernel and disk. *)
+let churn_rig ?fault () =
+  let k = Test_util.kernel_on () in
+  let sys = k.Mach.Kernel.sys in
+  let disk = k.Mach.Kernel.machine.Machine.disk in
+  F.Jfs.mkfs disk ~blocks:2048 ();
+  Drivers.Disk_driver.arm_faults k disk;
+  let counts =
+    Test_util.run_in_thread k (fun () ->
+        let cache = F.Block_cache.create k disk () in
+        let pfs = ok "mount" (F.Jfs.mount cache ()) in
+        Alcotest.(check int) "a 64-slot ring" 64 (F.Extfs.journal_blocks cache);
+        let file name len =
+          let id = ok "create" (pfs.pfs_create ~dir:pfs.pfs_root name ~is_dir:false) in
+          ignore (ok "preallocate" (pfs.pfs_write id ~off:0 (Bytes.make len '\000')));
+          id
+        in
+        let cold = file "cold" (churn_ops * 512) and hot = file "hot" 512 in
+        F.Block_cache.flush_wait cache;
+        let j = Option.get (F.Block_cache.journal cache) in
+        let checkpoints0 = F.Journal.checkpoints j in
+        let plan = Mach.Fault.create ~seed:7 () in
+        Option.iter
+          (fun n ->
+            Mach.Fault.at_disk_write plan ~disk:(Machine.Disk.name disk) ~n
+              Mach.Fault.Power_cut)
+          fault;
+        sys.Mach.Sched.faults <- Some plan;
+        let applied0 = Machine.Disk.writes_applied disk in
+        let acked = ref 0 in
+        for i = 0 to churn_ops - 1 do
+          let w id off data = Result.is_ok (pfs.pfs_write id ~off data) in
+          if w cold (i * 512) (cold_block i) && w hot 0 (hot_block i)
+             && Machine.Disk.powered_on disk && !acked = i
+          then incr acked
+        done;
+        ( Machine.Disk.writes_applied disk - applied0,
+          F.Journal.checkpoints j - checkpoints0,
+          !acked ))
+  in
+  sys.Mach.Sched.faults <- None;
+  Machine.Disk.power_restore disk;
+  (counts, k, disk)
+
+(* A power cut at every media write of the ops, across at least three
+   partial checkpoints: after each, a cold-cache recovery mount holds
+   every acknowledged cold block byte-exact, the hot block from the last
+   acknowledged op (or the one in flight), and a clean fsck. *)
+let test_partial_checkpoint_crash_sweep () =
+  let (total, checkpoints, acked), _, _ = churn_rig () in
+  Alcotest.(check int) "every op acknowledged" churn_ops acked;
+  Alcotest.(check bool) "at least three partial checkpoints" true
+    (checkpoints >= 3);
+  for n = 1 to total do
+    let (_, _, acked), k, disk = churn_rig ~fault:n () in
+    let label = Printf.sprintf "cut@%d (%d acked)" n acked in
+    Test_util.run_in_thread k (fun () ->
+        let cache = F.Block_cache.create k disk () in
+        let pfs = ok "recovery mount" (F.Jfs.mount cache ()) in
+        Alcotest.(check (list string)) (label ^ ": fsck clean") []
+          (F.Jfs.fsck cache ());
+        let read name ~off =
+          let id = ok "lookup" (pfs.pfs_lookup ~dir:pfs.pfs_root name) in
+          ok "read" (pfs.pfs_read id ~off ~len:512)
+        in
+        for i = 0 to acked - 1 do
+          Alcotest.(check bytes)
+            (Printf.sprintf "%s: cold block %d" label i)
+            (cold_block i) (read "cold" ~off:(i * 512))
+        done;
+        let hot = read "hot" ~off:0 in
+        let was i =
+          if i < 0 then Bytes.equal hot (Bytes.make 512 '\000')
+          else i < churn_ops && Bytes.equal hot (hot_block i)
+        in
+        Alcotest.(check bool) (label ^ ": hot block of the last acked op")
+          true
+          (was (acked - 1) || was acked))
+  done
 
 (* --- fsck --------------------------------------------------------------------- *)
 
@@ -667,6 +771,8 @@ let suite =
       test_damaged_descriptor_or_image;
     Alcotest.test_case "oversized operation commits in batches" `Quick
       test_oversized_op_batches;
+    Alcotest.test_case "partial checkpoints survive a cut at every write"
+      `Quick test_partial_checkpoint_crash_sweep;
     Alcotest.test_case "fsck detects deliberate corruption" `Quick
       test_fsck_detects_corruption;
     Alcotest.test_case "jfs rolls back a failed operation" `Quick
