@@ -107,20 +107,14 @@ let charge_data t block ~write =
   in
   Machine.execute t.kernel.Mach.Kernel.machine [ op ]
 
-let in_thread (t : t) =
-  Option.is_some t.kernel.Mach.Kernel.sys.Mach.Sched.current
-
 let evict_if_full t =
   if Hashtbl.length t.slots >= t.capacity then begin
     let victim = t.lru.prev in
     if victim != t.lru then begin
       if victim.dirty then begin
         t.writebacks <- t.writebacks + 1;
-        if in_thread t then
-          Machine.Disk.write t.disk ~block:victim.s_block
-            [ Bytes.copy victim.data ] (fun () -> ())
-        else Machine.Disk.write_now t.disk ~block:victim.s_block
-            (Bytes.copy victim.data)
+        Machine.Disk.write t.disk ~block:victim.s_block
+          [ Bytes.copy victim.data ] (fun () -> ())
       end;
       unlink victim;
       Hashtbl.remove t.slots victim.s_block
@@ -135,10 +129,8 @@ let insert t block data ~dirty ~logged =
   Hashtbl.replace t.slots block s
 
 let disk_read_blocking t block =
-  if in_thread t then
-    Mach.Sched.await t.kernel.Mach.Kernel.sys "disk-read"
-      (Machine.Disk.read t.disk ~block ~count:1)
-  else Machine.Disk.read_now t.disk ~block ~count:1
+  Mach.Sched.await t.kernel.Mach.Kernel.sys "disk-read"
+    (Machine.Disk.read t.disk ~block ~count:1)
 
 let read t block =
   charge_lookup t;
@@ -174,12 +166,10 @@ let write t ?(logged = -1) block data =
       insert t block (Bytes.copy data) ~dirty:true ~logged
 
 (* Write back the dirty set in block order: with [through], only the
-   blocks logged at or below it and the unlogged ones.  In a thread each
-   maximal run of consecutive such blocks goes out as one gather
-   request: one seek for the run, while every block still lands as its
-   own media write (faults, crash points and reorder holds see each
-   one).  Outside a thread the blocks are written synchronously, one at
-   a time. *)
+   blocks logged at or below it and the unlogged ones.  Each maximal
+   run of consecutive such blocks goes out as one gather request: one
+   seek for the run, while every block still lands as its own media
+   write (faults, crash points and reorder holds see each one). *)
 let flush ?(through = max_int) t =
   let dirty =
     Hashtbl.fold
@@ -191,36 +181,25 @@ let flush ?(through = max_int) t =
   in
   List.iter (fun (_, slot) -> slot.dirty <- false) dirty;
   t.writebacks <- t.writebacks + List.length dirty;
-  if in_thread t then begin
-    (* the run starting at [first], gathered newest first in [acc] *)
-    let rec gather first next acc = function
-      | (block, slot) :: rest when block = next ->
-          gather first (next + 1) (Bytes.copy slot.data :: acc) rest
-      | rest ->
-          Machine.Disk.write t.disk ~block:first (List.rev acc) (fun () -> ());
-          start rest
-    and start = function
-      | [] -> ()
-      | (block, slot) :: rest ->
-          gather block (block + 1) [ Bytes.copy slot.data ] rest
-    in
-    start dirty
-  end
-  else
-    List.iter
-      (fun (block, slot) ->
-        Machine.Disk.write_now t.disk ~block (Bytes.copy slot.data))
-      dirty
+  (* the run starting at [first], gathered newest first in [acc] *)
+  let rec gather first next acc = function
+    | (block, slot) :: rest when block = next ->
+        gather first (next + 1) (Bytes.copy slot.data :: acc) rest
+    | rest ->
+        Machine.Disk.write t.disk ~block:first (List.rev acc) (fun () -> ());
+        start rest
+  and start = function
+    | [] -> ()
+    | (block, slot) :: rest ->
+        gather block (block + 1) [ Bytes.copy slot.data ] rest
+  in
+  start dirty
 
 (* Blocking barrier: returns once every write submitted so far has
-   reached the media (and any reorder-held writes have landed).  Outside
-   a thread everything was written synchronously, so the barrier
-   completes immediately unless the device is mid-request. *)
+   reached the media (and any reorder-held writes have landed). *)
 let barrier_wait t =
-  if in_thread t then
-    Mach.Sched.await t.kernel.Mach.Kernel.sys "disk-barrier"
-      (Machine.Disk.barrier t.disk)
-  else Machine.Disk.barrier t.disk (fun () -> ())
+  Mach.Sched.await t.kernel.Mach.Kernel.sys "disk-barrier"
+    (Machine.Disk.barrier t.disk)
 
 let flush_wait ?through t =
   flush ?through t;

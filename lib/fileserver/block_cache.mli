@@ -1,9 +1,11 @@
 (** Write-back block cache over the simulated disk.
 
     Hits charge a short code path plus the data traffic; misses submit a
-    disk request and block the calling thread until the transfer
-    completes.  Outside thread context (mkfs-style tools at boot) the
-    cache falls through to zero-cost synchronous disk access. *)
+    disk request and wait for the transfer through {!Mach.Sched.await}.
+    A thread blocks; the boot context (mounts and journal replays before
+    any thread runs) steps device events, and the boot CPU's clock pays
+    for the I/O.  Every read and write-back goes through the disk's
+    request queue, in thread context or not. *)
 
 type t
 
@@ -25,17 +27,16 @@ val flush : ?through:int -> t -> unit
     subsequent misses).  With [through], only the dirty blocks logged at
     or below it and those written without [logged]: a journal
     checkpoint through [through] leaves a block logged after it dirty,
-    because its newer copy is still live in the ring.  In a thread each
-    maximal run of consecutive flushed blocks is one gather request, so
-    a run pays one seek; each of its blocks is still its own media write
-    for faults, crash points and reorder holds, and {!writebacks} still
-    counts blocks.  Outside a thread the blocks are written
-    synchronously, one at a time. *)
+    because its newer copy is still live in the ring.  Each maximal run
+    of consecutive flushed blocks is one gather request, so a run pays
+    one seek; each of its blocks is still its own media write for
+    faults, crash points and reorder holds, and {!writebacks} still
+    counts blocks. *)
 
 val flush_wait : ?through:int -> t -> unit
-(** Durable flush: {!flush}, then block the calling thread on a disk
-    barrier until all of it (and any reorder-held writes) has reached
-    the media.  The journal checkpoints through this. *)
+(** Durable flush: {!flush}, then wait on a disk barrier until every
+    write submitted so far (and any reorder-held write) has reached the
+    media.  The journal checkpoints through this. *)
 
 val barrier_wait : t -> unit
 (** The barrier half of {!flush_wait} alone. *)

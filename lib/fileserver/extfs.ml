@@ -583,15 +583,15 @@ let mkfs disk cfg ?(start = 0) ?(blocks = default_blocks)
   Bytes.blit_string magic 0 sb 0 4;
   set32 sb 4 blocks;
   set32 sb 8 inodes;
-  Machine.Disk.write_now disk ~block:start sb;
+  Machine.Disk.write_image disk ~block:start sb;
   let zero = Bytes.make block_size '\000' in
   for b = 1 to g.data_start - 1 do
-    Machine.Disk.write_now disk ~block:(start + b) zero
+    Machine.Disk.write_image disk ~block:(start + b) zero
   done;
   (* inode 0: the root directory, initially empty *)
   let root = Bytes.make block_size '\000' in
   set32 root 0 3;  (* used + dir *)
-  Machine.Disk.write_now disk ~block:(start + g.itable_start) root
+  Machine.Disk.write_image disk ~block:(start + g.itable_start) root
 
 let ensure_inode t ino ~want_dir =
   let* i = read_inode t ino in

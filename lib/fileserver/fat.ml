@@ -258,10 +258,10 @@ let mkfs disk ?(start = 0) ?(blocks = default_blocks) () =
   set32 boot 4 g.total;
   set16 boot 8 g.fat_blocks;
   set16 boot 10 g.root_blocks;
-  Machine.Disk.write_now disk ~block:start boot;
+  Machine.Disk.write_image disk ~block:start boot;
   let zero = Bytes.make block_size '\000' in
   for i = 1 to g.data_start - 1 do
-    Machine.Disk.write_now disk ~block:(start + i) zero
+    Machine.Disk.write_image disk ~block:(start + i) zero
   done
 
 let rec mount cache ?(start = 0) () =

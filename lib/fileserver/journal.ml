@@ -168,21 +168,14 @@ let parse_slot ~blocks ~slot raw =
 
 (* --- simulated I/O helpers ---------------------------------------------- *)
 
-let in_thread (t : t) =
-  Option.is_some t.kernel.Mach.Kernel.sys.Mach.Sched.current
-
 (* the whole ring, as one request *)
 let read_ring t =
-  if in_thread t then
-    Mach.Sched.await t.kernel.Mach.Kernel.sys "journal-read"
-      (Machine.Disk.read t.disk ~block:t.start ~count:t.blocks)
-  else Machine.Disk.read_now t.disk ~block:t.start ~count:t.blocks
+  Mach.Sched.await t.kernel.Mach.Kernel.sys "journal-read"
+    (Machine.Disk.read t.disk ~block:t.start ~count:t.blocks)
 
 let barrier_sync t =
-  if in_thread t then
-    Mach.Sched.await t.kernel.Mach.Kernel.sys "journal-barrier"
-      (Machine.Disk.barrier t.disk)
-  else Machine.Disk.barrier t.disk (fun () -> ())
+  Mach.Sched.await t.kernel.Mach.Kernel.sys "journal-barrier"
+    (Machine.Disk.barrier t.disk)
 
 let rec take n = function
   | [] -> ([], [])
@@ -200,12 +193,7 @@ let rec write_records t = function
   | records ->
       let slot = t.seq mod t.blocks in
       let run, rest = take (t.blocks - slot) records in
-      let block = t.start + slot in
-      if in_thread t then Machine.Disk.write t.disk ~block run (fun () -> ())
-      else
-        List.iteri
-          (fun i r -> Machine.Disk.write_now t.disk ~block:(block + i) r)
-          run;
+      Machine.Disk.write t.disk ~block:(t.start + slot) run (fun () -> ());
       let n = List.length run in
       t.seq <- t.seq + n;
       t.records <- t.records + n;

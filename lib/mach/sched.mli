@@ -121,8 +121,13 @@ val await : t -> string -> (('a -> unit) -> unit) -> 'a
     operation (a disk request, a page-in) whose completion calls [k v],
     then {!block}s the calling thread with [reason] until [k] has run,
     and returns [v].  A completion that runs before [start] returns
-    costs no block; a wake from anything else blocks again.  Must be
-    called from inside a thread body. *)
+    costs no block; a wake from anything else blocks again.  Called
+    outside any thread (boot-time mounts and replays), it instead steps
+    the machine's device events on the boot CPU, whose clock pays for
+    the wait, until [k] has run.  Never call it from a device
+    completion or event-queue closure.
+    @raise Failure outside a thread if the event queue empties before
+    [k] has run (the message names [reason]). *)
 
 val migrate : t -> thread -> cpu:int -> unit
 (** Re-home a thread on another CPU.  Runnable threads leave their old

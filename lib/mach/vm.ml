@@ -98,10 +98,7 @@ let page_in (sys : Sched.t) obj idx =
   sys.pagein_count <- sys.pagein_count + 1;
   match backing_of sys obj with
   | None -> ()
-  | Some bs -> (
-      match sys.current with
-      | None -> bs.bs_page_in obj idx (fun () -> ())
-      | Some _ -> Sched.await sys "page-in" (bs.bs_page_in obj idx))
+  | Some bs -> Sched.await sys "page-in" (bs.bs_page_in obj idx)
 
 let make_resident (sys : Sched.t) obj idx ~addr ~fill =
   let p = get_page obj idx in

@@ -234,26 +234,21 @@ let barrier t k =
       release_held t;
       k ()
 
-let read_now t ~block ~count =
+let read_image t ~block ~count =
   check t ~block ~count;
   Bytes.sub t.store (block * t.geometry.block_size)
     (count * t.geometry.block_size)
 
-let write_now t ~block data =
+let write_image t ~block data =
   let bs = t.geometry.block_size in
   if Bytes.length data = 0 || Bytes.length data mod bs <> 0 then
-    invalid_arg "Disk.write_now: data must be a whole number of blocks";
+    invalid_arg "Disk.write_image: data must be a whole number of blocks";
   check t ~block ~count:(Bytes.length data / bs);
   if t.powered then Bytes.blit data 0 t.store (block * bs) (Bytes.length data)
 
 let set_write_interceptor t f = t.interceptor <- f
 
-let power_cut t =
-  t.powered <- false;
-  t.held <- []
-
 let power_restore t = t.powered <- true
 let powered_on t = t.powered
 let writes_applied t = t.writes_applied
 let requests_served t = t.served
-let busy t = Option.is_some t.inflight || t.queue <> []

@@ -4,7 +4,9 @@
     on-disk layouts) and models service time as seek + per-block transfer.
     Requests are serviced one at a time in FIFO order; completion raises
     the device's interrupt line and then invokes the request's
-    continuation.  DMA transfer bus traffic is charged on completion. *)
+    continuation.  DMA transfer bus traffic is charged on completion.
+    Every file-system access goes through that queue; {!read_image} and
+    {!write_image} are raw accessors for mkfs and tests. *)
 
 type t
 
@@ -41,11 +43,21 @@ val write : t -> block:int -> bytes list -> (unit -> unit) -> unit
     @raise Invalid_argument unless every buffer is a non-empty whole
     number of blocks and the run is in range. *)
 
-val read_now : t -> block:int -> count:int -> bytes
-(** Synchronous, zero-cost peek for tests and mkfs-style tools. *)
+val read_image : t -> block:int -> count:int -> bytes
+(** Raw image accessor: a copy of [count] blocks of the media.  It
+    bypasses the request queue, the write interceptor, the counters and
+    the cost model, so it is for mkfs and test inspection only; the file
+    systems read through {!read}.
+    @raise Invalid_argument on out-of-range requests. *)
 
-val write_now : t -> block:int -> bytes -> unit
-(** Dropped silently while the device is powered off. *)
+val write_image : t -> block:int -> bytes -> unit
+(** Raw image accessor: store whole blocks straight onto the media.  It
+    bypasses the request queue, the write interceptor, the counters and
+    the cost model, so it is for mkfs and test set-up only; the file
+    systems write through {!write}.  Dropped silently while the device
+    is powered off.
+    @raise Invalid_argument unless the data is a non-empty whole number
+    of blocks and in range. *)
 
 val barrier : t -> (unit -> unit) -> unit
 (** Ordering point: runs the continuation once every previously
@@ -74,12 +86,7 @@ val set_write_interceptor :
   t -> (block:int -> data:bytes -> write_fault) option -> unit
 (** Installed by the driver layer to route media writes through a fault
     plan.  Consulted at apply time, in FIFO order.  Not consulted for
-    [write_now] (mkfs-style tooling) or while powered off. *)
-
-val power_cut : t -> unit
-(** Host-level power loss: freeze the store, discard held writes.
-    Subsequent requests still complete (the simulation keeps running)
-    but writes no longer touch the media. *)
+    {!write_image} or while powered off. *)
 
 val power_restore : t -> unit
 val powered_on : t -> bool
@@ -92,5 +99,3 @@ val writes_applied : t -> int
 val requests_served : t -> int
 (** Reads and writes completed; barriers are not requests and do not
     count. *)
-
-val busy : t -> bool

@@ -55,7 +55,7 @@ let read_via arch =
   let k = kernel () in
   let m = k.Mach.Kernel.machine in
   (* recognizable disk contents *)
-  Machine.Disk.write_now m.Machine.disk ~block:7 (Bytes.make 512 'Q');
+  Machine.Disk.write_image m.Machine.disk ~block:7 (Bytes.make 512 'Q');
   let rm = D.Resource_manager.create k in
   let d =
     match D.Disk_driver.start k rm ~arch with
@@ -100,7 +100,7 @@ let test_write_roundtrip () =
   Test_util.spawn k t "writer" (fun () ->
       D.Disk_driver.write_blocks d ~block:20 (Bytes.make 1024 'W'));
   Mach.Kernel.run k;
-  let back = Machine.Disk.read_now m.Machine.disk ~block:20 ~count:2 in
+  let back = Machine.Disk.read_image m.Machine.disk ~block:20 ~count:2 in
   Alcotest.(check char) "persisted" 'W' (Bytes.get back 1023)
 
 let test_display_driver () =

@@ -136,7 +136,7 @@ let test_block_cache () =
         (F.Block_cache.writebacks cache >= 1));
   (* after the run, the evicted dirty block must be on disk *)
   Mach.Kernel.run k;
-  let on_disk = Machine.Disk.read_now disk ~block:3 ~count:1 in
+  let on_disk = Machine.Disk.read_image disk ~block:3 ~count:1 in
   Alcotest.(check bytes) "persisted through eviction" (Bytes.make 512 'a') on_disk
 
 (* A flush writes back in block order, one gather request per run of
@@ -159,7 +159,7 @@ let test_flush_clusters_runs () =
   List.iter
     (fun b ->
       Alcotest.(check bytes) (Printf.sprintf "block %d on the media" b) (data b)
-        (Machine.Disk.read_now disk ~block:b ~count:1))
+        (Machine.Disk.read_image disk ~block:b ~count:1))
     blocks
 
 (* Each block of a clustered writeback is still its own media write: a
@@ -179,10 +179,27 @@ let test_flush_power_cut_mid_cluster () =
       List.iter (fun b -> F.Block_cache.write cache b (data b)) [ 10; 11; 12 ];
       F.Block_cache.flush_wait cache);
   let zero = Bytes.make 512 '\000' in
-  let on_media b = Machine.Disk.read_now disk ~block:b ~count:1 in
+  let on_media b = Machine.Disk.read_image disk ~block:b ~count:1 in
   Alcotest.(check bytes) "the first block landed" (data 10) (on_media 10);
   Alcotest.(check bytes) "the cut block did not" zero (on_media 11);
   Alcotest.(check bytes) "nor the one after it" zero (on_media 12)
+
+(* Outside any thread, a durable flush still waits for every write
+   submitted before it: block 500 is in flight when the cache flushes
+   block 501, and both are on the media when [flush_wait] returns. *)
+let test_flush_wait_outside_thread () =
+  let k = Test_util.kernel_on () in
+  let disk = k.Mach.Kernel.machine.Machine.disk in
+  let cache = F.Block_cache.create k disk () in
+  let data b = Bytes.make 512 (Char.chr (b - 400)) in
+  Machine.Disk.write disk ~block:500 [ data 500 ] (fun () -> ());
+  F.Block_cache.write cache 501 (data 501);
+  F.Block_cache.flush_wait cache;
+  List.iter
+    (fun b ->
+      Alcotest.(check bytes) (Printf.sprintf "block %d on the media" b) (data b)
+        (Machine.Disk.read_image disk ~block:b ~count:1))
+    [ 500; 501 ]
 
 (* --- FAT --------------------------------------------------------------------- *)
 
@@ -658,6 +675,8 @@ let suite =
       test_flush_clusters_runs;
     Alcotest.test_case "power cut inside a flushed cluster" `Quick
       test_flush_power_cut_mid_cluster;
+    Alcotest.test_case "flush_wait outside a thread waits for the disk"
+      `Quick test_flush_wait_outside_thread;
     Alcotest.test_case "map file (external pager)" `Quick test_map_file;
     Alcotest.test_case "pfs matrix: fat" `Quick test_matrix_fat;
     Alcotest.test_case "pfs matrix: hpfs" `Quick test_matrix_hpfs;

@@ -165,7 +165,7 @@ let test_disk_gather_write () =
   Alcotest.(check int) "one seek, four transfers" expected (!done_at - t0);
   Alcotest.(check int) "one request" 1 (Disk.requests_served m.disk);
   Alcotest.(check bytes) "laid out back to back" (Bytes.concat Bytes.empty bufs)
-    (Disk.read_now m.disk ~block:20 ~count:4)
+    (Disk.read_image m.disk ~block:20 ~count:4)
 
 (* --- barriers ----------------------------------------------------------------
 
@@ -199,8 +199,8 @@ let test_barrier_after_earlier_writes () =
   Disk.write m.disk ~block:30 [ a ] (fun () -> ());
   Disk.write m.disk ~block:31 [ b ] (fun () -> b_at := now m);
   Disk.barrier m.disk (fun () ->
-      seen := [ Disk.read_now m.disk ~block:30 ~count:1;
-                Disk.read_now m.disk ~block:31 ~count:1 ];
+      seen := [ Disk.read_image m.disk ~block:30 ~count:1;
+                Disk.read_image m.disk ~block:31 ~count:1 ];
       Alcotest.(check int) "rides on the newest queued write" !b_at (now m));
   drain m;
   Alcotest.(check (list bytes)) "both writes on the media" [ a; b ] !seen
@@ -221,10 +221,10 @@ let test_barrier_lands_held_writes () =
   let at_write = ref Bytes.empty and at_barrier = ref Bytes.empty in
   Test_util.run_in_thread k (fun () ->
       Disk.write disk ~block:40 [ data ] (fun () ->
-          at_write := Disk.read_now disk ~block:40 ~count:1);
+          at_write := Disk.read_image disk ~block:40 ~count:1);
       Mach.Sched.await sys "test-barrier" (fun wake ->
           Disk.barrier disk (fun () ->
-              at_barrier := Disk.read_now disk ~block:40 ~count:1;
+              at_barrier := Disk.read_image disk ~block:40 ~count:1;
               wake ())));
   Alcotest.(check int) "the write was held" 1 (Mach.Fault.injected_reorders plan);
   Alcotest.(check bytes) "held past its own completion" zero !at_write;
@@ -240,10 +240,10 @@ let test_reorder_hold_of_one () =
        (fun ~block ~data:_ -> if block = 60 then Disk.Wf_reorder 1 else Disk.Wf_pass));
   let at_a = ref Bytes.empty and at_b = ref [] in
   Disk.write m.disk ~block:60 [ a ] (fun () ->
-      at_a := Disk.read_now m.disk ~block:60 ~count:1);
+      at_a := Disk.read_image m.disk ~block:60 ~count:1);
   Disk.write m.disk ~block:61 [ b ] (fun () ->
-      at_b := [ Disk.read_now m.disk ~block:60 ~count:1;
-                Disk.read_now m.disk ~block:61 ~count:1 ]);
+      at_b := [ Disk.read_image m.disk ~block:60 ~count:1;
+                Disk.read_image m.disk ~block:61 ~count:1 ]);
   drain m;
   Alcotest.(check bytes) "held past its own completion" (Bytes.make 512 '\000')
     !at_a;
