@@ -56,6 +56,30 @@ let test_self () =
   in
   Alcotest.(check string) "self works" "test" name
 
+(* Outside any thread, await steps device events: a one-block read
+   costs the boot CPU one seek plus one block, and a wait that nothing
+   can complete fails naming its reason. *)
+let test_await_outside_thread () =
+  let k = Test_util.kernel_on () in
+  let sys = k.Mach.Kernel.sys in
+  let m = k.Mach.Kernel.machine in
+  let disk = m.Machine.disk in
+  Machine.Disk.write_image disk ~block:9 (Bytes.make 512 'z');
+  let t0 = Machine.Cpu.now m.Machine.cpu in
+  let data =
+    Mach.Sched.await sys "test-read" (Machine.Disk.read disk ~block:9 ~count:1)
+  in
+  Alcotest.(check bytes) "the block read" (Bytes.make 512 'z') data;
+  let g = Machine.Disk.geometry disk in
+  Alcotest.(check int) "the boot CPU paid for it"
+    (g.Machine.Disk.seek_cycles + g.Machine.Disk.transfer_cycles_per_block)
+    (Machine.Cpu.now m.Machine.cpu - t0);
+  match Mach.Sched.await sys "test-never" (fun (_ : unit -> unit) -> ()) with
+  | () -> Alcotest.fail "an await with no completion returned"
+  | exception Failure msg ->
+      Alcotest.(check bool) "the failure names the wait" true
+        (Test_util.contains msg "test-never")
+
 let test_switch_charges_address_space () =
   let k = Test_util.kernel_on () in
   let m = k.Mach.Kernel.machine in
@@ -600,6 +624,8 @@ let suite =
     Alcotest.test_case "yield interleaves" `Quick test_yield_interleaves;
     Alcotest.test_case "block/wake" `Quick test_block_wake;
     Alcotest.test_case "self" `Quick test_self;
+    Alcotest.test_case "await outside a thread steps device events" `Quick
+      test_await_outside_thread;
     Alcotest.test_case "AS switch charged" `Quick test_switch_charges_address_space;
     Alcotest.test_case "port rights" `Quick test_port_rights;
     Alcotest.test_case "port destroy wakes" `Quick test_port_destroy_wakes;
