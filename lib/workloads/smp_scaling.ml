@@ -46,6 +46,8 @@ type point = {
   sp_coherence_misses : int;
   sp_bus_stall_cycles : int;
   sp_bus_transactions : int;
+  sp_idle_cycles : int;  (* wall x ncpus minus every CPU's charged cycles *)
+  sp_disk_requests : int;
 }
 
 type result = {
@@ -85,6 +87,8 @@ let finish ~workload ~placement ~ncpus ~ops m sys =
     sp_coherence_misses = sum_cpus m Machine.Perf.coherence_misses;
     sp_bus_stall_cycles = sum_cpus m Machine.Perf.bus_stall_cycles;
     sp_bus_transactions = Machine.Bus.transactions m.Machine.bus;
+    sp_idle_cycles = (wall * Machine.ncpus m) - sum_cpus m Machine.Perf.cycles;
+    sp_disk_requests = Machine.Disk.requests_served m.Machine.disk;
   }
 
 (* --- workload 1: RPC round-trip pairs ---------------------------------- *)
@@ -244,7 +248,9 @@ let to_json r =
         ("xmsgs", int p.sp_xmsgs); ("steals", int p.sp_steals);
         ("coherence_misses", int p.sp_coherence_misses);
         ("bus_stall_cycles", int p.sp_bus_stall_cycles);
-        ("bus_transactions", int p.sp_bus_transactions) ]
+        ("bus_transactions", int p.sp_bus_transactions);
+        ("idle_cycles", int p.sp_idle_cycles);
+        ("disk_requests", int p.sp_disk_requests) ]
   in
   Obj
     [ ("cpus", Arr (List.map int r.r_cpus));

@@ -23,6 +23,11 @@ type point = {
   sp_coherence_misses : int;
   sp_bus_stall_cycles : int;
   sp_bus_transactions : int;
+  sp_idle_cycles : int;
+      (** wall x ncpus minus the cycles charged to every CPU: time a CPU's
+          clock skipped forward with nothing to run (disk waits, empty
+          queues) *)
+  sp_disk_requests : int;  (** requests the disk served, boot mount included *)
 }
 
 type result = {

@@ -111,9 +111,12 @@ let test_ipi_wakes_remote_cpu () =
   let m = k.Mach.Kernel.machine in
   let task = Mach.Kernel.task_create k ~name:"xw" () in
   let woken = ref false in
+  let clock i = Machine.Cpu.now_exact (Machine.nth_cpu m i) in
+  let sent = ref infinity and resumed = ref 0.0 in
   let sleeper =
     Mach.Kernel.thread_spawn k task ~name:"sleeper" ~affinity:1 (fun () ->
         let r = Mach.Sched.block "waiting for cpu0" in
+        resumed := clock 1;
         woken := r = Kern_success)
   in
   ignore
@@ -125,6 +128,7 @@ let test_ipi_wakes_remote_cpu () =
            Mach.Sched.yield ()
          done;
          Machine.execute m [ Machine.Footprint.Stall 500 ];
+         sent := clock 0;
          Mach.Sched.wake sys sleeper)
       : thread);
   Mach.Kernel.run k;
@@ -132,7 +136,93 @@ let test_ipi_wakes_remote_cpu () =
   checkb "sleeper woken" true !woken;
   checki "one IPI sent by cpu0" 1 (Machine.Perf.ipis_sent (perf 0));
   checki "one IPI received by cpu1" 1 (Machine.Perf.ipis_received (perf 1));
-  checki "one scheduler message" 1 (Mach.Sched.total_xmsgs sys)
+  checki "one scheduler message" 1 (Mach.Sched.total_xmsgs sys);
+  checkb "the idle receiver resumes at or after the send stamp" true
+    (!resumed >= !sent)
+
+(* A CPU with runnable work keeps running it while a later-stamped wake
+   is in flight: CPU 1 runs A's 5,000 cycles from its own clock and takes
+   the wake (stamped after the waker's 2,000-cycle stall) afterwards,
+   without ever idling its clock forward. *)
+let test_busy_cpu_runs_before_later_wake () =
+  let k = Test_util.kernel_on ~config:(smp_config 2) () in
+  let sys = k.Mach.Kernel.sys in
+  let m = k.Mach.Kernel.machine in
+  let task = Mach.Kernel.task_create k ~name:"busy" () in
+  let order = ref [] in
+  let b =
+    Mach.Kernel.thread_spawn k task ~name:"b" ~affinity:1 (fun () ->
+        ignore (Mach.Sched.block "waiting for cpu0" : kern_return);
+        order := "b" :: !order)
+  in
+  checkb "b blocked" true
+    (Mach.Kernel.run_until k (fun () ->
+         match b.state with Th_blocked _ -> true | _ -> false));
+  ignore
+    (Mach.Kernel.thread_spawn k task ~name:"a" ~affinity:1 ~bound:true
+       (fun () ->
+         Machine.execute m [ Machine.Footprint.Stall 5000 ];
+         order := "a" :: !order)
+      : thread);
+  ignore
+    (Mach.Kernel.thread_spawn k task ~name:"waker" ~affinity:0 (fun () ->
+         Machine.execute m [ Machine.Footprint.Stall 2000 ];
+         Mach.Sched.wake sys b)
+      : thread);
+  Mach.Kernel.run k;
+  let cpu1 = Machine.nth_cpu m 1 in
+  let charged = Machine.Perf.cycles_exact (Machine.Cpu.perf cpu1) in
+  let clock = Machine.Cpu.now_exact cpu1 in
+  Alcotest.(check (list string)) "b runs, after a" [ "a"; "b" ]
+    (List.rev !order);
+  checkb "cpu1 ran a's 5,000 cycles" true (charged >= 5000.0);
+  checkb "cpu1's clock is its charged cycles: it never idled forward" true
+    (clock -. charged < 1.0);
+  checkb "cpu1 finishes before 2,000 + 5,000 + its charges" true
+    (clock < 2000.0 +. charged)
+
+(* With switch charging off a dispatch costs nothing, so a thread
+   yielding in a loop never moves its CPU's clock toward the stamp of a
+   wake held there.  The dispatcher must deliver the wake anyway.  Both
+   threads are bound: an idle CPU 0 that stole [s] would sit ahead of
+   CPU 1's frozen clock and never run it. *)
+let test_zero_cost_yield_loop_terminates () =
+  let k = Test_util.kernel_on ~config:(smp_config 2) () in
+  let sys = k.Mach.Kernel.sys in
+  let m = k.Mach.Kernel.machine in
+  let task = Mach.Kernel.task_create k ~name:"spin" () in
+  let flag = ref false and spins = ref 0 in
+  let s =
+    Mach.Kernel.thread_spawn k task ~name:"s" ~affinity:1 ~bound:true
+      (fun () ->
+        ignore (Mach.Sched.block "waiting for cpu0" : kern_return);
+        flag := true)
+  in
+  checkb "s blocked" true
+    (Mach.Kernel.run_until k (fun () ->
+         match s.state with Th_blocked _ -> true | _ -> false));
+  ignore
+    (Mach.Kernel.thread_spawn k task ~name:"waker" ~affinity:0 (fun () ->
+         Machine.execute m [ Machine.Footprint.Stall 2000 ];
+         Mach.Sched.wake sys s)
+      : thread);
+  let held () =
+    not (Queue.is_empty sys.Mach.Sched.percpu.(1).Mach.Sched.pc_ipiq)
+  in
+  checkb "the wake is held for cpu1" true (Mach.Kernel.run_until k held);
+  Mach.Sched.with_uncharged sys (fun () ->
+      ignore
+        (Mach.Kernel.thread_spawn k task ~name:"p" ~affinity:1 ~bound:true
+           (fun () ->
+             while (not !flag) && !spins < 10_000 do
+               incr spins;
+               Mach.Sched.yield ()
+             done)
+          : thread);
+      Mach.Kernel.run k);
+  checkb "the held wake was delivered" true !flag;
+  checkb "the yield loop ended on the wake, not the spin cap" true
+    (!spins < 10_000)
 
 (* --- Machcheck: cross-CPU deadlock --------------------------------------- *)
 
@@ -210,6 +300,10 @@ let suite =
       test_bound_threads_stay_put;
     Alcotest.test_case "IPI wakes a remote idle CPU" `Quick
       test_ipi_wakes_remote_cpu;
+    Alcotest.test_case "a later-stamped wake does not idle a busy CPU" `Quick
+      test_busy_cpu_runs_before_later_wake;
+    Alcotest.test_case "a zero-cost yield loop takes its held wake" `Quick
+      test_zero_cost_yield_loop_terminates;
     Alcotest.test_case "cross-CPU deadlock cycle annotated" `Quick
       test_cross_cpu_deadlock_annotated;
     Alcotest.test_case "machine state scales per CPU" `Quick
