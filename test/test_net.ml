@@ -249,16 +249,22 @@ let test_sharded_tcp_and_checker_clean () =
                 Netserver.tcp_send net c ~bytes:n;
                 Netserver.close net c
               done);
-      Test_util.spawn k task "client" (fun () ->
-          for i = 1 to 8 do
-            match Netserver.tcp_connect net ~dst_port:80 with
-            | Error e -> failwith e
-            | Ok c ->
-                Netserver.tcp_send net c ~bytes:(64 * i);
-                ignore (Netserver.tcp_recv net c);
-                incr served;
-                Netserver.close net c
-          done);
+      (* connection ids are strided per CPU, so every connection a CPU
+         opens hashes to one shard: the client is pinned to a CPU whose
+         connections home off the listener's shard *)
+      ignore
+        (Mach.Kernel.thread_spawn k task ~name:"client" ~affinity:1
+           ~bound:true (fun () ->
+             for i = 1 to 8 do
+               match Netserver.tcp_connect net ~dst_port:80 with
+               | Error e -> failwith e
+               | Ok c ->
+                   Netserver.tcp_send net c ~bytes:(64 * i);
+                   ignore (Netserver.tcp_recv net c);
+                   incr served;
+                   Netserver.close net c
+             done)
+          : Mach.Ktypes.thread);
       Mach.Kernel.run k;
       checki "all sessions served" 8 !served;
       (* with 8 connections hashed over 4 shards some children must land

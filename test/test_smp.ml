@@ -181,6 +181,41 @@ let test_busy_cpu_runs_before_later_wake () =
   checkb "cpu1 finishes before 2,000 + 5,000 + its charges" true
     (clock < 2000.0 +. charged)
 
+(* A thread made runnable at cycle T on a busy CPU 0 and stolen there by
+   an idle CPU 1 whose clock is far behind T must not run before T: the
+   thief idles up to the thread's ready stamp.  Dispatch charging is off,
+   so the stolen thread's first charged cycle is its resume clock. *)
+let test_stolen_thread_waits_for_ready_stamp () =
+  let k = Test_util.kernel_on ~config:(smp_config 2) () in
+  let sys = k.Mach.Kernel.sys in
+  let m = k.Mach.Kernel.machine in
+  let task = Mach.Kernel.task_create k ~name:"ready" () in
+  let clock i = Machine.Cpu.now_exact (Machine.nth_cpu m i) in
+  let t_ready = 1_000_000.0 in
+  let resumed_on = ref (-1) and resumed_at = ref 0.0 in
+  let c =
+    Mach.Kernel.thread_spawn k task ~name:"c" ~affinity:0 (fun () ->
+        ignore (Mach.Sched.block "waiting for a" : kern_return);
+        resumed_on := Machine.active m;
+        resumed_at := clock !resumed_on)
+  in
+  let b =
+    Mach.Kernel.thread_spawn k task ~name:"b" ~affinity:0 ~bound:true
+      (fun () -> ignore (Mach.Sched.block "waiting for a" : kern_return))
+  in
+  ignore
+    (Mach.Kernel.thread_spawn k task ~name:"a" ~affinity:0 ~bound:true
+       (fun () ->
+         let burn = int_of_float (t_ready -. clock 0) in
+         Machine.execute m [ Machine.Footprint.Stall burn ];
+         Mach.Sched.wake sys b;
+         Mach.Sched.wake sys c)
+      : thread);
+  Mach.Sched.with_uncharged sys (fun () -> Mach.Kernel.run k);
+  checki "cpu 1 stole c" 1 !resumed_on;
+  checkb "c's first cycle on cpu 1 is at or after its wake" true
+    (!resumed_at >= t_ready)
+
 (* With switch charging off a dispatch costs nothing, so a thread
    yielding in a loop never moves its CPU's clock toward the stamp of a
    wake held there.  The dispatcher must deliver the wake anyway.  Both
@@ -304,6 +339,8 @@ let suite =
       test_busy_cpu_runs_before_later_wake;
     Alcotest.test_case "a zero-cost yield loop takes its held wake" `Quick
       test_zero_cost_yield_loop_terminates;
+    Alcotest.test_case "a stolen thread never runs before its wake" `Quick
+      test_stolen_thread_waits_for_ready_stamp;
     Alcotest.test_case "cross-CPU deadlock cycle annotated" `Quick
       test_cross_cpu_deadlock_annotated;
     Alcotest.test_case "machine state scales per CPU" `Quick
