@@ -730,6 +730,7 @@ let ops t =
           done;
           !free);
       pfs_recover = (fun () -> recover t);
+      pfs_lock = None;
     }
   in
   let pfs =

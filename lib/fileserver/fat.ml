@@ -501,4 +501,5 @@ and ops t =
         done;
         !free);
     pfs_recover = (fun () -> clean_recovery);
+    pfs_lock = None;
   }

@@ -61,9 +61,20 @@ val readdir : t -> semantics -> path:string -> (string list, fs_error) result
 
 val rename :
   t -> semantics -> src:string -> dst:string -> (unit, fs_error) result
-(** Source and destination must be on the same mount. *)
+(** Source and destination must be on the same mount; a cross-mount
+    rename fails before either path is walked. *)
 
 val sync : t -> unit
+(** Flush every mount.  Inside a request the mount locks are taken
+    first, in mount-id order. *)
+
+val end_request : t -> Mach.Ktypes.thread -> unit
+(** A file-server request is over: release every mount lock the thread
+    took for it. *)
+
+val mount_lock_stats : t -> (string * Fs_types.lock_stats) list
+(** Each serialized mount's lock counters, by mount point, in mount
+    order. *)
 
 val recover : t -> Fs_types.recover_report
 (** Run every mount's crash recovery (journal replay + invariant scan

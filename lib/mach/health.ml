@@ -1,24 +1,42 @@
 (* Health traps: the per-server progress state a reincarnation service
    pings.
 
-   A [beat] is two words the server's RPC loop stamps for free:
-   requests completed, and when the request in hand began (-1 when
-   idle).  A dedicated health thread serves pings off a separate health
-   port and answers from the beat alone, so it stays responsive while
-   the main loop is wedged — and the pong's [busy_since] is exactly what
-   a per-request watchdog needs to see the wedge.  A dead health port
+   A [beat] is the words the server's RPC loops stamp for free:
+   requests completed, and for each serve thread when its request in
+   hand began (-1 when idle).  A dedicated health thread serves pings
+   off a separate health port and answers from the beat alone, so it
+   stays responsive while the serve threads are wedged — and the pong's
+   [busy_since], the oldest stamp, is exactly what a per-request
+   watchdog needs to see the wedge.  One stamp per thread matters: with
+   a shared word, a sibling finishing its request would reset the stamp
+   and hide a wedged thread from the watchdog.  A dead health port
    (or a ping timeout) means the whole task is gone, which the
    supervisor's dead-name watch already covers. *)
 
 open Ktypes
 
 type beat = {
-  mutable hb_served : int;  (* requests completed by the main loop *)
-  mutable hb_busy_since : int;  (* global-cycle stamp of the request in
-                                   hand; -1 when the loop is idle *)
+  mutable hb_served : int;  (* requests completed by the serve loops *)
+  mutable hb_busy : int array;
+      (* per serve thread: global-cycle stamp of the request in hand;
+         -1 when that thread is idle *)
 }
 
-let beat () = { hb_served = 0; hb_busy_since = -1 }
+let beat () = { hb_served = 0; hb_busy = [||] }
+
+(* A serve loop joins the beat once, at its start, and stamps its own
+   slot from then on. *)
+let join b =
+  let slot = Array.length b.hb_busy in
+  b.hb_busy <- Array.append b.hb_busy [| -1 |];
+  slot
+
+(* The oldest request in hand over every serve thread; -1 when all are
+   idle. *)
+let busy_since b =
+  Array.fold_left
+    (fun acc s -> if s >= 0 && (acc < 0 || s < acc) then s else acc)
+    (-1) b.hb_busy
 
 type payload +=
   | H_ping
@@ -37,6 +55,6 @@ let[@machlint.no_block] handler (b : beat) (req : message) =
   | H_ping ->
       simple_message ~op:op_ping ~inline_bytes:16
         ~payload:
-          (H_pong { hp_served = b.hb_served; hp_busy_since = b.hb_busy_since })
+          (H_pong { hp_served = b.hb_served; hp_busy_since = busy_since b })
         ()
   | _ -> simple_message ~payload:(P_error Kern_invalid_argument) ()

@@ -12,10 +12,18 @@ open Ktypes
 
 type beat = {
   mutable hb_served : int;
-  mutable hb_busy_since : int;  (* -1 when idle *)
+  mutable hb_busy : int array;  (* one stamp per serve thread, -1 when idle *)
 }
 
 val beat : unit -> beat
+
+val join : beat -> int
+(** A serve loop's slot in [hb_busy], taken once when the loop starts. *)
+
+val busy_since : beat -> int
+(** The oldest busy stamp over every serve thread; -1 when all are idle.
+    This is what a pong reports, so one wedged thread stays visible
+    while its siblings keep finishing requests. *)
 
 type payload +=
   | H_ping

@@ -101,7 +101,9 @@ let call (sys : Sched.t) port ?reply_bytes:_ ?deadline (mb : message_builder) =
           | _ -> ());
           Queue.add rx port.pending_calls;
           Ktext.exec1 k ~frame Ktext.rpc_handoff;
-          ignore (Sched.wake_one sys port.waiting_servers : bool));
+          ignore
+            (Sched.wake_one_on sys port.waiting_servers ~cpu:sys.active
+              : bool));
       (* wait-for edge towards the serving task; narrowed to the exact
          server thread once one picks the exchange up (see [dequeue]) *)
       match
@@ -252,17 +254,19 @@ let reply_receive (sys : Sched.t) rx (mb : message_builder) port =
    aborting its call (or any other per-exchange failure) must not take
    the server down for everyone else. *)
 let serve (sys : Sched.t) ?beat port handler =
+  (* each serve thread stamps its own slot of the beat *)
+  let slot = match beat with Some b -> Health.join b | None -> -1 in
   let busy () =
     Option.iter
       (fun (b : Health.beat) ->
-        b.Health.hb_busy_since <- Machine.global_now sys.machine)
+        b.Health.hb_busy.(slot) <- Machine.global_now sys.machine)
       beat
   in
   let idle () =
     Option.iter
       (fun (b : Health.beat) ->
         b.Health.hb_served <- b.Health.hb_served + 1;
-        b.Health.hb_busy_since <- -1)
+        b.Health.hb_busy.(slot) <- -1)
       beat
   in
   let rec next () =

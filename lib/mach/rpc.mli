@@ -7,7 +7,10 @@
     single physical copy from sender to receiver, simplified stubs and
     server loops, [mach_msg] removed.
 
-    A call hands off directly to a waiting server thread; the scheduler
+    A call hands off directly to a waiting server thread — one homed on
+    the caller's CPU when there is one (no IPI, no cross-CPU wake), else
+    the one waiting longest; calls themselves are served in arrival
+    order.  The scheduler
     charges the two address-space switches of the round trip, which is
     where Table 2's bus-cycle and CPI story comes from. *)
 
@@ -53,8 +56,9 @@ val serve :
     fault plan: an injected crash abandons the exchange in hand and
     destroys the service port; an injected wedge holds the request in
     hand for the scripted cycles before continuing.  With [beat] the
-    loop stamps the server's {!Health.beat} — busy-since on dequeue,
-    served count on reply — feeding the supervisor's watchdog. *)
+    loop stamps the server's {!Health.beat} — its own busy-since slot on
+    dequeue, the shared served count on reply — feeding the
+    supervisor's watchdog. *)
 
 val waiting_servers : port -> int
 val pending_calls : port -> int

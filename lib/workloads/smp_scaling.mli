@@ -28,6 +28,11 @@ type point = {
           clock skipped forward with nothing to run (disk waits, empty
           queues) *)
   sp_disk_requests : int;  (** requests the disk served, boot mount included *)
+  sp_lock_waits : int;
+      (** fileserver only (0 for ipc): mount-lock acquires that waited *)
+  sp_lock_wait_cycles : int;
+      (** fileserver only: cycles they waited, blocked or spinning past a
+          recorded hold *)
 }
 
 type result = {

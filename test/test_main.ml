@@ -19,5 +19,6 @@ let () =
       ("recovery", Test_recovery.suite);
       ("smp", Test_smp.suite);
       ("vfs", Test_vfs.suite);
+      ("mount-lock", Test_mount_lock.suite);
       ("net", Test_net.suite);
     ]

@@ -332,6 +332,88 @@ let test_sup_wedge_watchdog () =
   Alcotest.(check bool) "mttr recorded" true
     (S.Supervisor.mttr sup ~path:"/services/svc" <> None)
 
+(* Two serve threads share one beat; the third request wedges its
+   thread while the sibling keeps serving.  The sibling's finished
+   requests must not hide the wedge: each thread stamps its own busy
+   slot and the pong reports the oldest, so the watchdog still kills. *)
+let test_sup_wedge_beside_live_sibling () =
+  let b = boot () in
+  let k = b.S.Bootstrap.kernel in
+  let sys = k.Mach.Kernel.sys in
+  let ns = S.Bootstrap.name_service_exn b in
+  let sup = S.Supervisor.create k b.S.Bootstrap.runtime ns in
+  let task = Mach.Kernel.task_create k ~name:"pair" () in
+  let port = ref (Mach.Port.allocate sys ~receiver:task ~name:"pair-port") in
+  let health =
+    ref (Mach.Port.allocate sys ~receiver:task ~name:"pair-health")
+  in
+  let spawn_threads () =
+    let p = !port and hp = !health and beat = Mach.Health.beat () in
+    for i = 1 to 2 do
+      Test_util.spawn k task (Printf.sprintf "pair-serve-%d" i) (fun () ->
+          Mach.Rpc.serve sys ~beat p (fun _req ->
+              simple_message ~payload:P_unit ()))
+    done;
+    Test_util.spawn k task "pair-beat" (fun () ->
+        Mach.Rpc.serve sys hp (Mach.Health.handler beat))
+  in
+  spawn_threads ();
+  let restart () =
+    port := Mach.Port.allocate sys ~receiver:task ~name:"pair-port";
+    health := Mach.Port.allocate sys ~receiver:task ~name:"pair-health";
+    spawn_threads ();
+    !port
+  in
+  let plan = Mach.Fault.create ~seed:7 () in
+  Mach.Fault.at_request plan ~port:"pair-port" ~n:3
+    (Mach.Fault.Wedge_server 5_000_000);
+  sys.Mach.Sched.faults <- Some plan;
+  let done_ops = ref 0 in
+  let driver = Mach.Kernel.task_create k ~name:"drv" () in
+  Test_util.spawn k driver "main" (fun () ->
+      S.Supervisor.supervise sup ~path:"/services/pair"
+        ~health:
+          {
+            S.Supervisor.hc_interval = 20_000;
+            hc_deadline = 10_000;
+            hc_watchdog = 100_000;
+            hc_port = (fun () -> Some !health);
+          }
+        ~port:!port ~restart ();
+      Test_util.spawn k driver "client" (fun () ->
+          for _ = 1 to 40 do
+            let rec attempt n =
+              if n = 0 then Alcotest.fail "client could not reach the service";
+              let retry () =
+                ignore (Mach.Clock.sleep_for sys ~cycles:5_000 : kern_return);
+                attempt (n - 1)
+              in
+              match S.Name_service.resolve_port ns ~path:"/services/pair" with
+              | None -> retry ()
+              | Some p -> (
+                  match
+                    Mach.Rpc.call sys p ~deadline:50_000
+                      (simple_message ~payload:P_unit ())
+                  with
+                  | Ok _ ->
+                      incr done_ops;
+                      ignore
+                        (Mach.Clock.sleep_for sys ~cycles:5_000 : kern_return)
+                  | Error _ -> retry ())
+            in
+            attempt 30
+          done);
+      while !done_ops < 40 do
+        ignore (Mach.Clock.sleep_for sys ~cycles:20_000 : kern_return)
+      done;
+      S.Supervisor.stop sup);
+  Mach.Kernel.run k;
+  sys.Mach.Sched.faults <- None;
+  Alcotest.(check int) "one wedge injected" 1 (Mach.Fault.injected_wedges plan);
+  Alcotest.(check int) "the wedged thread is killed" 1
+    (S.Supervisor.path_wedge_kills sup ~path:"/services/pair");
+  Alcotest.(check int) "every op completed" 40 !done_ops
+
 (* Budget exhaustion: a crash-looping server burns its windowed restart
    budget, is demoted to degraded mode (surfaced to Machcheck as a
    budget-exhausted finding that does NOT count as a failure), and
@@ -490,6 +572,8 @@ let suite =
     Alcotest.test_case "paging under pressure" `Slow test_paging_under_pressure;
     Alcotest.test_case "bootstrap components" `Quick test_components;
     Alcotest.test_case "supervisor wedge watchdog" `Quick test_sup_wedge_watchdog;
+    Alcotest.test_case "a wedge beside a live sibling thread is killed" `Quick
+      test_sup_wedge_beside_live_sibling;
     Alcotest.test_case "supervisor budget exhaustion" `Quick
       test_sup_budget_degraded;
     Alcotest.test_case "supervisor dependency order" `Quick
