@@ -1,6 +1,6 @@
 (** Machcheck: shadow analysis of kernel resource use.
 
-    Eight cooperating checkers observe the microkernel's and its
+    Nine cooperating checkers observe the microkernel's and its
     servers' hot paths and report misuse that would otherwise be
     invisible across the microkernel boundary — the fragility the paper
     attributes to leaked port rights, stateful kernel wrappers and
@@ -20,7 +20,9 @@
     - the {b crash-consistency checker} audits each recovered crash point;
     - the {b vnode-lifecycle checker} shadows vnode and name-cache state;
     - the {b netisr shard checker} flags sockets touched off their shard;
-    - the {b reincarnation checker} audits what a reborn shard restores.
+    - the {b reincarnation checker} audits what a reborn shard restores;
+    - the {b lock-overlap checker} flags conflicting holds of one lock
+      that overlap in simulated time.
 
     The report is derived from one column table: each activity counter
     and each finding kind is one column of the ["machcheck"] block.  A
@@ -317,6 +319,17 @@ val reinc_budget_exhausted :
     was demoted to degraded mode.  Recorded as a "budget-exhausted"
     finding (visible in the finding list) but counted outside
     {!total_findings}: demotion is the policy working as designed. *)
+
+(* --- lock-overlap checker ------------------------------------------------- *)
+
+val lock_hold :
+  t -> space:int -> res:string -> rdesc:string -> tid:int -> cpu:int ->
+  exclusive:bool -> from:int -> until:int -> unit
+(** Thread [tid] on [cpu] held lock [res] (described by [rdesc]) over
+    the simulated cycles [\[from, until)], shared or [exclusive].  A hold
+    that overlaps one of the lock's recent holds by another thread, when
+    either of the two is exclusive, is a "lock-overlap" finding: the
+    lock failed to exclude in simulated time. *)
 
 (* --- reporting ---------------------------------------------------------- *)
 

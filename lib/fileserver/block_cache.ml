@@ -140,13 +140,22 @@ let read t block =
       touch t slot;
       charge_data t block ~write:false;
       Bytes.copy slot.data
-  | None ->
+  | None -> (
       t.misses <- t.misses + 1;
       let data = disk_read_blocking t block in
-      evict_if_full t;
-      insert t block (Bytes.copy data) ~dirty:false ~logged:(-1);
-      charge_data t block ~write:false;
-      data
+      (* another reader under the same shared mount lock may have missed
+         the block too and cached it while this one waited: a second
+         insert would orphan its slot on the LRU list *)
+      match Hashtbl.find_opt t.slots block with
+      | Some slot ->
+          touch t slot;
+          charge_data t block ~write:false;
+          Bytes.copy slot.data
+      | None ->
+          evict_if_full t;
+          insert t block (Bytes.copy data) ~dirty:false ~logged:(-1);
+          charge_data t block ~write:false;
+          data)
 
 let write t ?(logged = -1) block data =
   if Bytes.length data <> block_size t then
@@ -208,6 +217,16 @@ let flush_wait ?through t =
 let lru_block t =
   let victim = t.lru.prev in
   if victim == t.lru then None else Some victim.s_block
+
+let lru_slots t =
+  let rec walk s n =
+    if s == t.lru then if n = Hashtbl.length t.slots then Some n else None
+    else
+      match Hashtbl.find_opt t.slots s.s_block with
+      | Some s' when s' == s -> walk s.next (n + 1)
+      | Some _ | None -> None
+  in
+  walk t.lru.next 0
 
 let hits t = t.hits
 let misses t = t.misses

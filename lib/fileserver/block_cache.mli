@@ -51,6 +51,11 @@ val lru_block : t -> int option
 (** The block that would be evicted next (least recently accessed), if
     the cache is non-empty. *)
 
+val lru_slots : t -> int option
+(** The number of cached blocks, if the LRU list and the block table
+    agree slot for slot (every listed slot is its block's table slot and
+    every table slot is listed); [None] when they disagree. *)
+
 val block_size : t -> int
 val hits : t -> int
 val misses : t -> int

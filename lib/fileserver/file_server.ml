@@ -72,6 +72,18 @@ let op_sync = 17
 let op_read_zc = 18
 let op_write_zc = 19
 
+(* A request's class.  One that only reads commutes with every other
+   request: the stub lets the RPC layer serve it on the caller's CPU out
+   of arrival order, and the server holds mount locks shared for it.
+   Every other request keeps the RPC layer's arrival order and holds
+   mount locks exclusive. *)
+let read_only = function
+  | FS_open { o_create; _ } -> not o_create
+  | FS_read _ | FS_read_zc _ | FS_read_mapped _ | FS_seek _ | FS_close _ ->
+      true
+  | FS_path_op { p_op = Stat | Readdir; _ } -> true
+  | _ -> false
+
 let charge t ~offset ~bytes =
   Mach.Ktext.exec_in t.kernel.Mach.Kernel.ktext t.fs_task.text ~offset ~bytes
 
@@ -287,20 +299,23 @@ let handle t (msg : message) : message_builder =
   | _ -> reply (FS_r_err (E_io "bad request"))
 
 (* One request, start to built reply.  The serve thread is marked as
-   inside a request for the span, so a mount lock it takes is held to the
-   reply (one atomic step per request) and dropped here. *)
+   inside a request of its class for the span, so a mount lock it takes
+   is held to the reply (one atomic step per request), shared when the
+   request only reads, and dropped here. *)
 let serve_request t (msg : message) =
   match t.kernel.Mach.Kernel.sys.Mach.Sched.current with
   | None -> handle t msg
   | Some th -> (
-      th.in_request <- true;
+      th.request <-
+        (if read_only msg.msg_payload then Shared_request
+         else Exclusive_request);
       match handle t msg with
       | mb ->
-          th.in_request <- false;
+          th.request <- No_request;
           Vfs.end_request t.fs_vfs th;
           mb
       | exception e ->
-          th.in_request <- false;
+          th.request <- No_request;
           Vfs.end_request t.fs_vfs th;
           raise e)
 
@@ -469,11 +484,12 @@ module Client = struct
   let rpc_msg t ~op ~bytes ?(ool_vec = []) payload =
     let sys = t.kernel.Mach.Kernel.sys in
     let mb = simple_message ~op ~inline_bytes:bytes ~payload ~ool_vec () in
+    let commutes = read_only payload in
     match t.fs_retry with
-    | None -> Mach.Rpc.call sys t.fs_port mb
+    | None -> Mach.Rpc.call sys t.fs_port ~commutes mb
     | Some r ->
         Mach.Rpc.call_retry sys ~attempts:r.rt_attempts
-          ~deadline:r.rt_deadline ~backoff:r.rt_backoff
+          ~deadline:r.rt_deadline ~backoff:r.rt_backoff ~commutes
           ~resolve:r.rt_resolve mb
 
   let rpc t ~op ~bytes ?ool_vec payload =

@@ -21,7 +21,12 @@ val start :
 (** Create the file-server task, its health thread and [server_threads]
     serve threads (default: one per CPU), serve thread [i] bound to CPU
     [(i - 1) mod ncpus].  A serve thread holds each mount lock it takes
-    from its request's first locked entry until the reply is built. *)
+    from its request's first locked entry until the reply is built:
+    shared for a request that only reads ([open] without create, the
+    reads, [seek], [close], path [stat] and [readdir]), exclusive for
+    every other.  The {!Client} stubs make the read-only requests as
+    commuting RPC calls, served by the serve thread on the caller's
+    CPU; the others keep the RPC layer's arrival order. *)
 
 val restart : t -> Mach.Ktypes.port
 (** Bring a crashed instance back up: the open-file table is lost (as a

@@ -95,16 +95,24 @@ val journalled : txn -> pfs -> pfs
 
 (* The same vector with every entry that touches the mount's blocks
    (lookup, create, remove, readdir, stat, read, read_paged, write,
-   truncate, rename, sync) run under one per-mount lock.  A thread with
-   [in_request] set keeps the lock from its first locked entry until
-   {!release_held}; any other thread holds it for one entry.  A free
-   acquire costs nothing, unless the acquirer's clock falls inside one
-   of the lock's recorded recent holds: then it spins, charged, to that
-   hold's end.  A contended acquire waits in [Sched.wait]; release hands
-   the lock to the oldest waiter.  [pfs_recover] frees a lock whose
-   holder was terminated and otherwise takes the lock, so recovery waits
-   out a request still in flight.  Wrap outside {!journalled}, so no
-   transaction body waits on the lock. *)
+   truncate, rename, sync) run under one per-mount FIFO reader/writer
+   lock.  A thread inside a [Shared_request] holds it shared, one inside
+   an [Exclusive_request] or outside any request exclusive; a mutating
+   entry (create, remove, write, truncate, rename, sync) reached by a
+   shared request raises [Invalid_argument].  A request thread keeps the
+   lock from its first locked entry until {!release_held}; any other
+   thread holds it for one entry.  A free acquire costs nothing and
+   allocates nothing.  An exclusive acquire then starts no earlier than
+   the end of every hold already released, a shared one no earlier than
+   the end of every exclusive hold already released, spinning, charged,
+   up to that stamp.  A contended acquire waits in [Sched.wait] on every
+   current holder; a later reader never passes a queued writer, and a
+   release that frees the lock hands it to the oldest waiter (and, when
+   that one is shared, to the shared waiters directly behind it).
+   [pfs_recover] frees the lock of holders that were terminated and
+   otherwise takes it, so recovery waits out a request still in flight.
+   Wrap outside {!journalled}, so no transaction body waits on the
+   lock. *)
 val serialized : Mach.Sched.t -> pfs -> pfs
 
 (* Inside a request, take the lock now and keep it to the request's
@@ -115,9 +123,15 @@ val hold : mount_lock -> unit
 (* Release the lock if [thread] holds it: the end of a request. *)
 val release_held : mount_lock -> Mach.Ktypes.thread -> unit
 
-(* Per-lock counters: holds taken (a later entry of the same hold is not
-   one), acquires that waited, and the cycles they waited — blocked in
-   the kernel plus spins past recorded holds. *)
-type lock_stats = { ls_acquisitions : int; ls_waits : int; ls_wait_cycles : int }
+(* Per-lock counters: shared and exclusive holds taken (a later entry
+   of the same hold is not one), acquires that waited, and the cycles
+   they waited — blocked in the kernel plus spins up to a release
+   stamp. *)
+type lock_stats = {
+  ls_shared : int;
+  ls_exclusive : int;
+  ls_waits : int;
+  ls_wait_cycles : int;
+}
 
 val lock_stats : mount_lock -> lock_stats

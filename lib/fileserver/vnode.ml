@@ -51,23 +51,29 @@ let chk m f =
 
 (* Intern the vnode for [id], creating it on first sight.  Directory-ness
    is fixed at intern time from one stat — ids are never retyped in
-   place; reuse after unlink goes through reclaim + re-intern. *)
+   place; reuse after unlink goes through reclaim + re-intern.  The stat
+   can wait on the disk under a shared mount lock, and another reader
+   may intern the same id meanwhile: its vnode is the one. *)
 let intern m fid =
   match Hashtbl.find_opt m.m_vnodes fid with
   | Some v -> v
-  | None ->
+  | None -> (
       let is_dir =
         match m.m_pfs.pfs_stat fid with
         | Ok st -> st.st_is_dir
         | Error _ -> false
       in
-      let v =
-        { v_mount = m; v_id = fid; v_is_dir = is_dir; v_refs = 0;
-          v_reclaimed = false }
-      in
-      Hashtbl.replace m.m_vnodes fid v;
-      chk m (fun c sp -> Check.vnode_active c ~space:sp ~mount:m.m_id ~file:fid);
-      v
+      match Hashtbl.find_opt m.m_vnodes fid with
+      | Some v -> v
+      | None ->
+          let v =
+            { v_mount = m; v_id = fid; v_is_dir = is_dir; v_refs = 0;
+              v_reclaimed = false }
+          in
+          Hashtbl.replace m.m_vnodes fid v;
+          chk m (fun c sp ->
+              Check.vnode_active c ~space:sp ~mount:m.m_id ~file:fid);
+          v)
 
 let find m fid = Hashtbl.find_opt m.m_vnodes fid
 

@@ -61,6 +61,11 @@ type payload +=
   | P_bytes of bytes
   | P_error of kern_return
 
+(* Where a server thread stands between taking a request and building
+   its reply: locks it takes meanwhile are held until the reply, shared
+   when the request only reads. *)
+type request = No_request | Shared_request | Exclusive_request
+
 type thread_state =
   | Th_runnable
   | Th_running
@@ -96,9 +101,7 @@ type thread = {
   mutable ready_at : float;
       (* simulated time the thread last became runnable (or last stopped
          running): no CPU may dispatch it at an earlier clock *)
-  mutable in_request : bool;
-      (* a server thread between taking a request and building its
-         reply: locks it takes meanwhile are held until the reply *)
+  mutable request : request;
 }
 
 and task = {
@@ -128,9 +131,16 @@ and port = {
   mutable q_limit : int;
   waiting_receivers : thread Queue.t;
   waiting_senders : thread Queue.t;
-  (* IBM RPC rework: synchronous exchanges, no message queue. *)
-  pending_calls : rpc_exchange Queue.t;
+  (* IBM RPC rework: synchronous exchanges, no message queue.  Calls no
+     server has taken sit in [pending.(0) .. pending.(npending - 1)],
+     oldest first; a server may take one from the middle, so this is an
+     array it can close up without allocating, not a [Queue]. *)
+  mutable pending : rpc_exchange option array;
+  mutable npending : int;
   waiting_servers : thread Queue.t;
+  mutable servers : thread list;  (* serve threads {!Rpc.serve} registered *)
+  mutable served_local : int;  (* calls served on their caller's CPU *)
+  mutable served_crossed : int;  (* calls served on another CPU *)
   (* dead-name notification: run when the port is destroyed, so a
      supervisor can learn that a server it watches has crashed *)
   mutable dead_watchers : (unit -> unit) list;
@@ -165,7 +175,10 @@ and rpc_exchange = {
   rx_client : thread;
   rx_request : message;
   mutable rx_reply : message option;
-  mutable rx_server : thread option;
+  rx_cpu : int;  (* the CPU the client called from *)
+  rx_commutes : bool;
+      (* the call only reads: it may be served out of arrival order, by
+         a server homed on [rx_cpu] *)
   mutable rx_abandoned : bool;
       (* the client gave up (timeout / abort): the server must neither
          process nor wake it — the thread has moved on to other waits *)

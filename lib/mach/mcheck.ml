@@ -75,6 +75,12 @@ let acquired sys (th : thread) ~res =
 
 let released sys ~res = on sys (fun c space -> Check.released c ~space ~res)
 
+(* One finished hold of a lock, in simulated cycles. *)
+let lock_hold (sys : Sched.t) ~res ~rdesc ~tid ~exclusive ~from ~until =
+  on sys (fun c space ->
+      Check.lock_hold c ~space ~res ~rdesc ~tid ~cpu:sys.active ~exclusive
+        ~from:(int_of_float from) ~until:(int_of_float until))
+
 (* --- buffer-lifetime sanitizer ------------------------------------------ *)
 
 let buf_use (sys : Sched.t) addr =

@@ -12,8 +12,12 @@ let allocate (sys : Sched.t) ~receiver ~name =
       q_limit = 5;
       waiting_receivers = Queue.create ();
       waiting_senders = Queue.create ();
-      pending_calls = Queue.create ();
+      pending = [||];
+      npending = 0;
       waiting_servers = Queue.create ();
+      servers = [];
+      served_local = 0;
+      served_crossed = 0;
       dead_watchers = [];
     }
   in
@@ -142,12 +146,14 @@ let destroy (sys : Sched.t) port =
     drain_wakeall sys port.waiting_receivers;
     drain_wakeall sys port.waiting_senders;
     drain_wakeall sys port.waiting_servers;
-    Queue.iter
-      (fun rx ->
-        if not rx.rx_abandoned then
-          Sched.wake sys ~result:Kern_port_dead rx.rx_client)
-      port.pending_calls;
-    Queue.clear port.pending_calls;
+    for i = 0 to port.npending - 1 do
+      match port.pending.(i) with
+      | Some rx when not rx.rx_abandoned ->
+          Sched.wake sys ~result:Kern_port_dead rx.rx_client
+      | Some _ | None -> ()
+    done;
+    Array.fill port.pending 0 port.npending None;
+    port.npending <- 0;
     (* deliver dead-name notifications last, once the port is fully
        drained, so a supervisor restarting the server sees clean state *)
     let watchers = port.dead_watchers in

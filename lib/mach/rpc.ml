@@ -1,12 +1,83 @@
 open Ktypes
 
-(* Drop one exchange from a port's pending queue (the client abandoned
+(* --- pending calls ------------------------------------------------------- *)
+
+let push_pending port rx =
+  let n = port.npending in
+  if n = Array.length port.pending then begin
+    let grown = Array.make (max 4 (2 * n)) None in
+    Array.blit port.pending 0 grown 0 n;
+    port.pending <- grown
+  end;
+  port.pending.(n) <- Some rx;
+  port.npending <- n + 1
+
+(* Take the call at [i] out, closing the gap in arrival order. *)
+let remove_at port i =
+  let last = port.npending - 1 in
+  Array.blit port.pending (i + 1) port.pending i (last - i);
+  port.pending.(last) <- None;
+  port.npending <- last
+
+(* Drop one exchange from a port's pending calls (the client abandoned
    it before any server picked it up). *)
 let remove_pending port rx =
-  let keep = Queue.create () in
-  Queue.iter (fun r -> if r != rx then Queue.add r keep) port.pending_calls;
-  Queue.clear port.pending_calls;
-  Queue.transfer keep port.pending_calls
+  let rec find i =
+    if i < port.npending then
+      match port.pending.(i) with
+      | Some r when r == rx -> remove_at port i
+      | Some _ | None -> find (i + 1)
+  in
+  find 0
+
+let receive_reason = "rpc-receive"
+
+(* Whether a serve thread homed on [cpu] will take that CPU's commuting
+   calls itself: one is live and not blocked outside receive (on the
+   disk, on a lock, in a wedge). *)
+let rec home_serves cpu = function
+  | [] -> false
+  | th :: rest ->
+      (th.affinity = cpu
+      &&
+      match th.state with
+      | Th_running | Th_runnable -> true
+      | Th_blocked reason -> String.equal reason receive_reason
+      | Th_terminated -> false)
+      || home_serves cpu rest
+
+(* The one dequeue rule: the oldest pending call that is ordered, or
+   from the taker's CPU, or from a CPU whose serve threads will not take
+   it (none live, or all blocked outside receive).  Ordered calls are
+   thus taken in arrival order; a commuting call waits for a server on
+   its own CPU while one will take it.  The taken slot's option is
+   returned as stored, so a take allocates nothing. *)
+let rec take_from port (th : thread) i =
+  if i >= port.npending then None
+  else
+    match port.pending.(i) with
+    | Some rx when rx.rx_abandoned ->
+        remove_at port i;  (* the client gave up: drop it *)
+        take_from port th i
+    | Some rx as taken
+      when (not rx.rx_commutes) || rx.rx_cpu = th.affinity
+           || not (home_serves rx.rx_cpu port.servers) ->
+        remove_at port i;
+        taken
+    | Some _ | None -> take_from port th (i + 1)
+
+let next_call port th = take_from port th 0
+
+(* Wake a server for a call just queued.  A commuting call is left to
+   the serve thread homed on its CPU while that thread will take it
+   (woken if it waits in receive); any other call wakes a waiting server
+   homed on the caller's CPU, else the one waiting longest. *)
+let wake_server (sys : Sched.t) port rx =
+  ignore
+    (if rx.rx_commutes && home_serves rx.rx_cpu port.servers then
+       Sched.wake_home sys port.waiting_servers ~cpu:rx.rx_cpu
+     else Sched.wake_one_on sys port.waiting_servers ~cpu:sys.active
+      : bool)
 
 (* Page-aligned payloads at or above the threshold are cheaper to remap
    than to copy; a [Copy] request silently upgrades to [Cow] (never
@@ -49,7 +120,8 @@ let copy_request (sys : Sched.t) port client (mb : message_builder) =
         mb.mb_ool
   | None -> []
 
-let call (sys : Sched.t) port ?reply_bytes:_ ?deadline (mb : message_builder) =
+let call (sys : Sched.t) port ?reply_bytes:_ ?deadline ?(commutes = false)
+    (mb : message_builder) =
   let th = Sched.self () in
   let client = th.t_task in
   let frame = th.stack_base in
@@ -85,7 +157,8 @@ let call (sys : Sched.t) port ?reply_bytes:_ ?deadline (mb : message_builder) =
         rx_client = th;
         rx_request = msg;
         rx_reply = None;
-        rx_server = None;
+        rx_cpu = sys.active;
+        rx_commutes = commutes;
         rx_abandoned = false;
       }
     in
@@ -99,11 +172,9 @@ let call (sys : Sched.t) port ?reply_bytes:_ ?deadline (mb : message_builder) =
           (match fate with
           | Fault.M_delay cycles -> ignore (Clock.sleep_for sys ~cycles)
           | _ -> ());
-          Queue.add rx port.pending_calls;
+          push_pending port rx;
           Ktext.exec1 k ~frame Ktext.rpc_handoff;
-          ignore
-            (Sched.wake_one_on sys port.waiting_servers ~cpu:sys.active
-              : bool));
+          wake_server sys port rx);
       (* wait-for edge towards the serving task; narrowed to the exact
          server thread once one picks the exchange up (see [dequeue]) *)
       match
@@ -143,51 +214,54 @@ let call (sys : Sched.t) port ?reply_bytes:_ ?deadline (mb : message_builder) =
     result
   end
 
-let call_retry (sys : Sched.t) ?attempts ?deadline ?backoff ~resolve mb =
+let call_retry (sys : Sched.t) ?attempts ?deadline ?backoff ?commutes ~resolve
+    mb =
   Backoff.retry sys ?attempts ?deadline ?backoff ~resolve (fun port ~deadline ->
-      call sys port ~deadline mb)
+      call sys port ~deadline ?commutes mb)
 
-(* Dequeue a call, blocking while none is pending; charges the dequeue
-   handoff, the return to user and the demultiplexing stub. *)
-let dequeue (sys : Sched.t) port th frame =
+(* Dequeue a call by {!next_call}, blocking while none is eligible;
+   charges the dequeue handoff, the return to user and the
+   demultiplexing stub.  A running thread is in no [waiting_servers]
+   entry: whoever woke it took it out. *)
+let rec dequeue (sys : Sched.t) port th frame =
   let k = sys.ktext in
-  let server = th.t_task in
-  let rec get () =
-    match Queue.take_opt port.pending_calls with
-    | Some rx when rx.rx_abandoned -> get ()  (* client gave up: drop it *)
-    | Some rx ->
+  match next_call port th with
+  | Some rx ->
+      if rx.rx_cpu = sys.active then port.served_local <- port.served_local + 1
+      else port.served_crossed <- port.served_crossed + 1;
+      (* the client now waits on this exact thread, not the whole task *)
+      (match sys.checks with
+      | None -> ()
+      | Some _ -> Mcheck.retarget sys rx.rx_client ~holders:[ th.tid ]);
+      (* rights carried by the request land in the server's space *)
+      (match rx.rx_request.msg_rights with
+      | [] -> ()
+      | rights ->
+          List.iter
+            (fun ((p, r) : port * right) ->
+              ignore (Port.insert_right sys th.t_task p r : int))
+            rights);
+      Ktext.exec k ~frame [ Ktext.rpc_handoff; Ktext.trap_exit ];
+      Ktext.exec_in k th.t_task.text ~offset:0x140 ~bytes:192;
+      Ok rx
+  | None ->
+      if port.dead then begin
         Sched.dequeue_waiter th port.waiting_servers;
-        rx.rx_server <- Some th;
-        (* the client now waits on this exact thread, not the whole task *)
-        Mcheck.retarget sys rx.rx_client ~holders:[ th.tid ];
-        (* rights carried by the request land in the server's space *)
-        List.iter
-          (fun ((p, r) : port * right) ->
-            ignore (Port.insert_right sys server p r : int))
-          rx.rx_request.msg_rights;
-        Ktext.exec k ~frame [ Ktext.rpc_handoff; Ktext.trap_exit ];
-        Ktext.exec_in k server.text ~offset:0x140 ~bytes:192;
-        Ok rx
-    | None ->
-        if port.dead then begin
-          Sched.dequeue_waiter th port.waiting_servers;
-          Ktext.exec1 k ~frame Ktext.trap_exit;
-          Error Kern_port_dead
-        end
-        else
-          (* served by any future caller: node only, no holder edge *)
-          match
-            Sched.wait sys ~q:port.waiting_servers th
-              ~res:("rpcq:" ^ string_of_int port.port_id)
-              ~rdesc:("rpc-receive(" ^ port.pname ^ ")")
-              ~holders:[] "rpc-receive"
-          with
-          | Kern_success -> get ()
-          | err ->
-              Ktext.exec1 k ~frame Ktext.trap_exit;
-              Error err
-  in
-  get ()
+        Ktext.exec1 k ~frame Ktext.trap_exit;
+        Error Kern_port_dead
+      end
+      else
+        (* served by any future caller: node only, no holder edge *)
+        match
+          Sched.wait sys ~q:port.waiting_servers th
+            ~res:("rpcq:" ^ string_of_int port.port_id)
+            ~rdesc:("rpc-receive(" ^ port.pname ^ ")")
+            ~holders:[] receive_reason
+        with
+        | Kern_success -> dequeue sys port th frame
+        | err ->
+            Ktext.exec1 k ~frame Ktext.trap_exit;
+            Error err
 
 let receive (sys : Sched.t) port =
   let th = Sched.self () in
@@ -254,6 +328,7 @@ let reply_receive (sys : Sched.t) rx (mb : message_builder) port =
    aborting its call (or any other per-exchange failure) must not take
    the server down for everyone else. *)
 let serve (sys : Sched.t) ?beat port handler =
+  port.servers <- Sched.self () :: port.servers;
   (* each serve thread stamps its own slot of the beat *)
   let slot = match beat with Some b -> Health.join b | None -> -1 in
   let busy () =
@@ -292,7 +367,12 @@ let serve (sys : Sched.t) ?beat port handler =
         (match d with
         | Fault.S_wedge cycles ->
             (* live-but-stuck: the request is held, the beat's busy
-               stamp ages, and only a watchdog can tell *)
+               stamp ages, and only a watchdog can tell.  Calls left for
+               this thread are now any waiting sibling's to take. *)
+            if port.npending > 0 then
+              ignore
+                (Sched.wake_one_on sys port.waiting_servers ~cpu:sys.active
+                  : bool);
             ignore (Clock.sleep_for sys ~cycles)
         | _ -> ());
         if port.dead then ()
@@ -308,4 +388,6 @@ let serve (sys : Sched.t) ?beat port handler =
   next ()
 
 let waiting_servers port = Queue.length port.waiting_servers
-let pending_calls port = Queue.length port.pending_calls
+let pending_calls port = port.npending
+let served_local port = port.served_local
+let served_crossed port = port.served_crossed

@@ -180,7 +180,7 @@ let thread_spawn t task ~name ?affinity ?(bound = false) body =
       affinity;
       bound;
       ready_at = Machine.Cpu.now_exact t.machine.Machine.cpu;
-      in_request = false;
+      request = No_request;
     }
   in
   t.next_thread_id <- t.next_thread_id + 1;
@@ -300,10 +300,8 @@ let rec wake_one t q =
           true
       | Th_runnable | Th_running | Th_terminated -> wake_one t q)
 
-(* [wake_one], preferring a waiter homed on [cpu]: a local wake is a
-   plain enqueue, where the oldest waiter may sit on another CPU and
-   cost an IPI and a cross-CPU message. *)
-let wake_one_on t q ~cpu =
+(* Wake the oldest blocked waiter homed on [cpu], if there is one. *)
+let wake_home t q ~cpu =
   let local =
     Queue.fold
       (fun found th ->
@@ -317,7 +315,12 @@ let wake_one_on t q ~cpu =
       dequeue_waiter th q;
       wake t th;
       true
-  | None -> wake_one t q
+  | None -> false
+
+(* [wake_one], preferring a waiter homed on [cpu]: a local wake is a
+   plain enqueue, where the oldest waiter may sit on another CPU and
+   cost an IPI and a cross-CPU message. *)
+let wake_one_on t q ~cpu = wake_home t q ~cpu || wake_one t q
 
 (* The one kernel wait.  The thread joins [q] at most once, reports its
    wait-for edge to Machcheck for as long as it sleeps, and on any wake

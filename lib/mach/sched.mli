@@ -156,6 +156,10 @@ val wake_one : t -> thread Queue.t -> bool
 (** Pop entries off the wait queue until one names a blocked thread and
     wake it; [false] if the queue held none. *)
 
+val wake_home : t -> thread Queue.t -> cpu:int -> bool
+(** Wake the oldest blocked waiter homed on [cpu]; [false] if the queue
+    holds none. *)
+
 val wake_one_on : t -> thread Queue.t -> cpu:int -> bool
 (** {!wake_one}, but a blocked waiter homed on [cpu] goes first: its
     wake is a local enqueue rather than a cross-CPU message.  On a

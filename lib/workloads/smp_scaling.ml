@@ -52,6 +52,8 @@ type point = {
   sp_disk_requests : int;
   sp_lock_waits : int;  (* fileserver: mount-lock acquires that waited *)
   sp_lock_wait_cycles : int;  (* fileserver: cycles those acquires waited *)
+  sp_shared_holds : int;  (* fileserver: mount-lock holds taken shared *)
+  sp_crossed_calls : int;  (* fileserver: calls served off their CPU *)
 }
 
 type result = {
@@ -95,6 +97,8 @@ let finish ~workload ~placement ~ncpus ~ops m sys =
     sp_disk_requests = Machine.Disk.requests_served m.Machine.disk;
     sp_lock_waits = 0;
     sp_lock_wait_cycles = 0;
+    sp_shared_holds = 0;
+    sp_crossed_calls = 0;
   }
 
 (* --- workload 1: RPC round-trip pairs ---------------------------------- *)
@@ -182,6 +186,8 @@ let measure_fileserver ~ncpus ~clients ~sessions =
     with
     sp_lock_waits = sum (fun l -> l.F.Fs_types.ls_waits);
     sp_lock_wait_cycles = sum (fun l -> l.F.Fs_types.ls_wait_cycles);
+    sp_shared_holds = sum (fun l -> l.F.Fs_types.ls_shared);
+    sp_crossed_calls = Mach.Rpc.served_crossed (F.File_server.port fs);
   }
 
 (* --- sweep --------------------------------------------------------------- *)
@@ -255,7 +261,9 @@ let to_json r =
     let lock =
       if p.sp_workload = "fileserver" then
         [ ("mount_lock_waits", int p.sp_lock_waits);
-          ("mount_lock_wait_cycles", int p.sp_lock_wait_cycles) ]
+          ("mount_lock_wait_cycles", int p.sp_lock_wait_cycles);
+          ("shared_holds", int p.sp_shared_holds);
+          ("crossed_calls", int p.sp_crossed_calls) ]
       else []
     in
     Obj

@@ -31,8 +31,12 @@ type point = {
   sp_lock_waits : int;
       (** fileserver only (0 for ipc): mount-lock acquires that waited *)
   sp_lock_wait_cycles : int;
-      (** fileserver only: cycles they waited, blocked or spinning past a
-          recorded hold *)
+      (** fileserver only: cycles they waited, blocked or spinning up to
+          a release stamp *)
+  sp_shared_holds : int;  (** fileserver only: mount-lock holds taken shared *)
+  sp_crossed_calls : int;
+      (** fileserver only: calls served on a CPU other than their
+          caller's *)
 }
 
 type result = {

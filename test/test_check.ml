@@ -588,7 +588,8 @@ let finding_columns =
     "write_after_move"; "mapout_evictions"; "lost_writes"; "torn_states";
     "vnode_ref_underflows"; "vnode_use_after_reclaim"; "vnode_leaks";
     "ncache_stale"; "net_shard_crossings"; "reinc_orphans";
-    "reinc_stale_registry"; "reinc_rights_residue"; "reinc_budget_exhausted" ]
+    "reinc_stale_registry"; "reinc_rights_residue"; "reinc_budget_exhausted";
+    "lock_overlaps" ]
 
 let machcheck_keys =
   [ "spaces"; "right_transitions"; "live_rights"; "leaked_rights";
@@ -600,7 +601,8 @@ let machcheck_keys =
     "vnode_leaks"; "ncache_shadowed"; "ncache_stale"; "net_sockets";
     "net_touches"; "net_shard_crossings"; "reinc_kills"; "reinc_reboots";
     "reinc_orphans"; "reinc_stale_registry"; "reinc_rights_residue";
-    "reinc_budget_exhausted"; "total_findings"; "findings" ]
+    "reinc_budget_exhausted"; "lock_holds"; "lock_overlaps"; "total_findings";
+    "findings" ]
 
 let test_report_columns () =
   let c = Check.create () in
@@ -652,12 +654,18 @@ let test_report_columns () =
   Check.reinc_restored c ~space ~shard:1 ~sock:9;
   Check.reinc_rights_residue c ~space ~shard:1 ~port:3 ~pname:"p3";
   Check.reinc_budget_exhausted c ~space ~path:"/services/x" ~restarts:3;
+  (* locks: an exclusive hold overlapping another thread's shared one *)
+  Check.lock_hold c ~space ~res:"l" ~rdesc:"l" ~tid:1 ~cpu:0 ~exclusive:false
+    ~from:100 ~until:200;
+  Check.lock_hold c ~space ~res:"l" ~rdesc:"l" ~tid:2 ~cpu:1 ~exclusive:true
+    ~from:150 ~until:250;
   let rep = Check.report c in
   List.iter
     (fun col -> Alcotest.(check int) col 1 (Check.count rep col))
     finding_columns;
-  Alcotest.(check int) "twenty findings" 20 (List.length rep.Check.findings);
-  Alcotest.(check int) "all but budget-exhausted are findings" 19
+  Alcotest.(check int) "twenty-one findings" 21
+    (List.length rep.Check.findings);
+  Alcotest.(check int) "all but budget-exhausted are findings" 20
     (Check.total_findings rep);
   match Check.to_json rep with
   | Bench_json.Obj fields ->

@@ -20,5 +20,6 @@ let () =
       ("smp", Test_smp.suite);
       ("vfs", Test_vfs.suite);
       ("mount-lock", Test_mount_lock.suite);
+      ("rpc-local", Test_rpc_local.suite);
       ("net", Test_net.suite);
     ]

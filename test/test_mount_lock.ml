@@ -1,7 +1,8 @@
-(* The per-mount lock behind a multi-threaded file server: a hold keeps
-   simulated time across CPUs, a request is one atomic step, release
-   hands the lock over in arrival order, and a one-CPU server runs cycle
-   for cycle as it did before the lock had any of this. *)
+(* The per-mount lock behind a multi-threaded file server: an exclusive
+   hold keeps simulated time across CPUs, shared holds overlap, a request
+   is one atomic step, release hands the lock over in arrival order, and
+   a one-CPU server runs cycle for cycle as it did before the lock had
+   any of this. *)
 
 open Mach.Ktypes
 module F = Fileserver
@@ -94,11 +95,11 @@ let test_honest_hold () =
   clients k [ 0; 1 ] (fun _ ->
       let th = Mach.Sched.self () in
       start_at k 1_000_000;
-      th.in_request <- true;
+      th.request <- Exclusive_request;
       (match F.Vfs.resolve vfs sem ~path:"/fake/f" with
       | Ok (F.Vfs.File vn) -> ignore (ok "read" (F.Vnode.read vn ~off:0 ~len:64))
       | Ok F.Vfs.Root | Error _ -> Alcotest.fail "resolve /fake/f");
-      th.in_request <- false;
+      th.request <- No_request;
       F.Vfs.end_request vfs th);
   Mach.Kernel.run k;
   match List.sort compare !sections with
@@ -108,7 +109,7 @@ let test_honest_hold () =
       checkb "the second locked section begins after the first ends" true
         (s2 >= e1);
       let ls = List.assoc "/fake" (F.Vfs.mount_lock_stats vfs) in
-      checki "two holds" 2 ls.ls_acquisitions;
+      checki "two exclusive holds" 2 ls.ls_exclusive;
       checki "one acquire waited" 1 ls.ls_waits;
       checkb "its wait is counted" true (ls.ls_wait_cycles >= 2_000)
   | l -> Alcotest.failf "expected two reads, got %d" (List.length l)
@@ -182,6 +183,265 @@ let test_no_barging () =
   Alcotest.(check (list string)) "arrival order" [ "h"; "w1"; "w2"; "w3"; "h" ]
     (List.rev !order)
 
+(* The reader/writer tests below run request threads by hand: each marks
+   itself inside a request of [mode], enters the volume's read at cycle
+   [at] on its CPU, and ends the request as [File_server] does.  [read]
+   records each locked section as (thread, start, end). *)
+let timed_read m sections ~cycles _ ~off:_ ~len =
+  let cpu = Machine.nth_cpu m (Machine.active m) in
+  let t0 = Machine.Cpu.now_exact cpu in
+  Machine.execute m [ Machine.Footprint.Stall cycles ];
+  sections := ((Mach.Sched.self ()).tname, t0, Machine.Cpu.now_exact cpu)
+              :: !sections;
+  Ok (Bytes.make len 'r')
+
+let request_read k pfs ~mode ~at =
+  let th = Mach.Sched.self () in
+  start_at k at;
+  th.request <- mode;
+  ignore (ok "read" (pfs.pfs_read 1 ~off:0 ~len:8));
+  th.request <- No_request;
+  F.Fs_types.release_held (Option.get pfs.pfs_lock) th
+
+(* Two bound request threads, [first] on CPU 1 dispatched before
+   [second] on CPU 0: CPU 0 starts a little ahead, so the scheduler runs
+   CPU 1 first, and CPU 1's whole request runs on the host before CPU 0
+   runs at all. *)
+let two_cpu_script k ~first ~second =
+  let m = k.Mach.Kernel.machine in
+  Machine.Cpu.advance_to (Machine.nth_cpu m 0) 10;
+  List.iter
+    (fun (cpu, name, body) ->
+      let task = Mach.Kernel.task_create k ~name () in
+      ignore
+        (Mach.Kernel.thread_spawn k task ~name ~affinity:cpu ~bound:true body
+          : thread))
+    [ (1, "first", first); (0, "second", second) ];
+  Mach.Kernel.run k
+
+(* (a) CPU 1 holds the lock over [1,000,000, 1,002,000) and releases it
+   on the host; then CPU 0, whose clock is still at 999,000, takes it for
+   2,000 cycles.  Its hold would run into CPU 1's, and nothing in it
+   blocks, so only the release stamp can move it: it starts at that
+   hold's end. *)
+let exclusive_before_released_hold () =
+  let k = Test_util.kernel_on ~config:(smp_config 2) () in
+  let m = k.Mach.Kernel.machine in
+  let sections = ref [] in
+  let pfs =
+    fake_volume k.Mach.Kernel.sys ~read:(timed_read m sections ~cycles:2_000)
+  in
+  two_cpu_script k
+    ~first:(fun () ->
+      request_read k pfs ~mode:Exclusive_request ~at:1_000_000)
+    ~second:(fun () -> request_read k pfs ~mode:Exclusive_request ~at:999_000);
+  (k, pfs, List.rev !sections)
+
+let test_exclusive_waits_for_released_hold () =
+  match exclusive_before_released_hold () with
+  | _, pfs, [ ("first", s1, e1); ("second", s2, _) ] ->
+      checkb "CPU 1's hold ran first, from its own clock" true
+        (s1 >= 1_000_000. && s1 < 1_000_010.);
+      checkb "CPU 0's hold starts at that hold's end" true
+        (s2 >= e1 && s2 < e1 +. 1.);
+      let ls = F.Fs_types.lock_stats (Option.get pfs.pfs_lock) in
+      checki "two exclusive holds" 2 ls.ls_exclusive;
+      checki "the second waited" 1 ls.ls_waits
+  | _, _, l -> Alcotest.failf "expected two sections, got %d" (List.length l)
+
+(* (b) Two shared holds on two CPUs at the same cycle overlap in time,
+   and neither waits. *)
+let test_shared_holds_overlap () =
+  let k = Test_util.kernel_on ~config:(smp_config 2) () in
+  let m = k.Mach.Kernel.machine in
+  let sections = ref [] in
+  let pfs =
+    fake_volume k.Mach.Kernel.sys ~read:(timed_read m sections ~cycles:2_000)
+  in
+  two_cpu_script k
+    ~first:(fun () -> request_read k pfs ~mode:Shared_request ~at:1_000_000)
+    ~second:(fun () -> request_read k pfs ~mode:Shared_request ~at:1_000_000);
+  match List.rev !sections with
+  | [ (_, s1, e1); (_, s2, e2) ] ->
+      checkb "the holds overlap" true (s1 < e2 && s2 < e1);
+      let ls = F.Fs_types.lock_stats (Option.get pfs.pfs_lock) in
+      checki "two shared holds" 2 ls.ls_shared;
+      checki "no exclusive hold" 0 ls.ls_exclusive;
+      checki "no acquire waited" 0 ls.ls_waits
+  | l -> Alcotest.failf "expected two sections, got %d" (List.length l)
+
+(* (c) A reader holds the lock across a sleep; a writer queues; a reader
+   that arrives after the writer queues behind it instead of joining the
+   first reader, so the writer runs second. *)
+let test_writer_not_passed () =
+  let k = Test_util.kernel_on () in
+  let sys = k.Mach.Kernel.sys in
+  let order = ref [] in
+  let read _ ~off:_ ~len:_ =
+    let me = (Mach.Sched.self ()).tname in
+    order := me :: !order;
+    if me = "r1" then
+      ignore (Mach.Clock.sleep_for sys ~cycles:100_000 : kern_return);
+    Ok Bytes.empty
+  in
+  let pfs = fake_volume sys ~read in
+  let l = Option.get pfs.pfs_lock in
+  let task = Mach.Kernel.task_create k ~name:"rw" () in
+  let request mode () =
+    let th = Mach.Sched.self () in
+    th.request <- mode;
+    ignore (pfs.pfs_read 1 ~off:0 ~len:0);
+    th.request <- No_request;
+    F.Fs_types.release_held l th
+  in
+  Test_util.spawn k task "r1" (request Shared_request);
+  Test_util.spawn k task "w" (request Exclusive_request);
+  Test_util.spawn k task "r2" (request Shared_request);
+  Mach.Kernel.run k;
+  Alcotest.(check (list string)) "entry order" [ "r1"; "w"; "r2" ]
+    (List.rev !order)
+
+(* (d) A mutating entry reached inside a shared request raises, whether
+   or not the request already holds the lock. *)
+let test_mutation_under_shared_raises () =
+  let k = Test_util.kernel_on () in
+  let pfs = fake_volume k.Mach.Kernel.sys ~read:(fun _ ~off:_ ~len:_ -> Ok Bytes.empty) in
+  let raised f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  let before, after =
+    Test_util.run_in_thread k (fun () ->
+        let th = Mach.Sched.self () in
+        th.request <- Shared_request;
+        let before =
+          raised (fun () -> pfs.pfs_write 1 ~off:0 (Bytes.make 4 'w'))
+        in
+        ignore (pfs.pfs_read 1 ~off:0 ~len:4);
+        let after =
+          raised (fun () -> pfs.pfs_create ~dir:0 "g" ~is_dir:false)
+        in
+        th.request <- No_request;
+        F.Fs_types.release_held (Option.get pfs.pfs_lock) th;
+        (before, after))
+  in
+  checkb "a write in a shared request raises" true before;
+  checkb "a create under a shared hold raises" true after
+
+(* Machcheck's lock-overlap finding: clean on test (a)'s script under the
+   real lock, and tripped by the same script under the rule the lock had
+   before release stamps — an acquire stalls only when its clock falls
+   inside one of the last 8 recorded holds. *)
+let ring_rule_read k sections ~cycles =
+  let m = k.Mach.Kernel.machine in
+  let sys = k.Mach.Kernel.sys in
+  let holds = ref [] in
+  fun _ ~off:_ ~len ->
+    let clock () = Machine.Cpu.now_exact (Machine.nth_cpu m (Machine.active m)) in
+    let rec stall () =
+      let now = clock () in
+      match List.find_opt (fun (f, u) -> f <= now && now < u) !holds with
+      | Some (_, u) ->
+          Machine.execute m
+            [ Machine.Footprint.Stall (int_of_float (Float.ceil (u -. now))) ];
+          stall ()
+      | None -> ()
+    in
+    stall ();
+    let from = clock () in
+    let r = timed_read m sections ~cycles () ~off:0 ~len in
+    let until = clock () in
+    holds := List.filteri (fun i _ -> i < 8) ((from, until) :: !holds);
+    Mach.Mcheck.lock_hold sys ~res:"ring" ~rdesc:"ring-rule lock"
+      ~tid:(Mach.Sched.self ()).tid ~exclusive:true ~from ~until;
+    r
+
+let test_overlap_finding () =
+  let overlaps f =
+    match Check.with_checker true f with
+    | _, Some rep -> (Check.count rep "lock_overlaps", Check.count rep "lock_holds")
+    | _, None -> Alcotest.fail "ran without a checker"
+  in
+  let real, real_holds =
+    overlaps (fun () -> ignore (exclusive_before_released_hold ()))
+  in
+  checki "the real lock reports both holds" 2 real_holds;
+  checki "the real lock never overlaps" 0 real;
+  let ring, _ =
+    overlaps (fun () ->
+        let k = Test_util.kernel_on ~config:(smp_config 2) () in
+        let sections = ref [] in
+        let read = ring_rule_read k sections ~cycles:2_000 in
+        let body at () =
+          start_at k at;
+          ignore (read () ~off:0 ~len:8 : (bytes, fs_error) result)
+        in
+        two_cpu_script k ~first:(body 1_000_000) ~second:(body 999_000))
+  in
+  checki "the ring rule's holds overlap" 1 ring
+
+(* Wait-for edges: a writer waits on every reader holding the lock.  Two
+   readers hold mount A; the second then wants mount B, which a writer
+   holds while it wants A.  The cycle runs through the second reader, so
+   it is found only if the writer's edge names every reader. *)
+let test_reader_writer_cycle () =
+  let cycles =
+    match
+      Check.with_checker true (fun () ->
+          let k = Test_util.kernel_on () in
+          let sys = k.Mach.Kernel.sys in
+          let nothing _ ~off:_ ~len:_ = Ok Bytes.empty in
+          let a = fake_volume sys ~read:nothing
+          and b = fake_volume sys ~read:nothing in
+          let task = Mach.Kernel.task_create k ~name:"rw" () in
+          let sleep n = ignore (Mach.Clock.sleep_for sys ~cycles:n : kern_return) in
+          let enter mode vol =
+            (Mach.Sched.self ()).request <- mode;
+            ignore (vol.pfs_read 1 ~off:0 ~len:0)
+          in
+          Test_util.spawn k task "r1" (fun () ->
+              enter Shared_request a;
+              sleep 1_000_000);
+          Test_util.spawn k task "r2" (fun () ->
+              enter Shared_request a;
+              sleep 10_000;
+              ignore (b.pfs_read 1 ~off:0 ~len:0));
+          Test_util.spawn k task "w" (fun () ->
+              enter Exclusive_request b;
+              ignore (a.pfs_read 1 ~off:0 ~len:0));
+          Mach.Kernel.run k)
+    with
+    | _, Some rep ->
+        List.filter (fun f -> f.Check.f_kind = "wait-cycle") rep.Check.findings
+    | _, None -> Alcotest.fail "ran without a checker"
+  in
+  match cycles with
+  | [ f ] ->
+      checkb "the cycle names the writer" true (Test_util.contains f.Check.f_detail "mount(fake)")
+  | l -> Alcotest.failf "expected one wait cycle, got %d" (List.length l)
+
+(* A block two readers miss at once on two CPUs: the second finds the
+   first's slot after its own disk wait instead of inserting a second
+   one, so the table and the LRU list still agree. *)
+let test_block_cache_double_miss () =
+  let k = Test_util.kernel_on ~config:(smp_config 2) () in
+  let disk = k.Mach.Kernel.machine.Machine.disk in
+  let image = Bytes.make 512 'b' in
+  Machine.Disk.write_image disk ~block:7 image;
+  let cache = F.Block_cache.create k disk () in
+  let got = Array.make 2 Bytes.empty in
+  clients k [ 0; 1 ] (fun c ->
+      start_at k 1_000_000;
+      got.(c) <- F.Block_cache.read cache 7);
+  Mach.Kernel.run k;
+  checki "both readers missed" 2 (F.Block_cache.misses cache);
+  Alcotest.(check (option int)) "one slot, LRU intact" (Some 1)
+    (F.Block_cache.lru_slots cache);
+  Array.iteri
+    (fun c d ->
+      Alcotest.(check string) (Printf.sprintf "cpu %d read the block" c)
+        (Bytes.to_string image) (Bytes.to_string d))
+    got
+
 (* A restart's recovery must not reread the volume under a request the
    dead incarnation still has in flight: the serve thread holding the
    lock (parked inside a read) finishes its request first. *)
@@ -199,10 +459,10 @@ let test_recovery_waits_for_holder () =
   let task = Mach.Kernel.task_create k ~name:"incarnations" () in
   Test_util.spawn k task "old-serve" (fun () ->
       let th = Mach.Sched.self () in
-      th.in_request <- true;
+      th.request <- Exclusive_request;
       ignore (pfs.pfs_read 1 ~off:0 ~len:0);
       ignore (Mach.Clock.sleep_for sys ~cycles:50_000 : kern_return);
-      th.in_request <- false;
+      th.request <- No_request;
       F.Fs_types.release_held (Option.get pfs.pfs_lock) th);
   Test_util.spawn k task "restart" (fun () ->
       ignore (Mach.Clock.sleep_for sys ~cycles:10_000 : kern_return);
@@ -261,4 +521,18 @@ let suite =
       test_recovery_waits_for_holder;
     Alcotest.test_case "one CPU runs cycle for cycle as before" `Quick
       test_one_cpu_cycle_identical;
+    Alcotest.test_case "an exclusive acquire waits out a released hold" `Quick
+      test_exclusive_waits_for_released_hold;
+    Alcotest.test_case "shared holds on two CPUs overlap without waiting"
+      `Quick test_shared_holds_overlap;
+    Alcotest.test_case "a later reader does not pass a queued writer" `Quick
+      test_writer_not_passed;
+    Alcotest.test_case "a mutating entry under a shared hold raises" `Quick
+      test_mutation_under_shared_raises;
+    Alcotest.test_case "machcheck flags overlapping holds" `Quick
+      test_overlap_finding;
+    Alcotest.test_case "a writer waits on every reader" `Quick
+      test_reader_writer_cycle;
+    Alcotest.test_case "two readers missing one block share its slot" `Quick
+      test_block_cache_double_miss;
   ]
