@@ -1,7 +1,7 @@
 (* machlint — build-time static analysis for the multi-server tree.
 
    Usage: machlint [--quiet] [--bench [FILE]] [DIR|FILE]...
-                                        (default roots: lib bin bench test)
+               (default roots: lib bin bench test perfbench examples)
 
    Findings print one per line as `file:line rule message`; exit status
    is 1 if anything was found.  `dune build @lint` runs this over the
@@ -41,7 +41,7 @@ let () =
   let bench, args = split_bench [] args in
   let roots =
     match List.filter (fun a -> a <> "--quiet") args with
-    | [] -> [ "lib"; "bin"; "bench"; "test" ]
+    | [] -> [ "lib"; "bin"; "bench"; "test"; "perfbench"; "examples" ]
     | l -> l
   in
   let r = Lint.run ~roots () in

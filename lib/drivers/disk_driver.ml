@@ -19,7 +19,6 @@ type t = {
   mutable u_port : port option;
   mutable u_beat : Mach.Health.beat option;
   mutable u_health : port option;
-  mutable u_generation : int;
   (* OODDM architecture *)
   oo_runtime : Finegrain.t option;
   oo_driver : Finegrain.obj option;
@@ -93,13 +92,13 @@ let user_serve t port =
 
 (* Spawn the heartbeat thread for the user-level instance: answers pings
    off the serve loop's beat so a wedged dd-serve is detectable. *)
-let spawn_health t u_task ~gen =
+let spawn_health t u_task =
   let s = sys t in
   match (t.u_health, t.u_beat) with
   | Some hp, Some beat ->
       ignore
         (Mach.Kernel.thread_spawn t.kernel u_task
-           ~name:(Printf.sprintf "dd-health.%d" gen) (fun () ->
+           ~name:"dd-health.0" (fun () ->
              Mach.Rpc.serve s hp (Mach.Health.handler beat))
           : thread)
   | _ -> ()
@@ -132,7 +131,6 @@ let start (kernel : Mach.Kernel.t) rm ~arch =
           u_port = None;
           u_beat = None;
           u_health = None;
-          u_generation = 0;
           oo_runtime = None;
           oo_driver = None;
         }
@@ -183,7 +181,7 @@ let start (kernel : Mach.Kernel.t) rm ~arch =
                 (Mach.Kernel.thread_spawn kernel u_task ~name:"dd-serve"
                    (fun () -> user_serve t u_port)
                   : thread);
-              spawn_health t u_task ~gen:0;
+              spawn_health t u_task;
               Ok t))
 
 let arch t = t.a
@@ -251,39 +249,6 @@ let write_blocks t ~block data =
               (* lost ack: write-behind semantics, nothing to retry here *)
               ()
           | Ok _ | Error _ -> ()))
-
-(* Reincarnate a crashed (or wedge-killed) user-level instance: fresh
-   service and health ports, fresh beat, new serve and health threads.
-   The claimed IRQ/DMA resources and the media itself survive — only the
-   serving state was lost.  The supervisor's [restart] closure for the
-   driver is exactly this. *)
-let restart_user t =
-  match t.u_task with
-  | None -> invalid_arg "Disk_driver.restart_user: not a user-level driver"
-  | Some u_task ->
-      let s = sys t in
-      Mach.Sched.with_uncharged s (fun () ->
-          t.u_generation <- t.u_generation + 1;
-          (match t.u_port with
-          | Some p when not p.dead -> Mach.Port.destroy s p
-          | _ -> ());
-          (match t.u_health with
-          | Some p when not p.dead -> Mach.Port.destroy s p
-          | _ -> ());
-          let u_port =
-            Mach.Port.allocate s ~receiver:u_task ~name:"disk-driver"
-          in
-          t.u_port <- Some u_port;
-          t.u_beat <- Some (Mach.Health.beat ());
-          t.u_health <-
-            Some (Mach.Port.allocate s ~receiver:u_task ~name:"disk-health");
-          ignore
-            (Mach.Kernel.thread_spawn t.kernel u_task
-               ~name:(Printf.sprintf "dd-serve.%d" t.u_generation) (fun () ->
-                 user_serve t u_port)
-              : thread);
-          spawn_health t u_task ~gen:t.u_generation;
-          u_port)
 
 let requests t = t.reqs
 let interrupts_taken t = t.intrs

@@ -29,13 +29,6 @@ val read_blocks : t -> block:int -> count:int -> bytes
 
 val write_blocks : t -> block:int -> bytes -> unit
 
-val restart_user : t -> Mach.Ktypes.port
-(** Reincarnate a crashed or wedge-killed user-level instance: the old
-    service and health ports are retired, fresh ones (and a fresh beat)
-    allocated, and new serve/health threads spawned.  Returns the new
-    service port — the supervisor's [restart] closure for the driver.
-    @raise Invalid_argument for the in-kernel architectures. *)
-
 val requests : t -> int
 val interrupts_taken : t -> int
 val driver_task : t -> Mach.Ktypes.task option

@@ -16,10 +16,6 @@ let start (kernel : Mach.Kernel.t) rm =
   | Error e -> Error e
   | Ok (_ : Resource_manager.grant) -> Ok { kernel; fb; fill_count = 0 }
 
-let map_into t task =
-  Mach.Io.map_device_memory t.kernel.Mach.Kernel.io task
-    (Machine.Framebuffer.region t.fb)
-
 let fill t ~x ~y ~w ~h ~pixel =
   t.fill_count <- t.fill_count + 1;
   Mach.Trap.service t.kernel.Mach.Kernel.sys ();

@@ -11,10 +11,6 @@ type t
 val start :
   Mach.Kernel.t -> Resource_manager.t -> (t, string) result
 
-val map_into : t -> Mach.Ktypes.task -> unit
-(** Give a task direct access to the frame buffer (the user-level fast
-    path). *)
-
 val fill : t -> x:int -> y:int -> w:int -> h:int -> pixel:char -> unit
 (** Driver-mediated fill (charges a trap plus the blit). *)
 

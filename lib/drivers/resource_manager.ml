@@ -85,11 +85,3 @@ let holder t resource =
 
 let yields_requested t = t.yields
 let grants_issued t = t.grants
-
-let pp_assignments ppf t =
-  List.iter
-    (fun h ->
-      if h.h_live then
-        Format.fprintf ppf "%-12s -> %s@," h.h_driver
-          (resource_to_string h.h_resource))
-    t.holdings

@@ -29,5 +29,3 @@ val holder : t -> resource -> string option
 
 val yields_requested : t -> int
 val grants_issued : t -> int
-
-val pp_assignments : Format.formatter -> t -> unit

@@ -17,6 +17,8 @@ open Fs_types
 
 let block_size = 512
 let inode_size = 64
+(* Extents per inode: exceeding this under fragmentation yields
+   [E_no_space], a genuine format constraint. *)
 let max_extents = 6
 let magic = "EXT1"
 

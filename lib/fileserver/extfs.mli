@@ -31,10 +31,6 @@ val mkfs :
 
 val mount : Block_cache.t -> config -> ?start:int -> unit -> (pfs, fs_error) result
 
-val max_extents : int
-(** Extents per inode — exceeding this under fragmentation yields
-    [E_no_space], a genuine format constraint. *)
-
 val journal_writes : Block_cache.t -> int
 (** Journal-record writes observed through this cache (for tests and the
     driver ablation). *)

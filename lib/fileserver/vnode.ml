@@ -87,7 +87,6 @@ let note_folding m ~folded =
     true
   end
 let root m = intern m m.m_pfs.pfs_root
-let interned m = Hashtbl.length m.m_vnodes
 
 let ref_ v =
   v.v_refs <- v.v_refs + 1;
@@ -122,6 +121,7 @@ let reclaim_all m =
   Hashtbl.reset m.m_vnodes;
   chk m (fun c sp -> Check.vnode_mount_recovered c ~space:sp ~mount:m.m_id)
 
+(* Reclaim guard + checker mirror shared by every operation below. *)
 let use v ~op : (unit, fs_error) result =
   chk v.v_mount (fun c sp ->
       Check.vnode_used c ~space:sp ~mount:v.v_mount.m_id ~file:v.v_id ~op);
@@ -160,10 +160,6 @@ let read_paged v ~off ~len =
 let write v ~off data =
   let* () = use v ~op:"write" in
   v.v_mount.m_pfs.pfs_write v.v_id ~off data
-
-let truncate v ~len =
-  let* () = use v ~op:"truncate" in
-  v.v_mount.m_pfs.pfs_truncate v.v_id ~len
 
 let rename ~src ~dst src_name dst_name =
   let* () = use src ~op:"rename" in

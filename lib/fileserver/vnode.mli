@@ -37,7 +37,6 @@ val reclaimed : t -> bool
 val intern : mount -> Fs_types.file_id -> t
 val find : mount -> Fs_types.file_id -> t option
 val root : mount -> t
-val interned : mount -> int
 
 (* Union-semantics bookkeeping: true the first time this folded name is
    seen on the mount, so a compromise counts once per distinct name. *)
@@ -54,9 +53,6 @@ val reclaim : mount -> Fs_types.file_id -> unit
    the checker sweeps for references nobody dropped. *)
 val reclaim_all : mount -> unit
 
-(* Reclaim guard + checker mirror shared by every operation below. *)
-val use : t -> op:string -> (unit, Fs_types.fs_error) result
-
 val stat : t -> (Fs_types.stat, Fs_types.fs_error) result
 val lookup : t -> string -> (Fs_types.file_id, Fs_types.fs_error) result
 
@@ -72,7 +68,6 @@ val read_paged :
   ((int * int * bytes) option, Fs_types.fs_error) result
 
 val write : t -> off:int -> bytes -> (int, Fs_types.fs_error) result
-val truncate : t -> len:int -> (unit, Fs_types.fs_error) result
 
 val rename :
   src:t -> dst:t -> string -> string -> (unit, Fs_types.fs_error) result

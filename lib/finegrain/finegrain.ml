@@ -57,13 +57,12 @@ let create kernel ~style ~name =
 
 let style t = t.st
 
-let define_class t ~name ?super ?method_bytes () =
+let define_class t ~name ?super () =
   let k =
     {
       k_name = name;
       k_super = super;
-      k_method_bytes =
-        Option.value ~default:(default_method_bytes t.st) method_bytes;
+      k_method_bytes = default_method_bytes t.st;
       k_offset_seed = Hashtbl.hash name land 0xffff;
     }
   in
@@ -149,5 +148,3 @@ let memory_footprint_bytes t =
   runtime_bytes t.st + t.object_bytes
   + (List.length t.classes
      * match t.st with Fine_grained -> 512 | Coarse -> 64)
-
-let text_region t = t.text

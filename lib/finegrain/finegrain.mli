@@ -27,9 +27,9 @@ val create : Mach.Kernel.t -> style:style -> name:string -> t
 val style : t -> style
 
 val define_class :
-  t -> name:string -> ?super:klass -> ?method_bytes:int -> unit -> klass
-(** [method_bytes] defaults by style: short (96 B) bodies for
-    fine-grained, long (768 B) for coarse. *)
+  t -> name:string -> ?super:klass -> unit -> klass
+(** Method bodies are sized by style: short (96 B) for fine-grained,
+    long (768 B) for coarse. *)
 
 val class_depth : klass -> int
 
@@ -57,5 +57,3 @@ val memory_footprint_bytes : t -> int
 (** Object headers + wrapper state + vtables + the language runtime
     itself (which the paper found "consumed considerable amounts of
     memory"). *)
-
-val text_region : t -> Machine.Layout.region

@@ -1,5 +1,5 @@
-(* Machlint driver: scan directories, parse every .ml with
-   compiler-libs, build the call graph once, run the four rules.
+(* Machlint driver: scan directories, parse every .ml and .mli with
+   compiler-libs, build the call graph once, run the five rules.
 
    The rules and their dynamic Machcheck counterparts:
 
@@ -11,7 +11,9 @@
                      (machcheck: wait-for-graph)
      interface       open-variant message vocabulary complete (no
                      dynamic counterpart — this is the gap machlint
-                     exists to close) *)
+                     exists to close)
+     unused-export   an interface val no other compilation unit
+                     names (no dynamic counterpart) *)
 
 module Report = Lint_report
 module Ast = Lint_ast
@@ -43,7 +45,8 @@ let rec walk_files acc path =
            if List.mem name skip_dirs then acc
            else walk_files acc (Filename.concat path name))
          acc
-  else if Filename.check_suffix path ".ml" then path :: acc
+  else if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
+  then path :: acc
   else acc
 
 (* [let[@machlint.allow "rule ..."] f = ...] suppresses the named rules
@@ -54,23 +57,17 @@ let allow_spans g =
   let spans = ref [] in
   Lint_graph.iter_fns g (fun fn ->
       List.iter
-        (fun (name, payload) ->
-          if name = "machlint.allow" || name = "allow_lint" then
-            let rules =
-              match payload with
-              | None -> Lint_report.all_rules
-              | Some s ->
-                  String.split_on_char ' ' s
-                  |> List.concat_map (String.split_on_char ',')
-                  |> List.filter (fun r -> r <> "")
-            in
-            let loc = fn.Lint_graph.fn_loc in
-            spans :=
-              ( loc.Location.loc_start.Lexing.pos_fname,
-                loc.Location.loc_start.Lexing.pos_lnum,
-                loc.Location.loc_end.Lexing.pos_lnum,
-                rules )
-              :: !spans)
+        (fun attr ->
+          match Lint_ast.allowed_rules attr with
+          | None -> ()
+          | Some rules ->
+              let loc = fn.Lint_graph.fn_loc in
+              spans :=
+                ( loc.Location.loc_start.Lexing.pos_fname,
+                  loc.Location.loc_start.Lexing.pos_lnum,
+                  loc.Location.loc_end.Lexing.pos_lnum,
+                  rules )
+                :: !spans)
         fn.Lint_graph.fn_attrs);
   !spans
 
@@ -88,22 +85,26 @@ let run ~roots () =
     List.concat_map (fun r -> List.rev (walk_files [] r)) roots
     |> List.sort_uniq compare
   in
-  let sources, syntax_findings =
-    List.fold_left
-      (fun (srcs, errs) path ->
-        match Lint_ast.parse path with
-        | Ok s -> (s :: srcs, errs)
-        | Error f -> (srcs, f :: errs))
-      ([], []) files
+  let parsed parse =
+    List.partition_map
+      (fun path ->
+        match parse path with Ok x -> Left x | Error f -> Right f)
   in
-  let sources = List.rev sources in
+  let mlis, mls = List.partition (fun p -> Filename.check_suffix p ".mli") files in
+  let sources, ml_errors = parsed Lint_ast.parse mls in
+  let interfaces, mli_errors =
+    parsed
+      (fun p -> Result.map (fun sg -> (p, sg)) (Lint_ast.parse_interface p))
+      mlis
+  in
   let g = Lint_graph.build sources in
   let findings =
-    List.rev syntax_findings
+    ml_errors @ mli_errors
     @ Lint_linearity.check g
     @ Lint_lockorder.check g
     @ Lint_noblock.check g
     @ Lint_interface.check sources
+    @ Lint_export.check sources interfaces
   in
   let spans = allow_spans g in
   let findings = List.filter (fun f -> not (allowed spans f)) findings in

@@ -15,25 +15,31 @@ type source = {
 let module_name path =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
 
+let syntax_error path exn =
+  let msg =
+    match Location.error_of_exn exn with
+    | Some (`Ok report) ->
+        Format.asprintf "%a" Location.print_report report
+        |> String.map (fun c -> if c = '\n' then ' ' else c)
+    | _ -> Printexc.to_string exn
+  in
+  {
+    Lint_report.f_rule = Lint_report.rule_syntax;
+    f_file = path;
+    f_line = 1;
+    f_col = 0;
+    f_msg = msg;
+  }
+
 let parse path : (source, Lint_report.finding) result =
   match Pparse.parse_implementation ~tool_name:"machlint" path with
   | ast -> Ok { s_path = path; s_module = module_name path; s_ast = ast }
-  | exception exn ->
-      let msg =
-        match Location.error_of_exn exn with
-        | Some (`Ok report) ->
-            Format.asprintf "%a" Location.print_report report
-            |> String.map (fun c -> if c = '\n' then ' ' else c)
-        | _ -> Printexc.to_string exn
-      in
-      Error
-        {
-          Lint_report.f_rule = Lint_report.rule_syntax;
-          f_file = path;
-          f_line = 1;
-          f_col = 0;
-          f_msg = msg;
-        }
+  | exception exn -> Error (syntax_error path exn)
+
+let parse_interface path : (Parsetree.signature, Lint_report.finding) result =
+  match Pparse.parse_interface ~tool_name:"machlint" path with
+  | sg -> Ok sg
+  | exception exn -> Error (syntax_error path exn)
 
 (* [Longident.flatten] raises on functor applications; we just give up on
    those (none appear on any path machlint cares about). *)
@@ -60,6 +66,41 @@ let suffix_matches ~path target =
 
 let matches_any ~path targets =
   List.exists (fun t -> suffix_matches ~path t) targets
+
+(* Each attribute as (name, string payload if it has one). *)
+let attr_strings attrs =
+  List.map
+    (fun a ->
+      let payload =
+        match a.Parsetree.attr_payload with
+        | PStr
+            [
+              {
+                pstr_desc =
+                  Pstr_eval
+                    ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
+                _;
+              };
+            ] ->
+            Some s
+        | _ -> None
+      in
+      (a.Parsetree.attr_name.Location.txt, payload))
+    attrs
+
+(* The rules an allow attribute suppresses: all of them without a
+   payload, else the ones its payload names; [None] for any other
+   attribute. *)
+let allowed_rules (name, payload) =
+  if name = "machlint.allow" || name = "allow_lint" then
+    Some
+      (match payload with
+      | None -> Lint_report.all_rules
+      | Some s ->
+          String.split_on_char ' ' s
+          |> List.concat_map (String.split_on_char ',')
+          |> List.filter (fun r -> r <> ""))
+  else None
 
 let has_attr names attrs =
   List.exists

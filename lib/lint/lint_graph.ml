@@ -80,37 +80,12 @@ let register_fns fns order (src : Lint_ast.source) =
     | Some name ->
         let key = String.concat "." (modpath @ [ name ]) in
         if not (Hashtbl.mem fns key) then (
-          let attrs =
-            List.map
-              (fun a ->
-                let payload =
-                  match a.attr_payload with
-                  | PStr
-                      [
-                        {
-                          pstr_desc =
-                            Pstr_eval
-                              ( {
-                                  pexp_desc =
-                                    Pexp_constant (Pconst_string (s, _, _));
-                                  _;
-                                },
-                                _ );
-                          _;
-                        };
-                      ] ->
-                      Some s
-                  | _ -> None
-                in
-                (a.attr_name.Location.txt, payload))
-              vb.pvb_attributes
-          in
           Hashtbl.replace fns key
             {
               fn_key = key;
               fn_modpath = modpath;
               fn_loc = vb.pvb_loc;
-              fn_attrs = attrs;
+              fn_attrs = Lint_ast.attr_strings vb.pvb_attributes;
               fn_body = vb.pvb_expr;
               fn_calls = [];
             };

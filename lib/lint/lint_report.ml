@@ -15,12 +15,13 @@ type finding = {
   f_msg : string;
 }
 
-(* The four rule names (plus parse failures), fixed here so the driver,
+(* The five rule names (plus parse failures), fixed here so the driver,
    the fixtures and the bench all agree on the spelling. *)
 let rule_linearity = "port-linearity"
 let rule_lockorder = "lock-order"
 let rule_noblock = "no-block"
 let rule_interface = "interface"
+let rule_export = "unused-export"
 let rule_syntax = "syntax"
 
 let all_rules =
@@ -29,6 +30,7 @@ let all_rules =
     rule_lockorder;
     rule_noblock;
     rule_interface;
+    rule_export;
     rule_syntax;
   ]
 

@@ -14,17 +14,12 @@ open Ktypes
 
 type policy = { bo_base : int; bo_cap : int; bo_seed : int }
 
-let default_cap_factor = 64
-
-let policy ?cap ?(seed = 0) ~base () =
+let policy ?(seed = 0) ~base () =
   let base = max 1 base in
   (* the cap scales with the base — six doublings — so a caller sizing
      its base to span a known outage keeps its reach, while the old
      unbounded doubling (which could sleep past any recovery) is gone *)
-  let cap =
-    match cap with Some c -> max 1 c | None -> base * default_cap_factor
-  in
-  { bo_base = base; bo_cap = cap; bo_seed = seed }
+  { bo_base = base; bo_cap = base * 64; bo_seed = seed }
 
 (* drand48 step, as in [Fault]: bit-exact, process-independent. *)
 let lcg state = (state * 0x5DEECE66D + 0xB) land 0xFFFF_FFFF_FFFF

@@ -3,9 +3,9 @@
     The one retry schedule shared by the client retry loop {!retry}
     (behind {!Ipc.call_retry} and {!Rpc.call_retry}) and the
     supervisor's restart pacing.  The raw
-    schedule is [base * 2^(attempt-1)] saturating at [cap] (default
-    [base * 64], i.e. six doublings — no more unbounded doubling that
-    sleeps past any plausible recovery); on top of it each waiter gets
+    schedule is [base * 2^(attempt-1)] saturating at [base * 64], i.e.
+    six doublings — no more unbounded doubling that sleeps past any
+    plausible recovery; on top of it each waiter gets
     jitter in [0, wait/4) from a drand48 generator keyed on [seed] and
     the attempt number — deterministic for replay, but different seeds
     (thread ids, supervision entries) spread their retries instead of
@@ -13,17 +13,11 @@
 
 type policy
 
-val default_cap_factor : int
-(** 64: without an explicit [cap] the schedule saturates at
-    [base * 64]. *)
-
-val policy : ?cap:int -> ?seed:int -> base:int -> unit -> policy
-
-val raw_delay : policy -> attempt:int -> int
-(** The capped exponential alone (attempt is 1-based), without jitter. *)
+val policy : ?seed:int -> base:int -> unit -> policy
 
 val delay : policy -> attempt:int -> int
-(** [raw_delay] plus the seeded jitter for this attempt. *)
+(** The capped exponential for this attempt (1-based) plus its seeded
+    jitter. *)
 
 val retry :
   Sched.t -> ?attempts:int -> ?deadline:int -> ?backoff:int ->

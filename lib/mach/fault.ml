@@ -61,10 +61,7 @@ type t = {
   f_sends_seen : (string, int) Hashtbl.t;
   f_disk_seen : (string, int) Hashtbl.t;
   mutable f_crashes : int;
-  mutable f_kills : int;
   mutable f_wedges : int;
-  mutable f_drops : int;
-  mutable f_delays : int;
   mutable f_power_cuts : int;
   mutable f_torn : int;
   mutable f_bit_rot : int;
@@ -96,10 +93,7 @@ let create ?(seed = 1) () =
     f_sends_seen = Hashtbl.create 8;
     f_disk_seen = Hashtbl.create 8;
     f_crashes = 0;
-    f_kills = 0;
     f_wedges = 0;
-    f_drops = 0;
-    f_delays = 0;
     f_power_cuts = 0;
     f_torn = 0;
     f_bit_rot = 0;
@@ -191,7 +185,6 @@ let on_request t ~port =
   match fired_rule t.f_request_rules ~port ~n with
   | Some ({ ru_action = Kill_port; _ } as r) ->
       r.ru_fired <- true;
-      t.f_kills <- t.f_kills + 1;
       record t ~port "kill";
       S_kill
   | Some ({ ru_action = Crash_server; _ } as r) ->
@@ -228,23 +221,19 @@ let on_send t ~port =
   match fired_rule t.f_send_rules ~port ~n with
   | Some ({ ru_action = Drop_message; _ } as r) ->
       r.ru_fired <- true;
-      t.f_drops <- t.f_drops + 1;
       record t ~port "drop";
       M_drop
   | Some ({ ru_action = Delay_message cycles; _ } as r) ->
       r.ru_fired <- true;
-      t.f_delays <- t.f_delays + 1;
       record t ~port "delay";
       M_delay cycles
   | Some _ | None ->
       if not (rates_apply t ~port) then M_pass
       else if t.f_drop_ppm > 0 && draw_ppm t < t.f_drop_ppm then begin
-        t.f_drops <- t.f_drops + 1;
         record t ~port "drop";
         M_drop
       end
       else if t.f_delay_ppm > 0 && draw_ppm t < t.f_delay_ppm then begin
-        t.f_delays <- t.f_delays + 1;
         record t ~port "delay";
         M_delay t.f_delay_cycles
       end
@@ -305,13 +294,8 @@ let on_disk_write t ~disk =
       else D_pass
 
 let injected_crashes t = t.f_crashes
-let injected_kills t = t.f_kills
 let injected_wedges t = t.f_wedges
-let injected_drops t = t.f_drops
-let injected_delays t = t.f_delays
-let injected_power_cuts t = t.f_power_cuts
 let injected_torn_writes t = t.f_torn
-let injected_bit_rot t = t.f_bit_rot
 let injected_reorders t = t.f_reorders
 
 let injected_disk_faults t =

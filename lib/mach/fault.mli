@@ -85,13 +85,8 @@ val on_disk_write : t -> disk:string -> disk_decision
 (** Hook point: a write request is reaching the named disk's media. *)
 
 val injected_crashes : t -> int
-val injected_kills : t -> int
 val injected_wedges : t -> int
-val injected_drops : t -> int
-val injected_delays : t -> int
-val injected_power_cuts : t -> int
 val injected_torn_writes : t -> int
-val injected_bit_rot : t -> int
 val injected_reorders : t -> int
 
 val injected_disk_faults : t -> int

@@ -29,8 +29,6 @@ type payload +=
   | H_ping
   | H_pong of { hp_served : int; hp_busy_since : int }
 
-val op_ping : int
-
 val ping_msg : unit -> message_builder
 
 val handler : beat -> message -> message_builder

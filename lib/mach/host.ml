@@ -1,6 +1,6 @@
 open Ktypes
 
-type processor_set = { ps_name : string; mutable ps_tasks : task list }
+type processor_set = Ktypes.processor_set
 
 type host_info = {
   host_name : string;
@@ -9,25 +9,16 @@ type host_info = {
   cpu_mhz : int;
 }
 
-(* default sets are per scheduler instance, keyed physically *)
-let default_sets : (Sched.t * processor_set) list ref = ref []
-
 let host_info (sys : Sched.t) =
   let c = sys.machine.Machine.config in
   {
     host_name = c.Machine.Config.name;
-    processors = 1;
+    processors = Machine.ncpus sys.machine;
     memory_bytes = c.Machine.Config.memory_bytes;
     cpu_mhz = c.Machine.Config.cpu_mhz;
   }
 
-let default_pset (sys : Sched.t) =
-  match List.find_opt (fun (s, _) -> s == sys) !default_sets with
-  | Some (_, ps) -> ps
-  | None ->
-      let ps = { ps_name = "default"; ps_tasks = [] } in
-      default_sets := (sys, ps) :: !default_sets;
-      ps
+let default_pset (sys : Sched.t) = sys.default_pset
 
 let pset_create (sys : Sched.t) ~name =
   Ktext.exec sys.ktext [ Ktext.sync_fast ];

@@ -1,9 +1,9 @@
 (** Hosts and processor sets (inherited from Mach 3.0).
 
-    The simulation is uniprocessor, but the interfaces — host info,
-    default processor set, set creation and task assignment — are kept so
-    that the system inventory and the scheduler-facing API match the
-    paper's component list. *)
+    Host info, the default processor set, set creation and task
+    assignment are kept so that the system inventory and the
+    scheduler-facing API match the paper's component list.  Each booted
+    system has its own default set. *)
 
 open Ktypes
 

@@ -21,12 +21,6 @@ let device_mapped task region =
     (fun e -> e.ent_start = region.Machine.Layout.base)
     task.vm.entries
 
-let attach_kernel_handler t ~line ~name f =
-  let sys = t.sys in
-  Machine.Irq.register sys.machine.Machine.irq ~line ~name (fun () ->
-      Ktext.exec sys.ktext [ Ktext.irq_entry ];
-      f ())
-
 let next_interrupt t ~line =
   let th = Sched.self () in
   match Hashtbl.find_opt t.tbl line with

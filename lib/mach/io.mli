@@ -17,11 +17,6 @@ val map_device_memory : t -> task -> Machine.Layout.region -> unit
 
 val device_mapped : task -> Machine.Layout.region -> bool
 
-val attach_kernel_handler :
-  t -> line:int -> name:string -> (unit -> unit) -> unit
-(** In-kernel interrupt handler: charges the interrupt-entry path, then
-    runs the handler in interrupt context. *)
-
 val attach_user_handler : t -> line:int -> name:string -> unit
 (** User-level driver model: interrupts on [line] are reflected out of
     the kernel (entry + reflection cost) and wake whichever driver thread

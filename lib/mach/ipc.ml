@@ -268,5 +268,3 @@ let serve (sys : Sched.t) port handler =
               loop ())
   in
   loop ()
-
-let queued port = Queue.length port.msg_queue

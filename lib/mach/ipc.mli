@@ -58,5 +58,3 @@ val serve : Sched.t -> port -> (message -> message_builder) -> unit
     error — are absorbed and the loop keeps going.  Honours the
     system's fault plan: an injected crash abandons the request in hand
     and destroys the service port. *)
-
-val queued : port -> int

@@ -1,4 +1,3 @@
-open Ktypes
 
 type t = {
   machine : Machine.t;
@@ -22,12 +21,3 @@ let task_create t ~name ?personality ?text_bytes ?data_bytes () =
 let thread_spawn t task ~name ?affinity ?bound body =
   Sched.thread_spawn t.sys task ~name ?affinity ?bound body
 let tasks t = List.rev t.sys.Sched.tasks
-
-let pp_tasks ppf t =
-  let pp_task ppf task =
-    Format.fprintf ppf "task %-24s personality=%-6s threads=%d entries=%d"
-      task.task_name task.personality
-      (List.length task.threads)
-      (Vm.entry_count task)
-  in
-  Format.fprintf ppf "@[<v>%a@]" (Format.pp_print_list pp_task) (tasks t)

@@ -28,6 +28,3 @@ val thread_spawn :
   (unit -> unit) -> thread
 
 val tasks : t -> task list
-
-val pp_tasks : Format.formatter -> t -> unit
-(** One line per task: name, personality, threads, memory. *)

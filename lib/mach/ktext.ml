@@ -102,14 +102,11 @@ let set_checks t chk =
 
 let machine t = t.machine
 let text t = t.text
-let ipc_text t = t.ipc_text
 let data t = t.data
 
 let chunk ?(region = `Core) ~offset ~bytes ?(loads = []) ?(stores = []) () =
   { ck_region = region; ck_offset = offset; ck_bytes = bytes;
     ck_loads = loads; ck_stores = stores }
-
-let chunk_bytes c = c.ck_bytes
 
 (* --- Chunk table ------------------------------------------------------ *)
 (* Offsets are within the owning text region; the core region and the
@@ -250,11 +247,6 @@ let fault_inject =
 
 (* The copy loop: one fetch of the loop body per 32-byte line moved. *)
 let copy_loop = chunk ~offset:0x2300 ~bytes:32 ()
-
-(* The user-level system-call stub shape (lives in each task's text; the
-   offset here is within *that* region). *)
-let user_stub =
-  chunk ~offset:0x0100 ~bytes:128 ~stores:[ (Frame 512, 64) ] ()
 
 (* --- Mach 3.0 mach_msg path (the code the rework deleted) ------------- *)
 (* Substantially larger text, heavier queue manipulation, and reply-port

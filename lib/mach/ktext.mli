@@ -27,9 +27,6 @@ val machine : t -> Machine.t
 val text : t -> Machine.Layout.region
 (** Core kernel text. *)
 
-val ipc_text : t -> Machine.Layout.region
-(** The Mach 3.0 [mach_msg] code. *)
-
 val data : t -> Machine.Layout.region
 (** Kernel data structures. *)
 
@@ -89,13 +86,7 @@ val buffer_stats : t -> buffer_stats
 val buffer_region : t -> Machine.Layout.region
 (** The [kernel.msg-buffers] region itself (bounds checking in tests). *)
 
-val chunk_bytes : chunk -> int
-
 (** {1 Trap path} *)
-
-val user_stub : chunk
-(** The user-level system call stub; fetched from the *caller's* text
-    region, see {!exec_in}. *)
 
 val trap_entry : chunk
 val syscall_dispatch : chunk

@@ -114,7 +114,6 @@ and task = {
   text : Machine.Layout.region;
   data : Machine.Layout.region;
   mutable libraries : (string * Machine.Layout.region) list;
-  mutable task_self : port option;
   mutable halted : bool;
   mutable personality : string;  (* informational: which OS owns it *)
 }
@@ -208,7 +207,6 @@ and vm_object = {
   mutable obj_backing : backing_store option;
   mutable obj_shadow_of : vm_object option;  (* COW source *)
   mutable obj_tag : string;  (* diagnostic: who owns this memory *)
-  mutable obj_unmap_hook : (unit -> unit) option;
       (* run when the last mapping of this object is torn down; the file
          server uses it to unpin cache pages it has mapped out *)
 }
@@ -231,6 +229,9 @@ and backing_store = {
          available and calls [k] when the (simulated) I/O completes. *)
   bs_page_out : vm_object -> int -> (unit -> unit) -> unit;
 }
+
+(* A Mach processor set: a named group of tasks (see [Host]). *)
+type processor_set = { ps_name : string; mutable ps_tasks : task list }
 
 type message_builder = {
   mb_op : int;

@@ -120,7 +120,7 @@ let copy_request (sys : Sched.t) port client (mb : message_builder) =
         mb.mb_ool
   | None -> []
 
-let call (sys : Sched.t) port ?reply_bytes:_ ?deadline ?(commutes = false)
+let call (sys : Sched.t) port ?deadline ?(commutes = false)
     (mb : message_builder) =
   let th = Sched.self () in
   let client = th.t_task in
@@ -387,7 +387,6 @@ let serve (sys : Sched.t) ?beat port handler =
   in
   next ()
 
-let waiting_servers port = Queue.length port.waiting_servers
 let pending_calls port = port.npending
 let served_local port = port.served_local
 let served_crossed port = port.served_crossed

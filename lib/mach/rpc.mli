@@ -22,11 +22,10 @@
 open Ktypes
 
 val call :
-  Sched.t -> port -> ?reply_bytes:int -> ?deadline:int -> ?commutes:bool ->
+  Sched.t -> port -> ?deadline:int -> ?commutes:bool ->
   message_builder -> (message, kern_return) result
 (** Synchronous call from the current thread: request crosses with one
-    physical copy, the caller blocks, the reply (of [reply_bytes] inline
-    size, default whatever the server builds) crosses back with one
+    physical copy, the caller blocks, the reply crosses back with one
     copy.  With [deadline] the call is abandoned after that many cycles
     ([Error Kern_timed_out]); an abandoned exchange is marked so a
     server that later picks it up neither processes it nor wakes the
@@ -53,12 +52,6 @@ val next_call : port -> thread -> rpc_exchange option
 val reply : Sched.t -> rpc_exchange -> message_builder -> unit
 (** Complete an exchange: copy the reply to the client and wake it. *)
 
-val reply_receive :
-  Sched.t -> rpc_exchange -> message_builder -> port ->
-  (rpc_exchange, kern_return) result
-(** Reply to one exchange and receive the next in a single kernel entry —
-    the primitive a synchronous-handoff server loop runs on. *)
-
 val serve :
   Sched.t -> ?beat:Health.beat -> port -> (message -> message_builder) -> unit
 (** Simple server loop: receive, handle, reply, forever — exiting only
@@ -73,7 +66,6 @@ val serve :
     supervisor's watchdog.  The calling thread registers as one of the
     port's serve threads, whose home CPUs the dequeue rule consults. *)
 
-val waiting_servers : port -> int
 val pending_calls : port -> int
 
 val served_local : port -> int

@@ -2,7 +2,7 @@ open Ktypes
 
 (* Cross-CPU scheduler messages, after DragonFly BSD's LWKT discipline:
    per-CPU scheduling state is owned by its CPU, and every cross-CPU
-   mutation — wakeup, migration, teardown — travels as an asynchronous
+   mutation (a wakeup or a teardown) travels as an asynchronous
    message on the target CPU's queue, delivered when that CPU next runs
    its dispatcher.  An IPI is raised only on the queue's empty->nonempty
    transition, so bursts of messages share one interrupt.  A message
@@ -12,7 +12,6 @@ open Ktypes
    flight. *)
 type xmsg =
   | X_wake of { xth : thread; xresult : kern_return; sent_at : float }
-  | X_migrate of { xth : thread; sent_at : float }
   | X_teardown of { xtid : int; sent_at : float }
 
 type percpu = {
@@ -38,6 +37,7 @@ type t = {
   mutable next_obj_id : int;
   mutable next_map_id : int;
   mutable tasks : task list;
+  default_pset : processor_set;  (* this system's default processor set *)
   mutable vnext : int;
   mutable page_limit : int;
   mutable pages_resident : int;
@@ -46,8 +46,6 @@ type t = {
   mutable switches : int;
   mutable charge_switches : bool;
   mutable fault_count : int;
-  mutable pagein_count : int;
-  mutable pageout_count : int;
   mutable reply_cache_hits : int;  (* Ipc.call reused the cached port *)
   mutable reply_cache_misses : int;  (* Ipc.call had to allocate one *)
   mutable faults : Fault.t option;  (* fault-injection plan, None = off *)
@@ -92,6 +90,7 @@ let create machine ktext =
     next_obj_id = 1;
     next_map_id = 1;
     tasks = [];
+    default_pset = { ps_name = "default"; ps_tasks = [] };
     vnext = 0x4000_0000;
     page_limit = (total - used) / page_size;
     pages_resident = 0;
@@ -100,8 +99,6 @@ let create machine ktext =
     switches = 0;
     charge_switches = true;
     fault_count = 0;
-    pagein_count = 0;
-    pageout_count = 0;
     reply_cache_hits = 0;
     reply_cache_misses = 0;
     faults = None;
@@ -144,7 +141,6 @@ let task_create t ~name ?(personality = "pn") ?(text_bytes = 16 * 1024)
       text;
       data;
       libraries = [];
-      task_self = None;
       halted = false;
       personality;
     }
@@ -196,9 +192,7 @@ let block reason = Effect.perform (E_block reason)
 let yield () = Effect.perform E_yield
 
 let sent_at = function
-  | X_wake { sent_at; _ } | X_migrate { sent_at; _ } | X_teardown { sent_at; _ }
-    ->
-      sent_at
+  | X_wake { sent_at; _ } | X_teardown { sent_at; _ } -> sent_at
 
 (* Post a message on [target]'s queue; ring the doorbell only when the
    queue was empty (LWKT batching: one IPI covers a burst). *)
@@ -210,8 +204,7 @@ let post_xmsg t ~target msg =
   if was_empty then Machine.ipi t.machine ~target
 
 (* A thread became runnable at [now]: it may not run earlier, nor
-   earlier than it last stopped (a blocked thread re-homed by [migrate]
-   can be woken on a CPU still behind its old one). *)
+   earlier than it last stopped. *)
 let stamp_ready th now = if now > th.ready_at then th.ready_at <- now
 
 let wake t ?(result = Kern_success) th =
@@ -382,25 +375,6 @@ let task_halt t task =
           : int);
       Hashtbl.reset task.namespace
 
-(* Move a thread to another CPU's run queue.  A running thread migrates
-   itself at its next reschedule point; a blocked thread simply re-homes
-   (its eventual wake routes to the new CPU); a runnable thread leaves
-   its old queue now and arrives by message.  Bound threads never
-   move. *)
-let migrate t th ~cpu =
-  if cpu < 0 || cpu >= Array.length t.percpu then
-    invalid_arg "Sched.migrate: no such CPU";
-  if cpu <> th.affinity && not th.bound then
-    match th.state with
-    | Th_terminated -> ()
-    | Th_running | Th_blocked _ -> th.affinity <- cpu
-    | Th_runnable ->
-        dequeue_waiter th t.percpu.(th.affinity).pc_runq;
-        th.affinity <- cpu;
-        post_xmsg t ~target:cpu
-          (X_migrate
-             { xth = th; sent_at = Machine.Cpu.now_exact t.machine.Machine.cpu })
-
 let charge_dispatch t (pc : percpu) th =
   if t.charge_switches then begin
     let k = t.ktext in
@@ -447,13 +421,12 @@ let handler t th : (unit, unit) Effect.Deep.handler =
               (fun (k : (a, unit) Effect.Deep.continuation) ->
                 th.state <- Th_runnable;
                 th.cont <- Paused_unit k;
-                (* a self-migrated thread deschedules onto its new CPU *)
                 Queue.add th t.percpu.(th.affinity).pc_runq)
         | _ -> None);
   }
 
 (* Dispatch [th] on CPU [i].  A CPU behind the thread's ready stamp (a
-   thief that stole it, a CPU it migrated to) first idles up to the
+   thief that stole it) first idles up to the
    stamp: the thread cannot run before it became runnable.  A dispatch
    that leaves the clock where it was (switch charging off, a zero-cost
    yield) could otherwise spin forever on a wake held for this CPU, so
@@ -503,18 +476,12 @@ let[@machlint.no_block] deliver t pc cpu msg =
           xth.wake_result <- xresult;
           xth.state <- Th_runnable;
           stamp_ready xth (Machine.Cpu.now_exact cpu);
-          (* enqueue where the thread is homed *now*: a migration
-             during flight redirects the delivery *)
           Queue.add xth t.percpu.(xth.affinity).pc_runq;
           (match t.checks with
           | None -> ()
           | Some c ->
               Check.remote_wake_delivered c ~space:t.check_space ~tid:xth.tid)
       | Th_runnable | Th_running | Th_terminated -> ())
-  | X_migrate { xth; _ } -> (
-      match xth.state with
-      | Th_runnable -> enqueue_waiter xth t.percpu.(xth.affinity).pc_runq
-      | Th_blocked _ | Th_running | Th_terminated -> ())
   | X_teardown _ -> ()  (* reap accounting only: the decode is the cost *)
 
 (* Deliver CPU [i]'s messages that have arrived: those stamped at or
@@ -698,14 +665,6 @@ let run_until t pred =
       | None -> if next_event t then loop () else pred ()
   in
   loop ()
-
-let alive_threads t =
-  List.fold_left
-    (fun acc task ->
-      acc
-      + List.length
-          (List.filter (fun th -> th.state <> Th_terminated) task.threads))
-    0 t.tasks
 
 let total_steals t =
   Array.fold_left (fun acc pc -> acc + pc.pc_steals) 0 t.percpu

@@ -10,7 +10,7 @@
     On a multi-CPU machine ([Config.ncpus] > 1) every CPU owns a run
     queue and a message queue, after DragonFly BSD's LWKT design: only
     the owning CPU mutates a thread's scheduling state, and cross-CPU
-    wakeups, migrations and teardowns travel as asynchronous messages
+    wakeups and teardowns travel as asynchronous messages
     (one IPI per empty->nonempty queue transition), each stamped with
     the sender's clock.  The target takes a message at its first
     dispatch whose clock has reached the stamp: a busy CPU keeps running
@@ -35,7 +35,6 @@ open Ktypes
 (** Cross-CPU scheduler message (exposed for tests/diagnosis). *)
 type xmsg =
   | X_wake of { xth : thread; xresult : kern_return; sent_at : float }
-  | X_migrate of { xth : thread; sent_at : float }
   | X_teardown of { xtid : int; sent_at : float }
 
 type percpu = {
@@ -61,6 +60,7 @@ type t = {
   mutable next_obj_id : int;
   mutable next_map_id : int;
   mutable tasks : task list;
+  default_pset : processor_set;  (* this system's default processor set *)
   mutable vnext : int;  (* next free virtual address *)
   mutable page_limit : int;  (* physical frames available for paging *)
   mutable pages_resident : int;
@@ -69,8 +69,6 @@ type t = {
   mutable switches : int;
   mutable charge_switches : bool;
   mutable fault_count : int;
-  mutable pagein_count : int;
-  mutable pageout_count : int;
   mutable reply_cache_hits : int;  (* Ipc.call reused the cached port *)
   mutable reply_cache_misses : int;  (* Ipc.call had to allocate one *)
   mutable faults : Fault.t option;  (* fault-injection plan, None = off *)
@@ -137,17 +135,6 @@ val await : t -> string -> (('a -> unit) -> unit) -> 'a
     @raise Failure outside a thread if the event queue empties before
     [k] has run (the message names [reason]). *)
 
-val migrate : t -> thread -> cpu:int -> unit
-(** Re-home a thread on another CPU.  Runnable threads leave their old
-    queue immediately and arrive by [X_migrate] message; blocked and
-    running threads simply change affinity (taking effect at the next
-    wake or reschedule point).  Bound threads never move. *)
-
-val enqueue_waiter : thread -> thread Queue.t -> unit
-(** Add the thread to a wait queue unless it is already present — a
-    spuriously woken waiter (timeout, fault injection) may still be
-    queued, and duplicating it would distort queue accounting. *)
-
 val dequeue_waiter : thread -> thread Queue.t -> unit
 (** Remove every entry for the thread from a wait queue (used when a
     blocked operation gives up, so a later wake cannot target it). *)
@@ -189,8 +176,6 @@ val run : t -> unit
 val run_until : t -> (unit -> bool) -> bool
 (** Like {!run} but stops early once the predicate holds between
     dispatches; returns whether the predicate held. *)
-
-val alive_threads : t -> int
 
 val total_steals : t -> int
 (** Work-stealing grabs performed by idle CPUs, summed over CPUs. *)

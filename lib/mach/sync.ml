@@ -90,8 +90,6 @@ let mutex_unlock (sys : Sched.t) m =
   | Some _ | None -> raise (Kern_error Kern_invalid_argument));
   semaphore_signal sys m.m_sem
 
-let mutex_locked m = Option.is_some m.m_owner
-
 let event_create (sys : Sched.t) ~name =
   Ktext.exec sys.ktext [ Ktext.sync_fast ];
   { e_id = fresh_sync_id (); e_name = name; e_waiters = Queue.create () }
@@ -116,6 +114,3 @@ let event_broadcast (sys : Sched.t) e =
       done)
 
 let event_waiters e = Queue.length e.e_waiters
-
-let uncontended_cost (sys : Sched.t) =
-  Ktext.exec sys.ktext [ Ktext.sync_fast ]

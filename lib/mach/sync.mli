@@ -33,8 +33,6 @@ val mutex_unlock : Sched.t -> mutex -> unit
 (** @raise Kern_error [Kern_invalid_argument] when unlocked by a thread
     that does not hold it. *)
 
-val mutex_locked : mutex -> bool
-
 val event_create : Sched.t -> name:string -> event
 val event_wait : Sched.t -> event -> kern_return
 (** Block until the next signal/broadcast (no memory of past signals). *)
@@ -42,7 +40,3 @@ val event_wait : Sched.t -> event -> kern_return
 val event_signal : Sched.t -> event -> unit
 val event_broadcast : Sched.t -> event -> unit
 val event_waiters : event -> int
-
-val uncontended_cost : Sched.t -> unit
-(** Charge just the fast path (used by the memory-based user-level
-    synchronizers when no kernel interaction is needed). *)

@@ -19,11 +19,3 @@ let service (sys : Sched.t) ?(work = fun () -> ()) () =
   enter sys th [ Ktext.syscall_dispatch; Ktext.generic_service ];
   work ();
   leave sys th
-
-let task_self_port (sys : Sched.t) task =
-  match task.task_self with
-  | Some p -> p
-  | None ->
-      let p = Port.allocate sys ~receiver:task ~name:(task.task_name ^ ".self") in
-      task.task_self <- Some p;
-      p

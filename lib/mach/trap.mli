@@ -22,6 +22,3 @@ val thread_self : Sched.t -> thread
 val service : Sched.t -> ?work:(unit -> unit) -> unit -> unit
 (** A generic trap into the kernel running [work] (cost of the service
     body itself) between entry and exit. *)
-
-val task_self_port : Sched.t -> task -> port
-(** The task's self port, created on first use. *)

@@ -1,12 +1,5 @@
 open Ktypes
 
-let null_backing =
-  {
-    bs_name = "null";
-    bs_page_in = (fun _ _ k -> k ());
-    bs_page_out = (fun _ _ k -> k ());
-  }
-
 let set_default_backing (sys : Sched.t) bs = sys.default_backing <- Some bs
 
 let object_create (sys : Sched.t) ?backing ?(tag = "anon") ~bytes () =
@@ -18,7 +11,6 @@ let object_create (sys : Sched.t) ?backing ?(tag = "anon") ~bytes () =
       obj_backing = backing;
       obj_shadow_of = None;
       obj_tag = tag;
-      obj_unmap_hook = None;
     }
   in
   sys.next_obj_id <- sys.next_obj_id + 1;
@@ -78,7 +70,6 @@ let rec evict_one (sys : Sched.t) =
           if p.pg_dirty then begin
             p.pg_dirty <- false;
             p.pg_written_back <- true;
-            sys.pageout_count <- sys.pageout_count + 1;
             match backing_of sys obj with
             | Some bs -> bs.bs_page_out obj idx (fun () -> ())
             | None -> ()
@@ -95,7 +86,6 @@ let zero_fill_cost (sys : Sched.t) addr =
   Machine.execute sys.machine (build 0 [])
 
 let page_in (sys : Sched.t) obj idx =
-  sys.pagein_count <- sys.pagein_count + 1;
   match backing_of sys obj with
   | None -> ()
   | Some bs -> Sched.await sys "page-in" (bs.bs_page_in obj idx)
@@ -288,13 +278,8 @@ let deallocate (sys : Sched.t) task ~addr =
   | Some entry ->
       Ktext.exec sys.ktext [ Ktext.vm_map_enter ];
       (* the range is leaving this map: any moved-out bookkeeping for it
-         is now moot, and a mapped-out object tells its owner *)
+         is now moot *)
       Mcheck.remap_clear sys task ~addr:entry.ent_start ~bytes:entry.ent_size;
-      (match entry.ent_obj.obj_unmap_hook with
-      | Some hook ->
-          entry.ent_obj.obj_unmap_hook <- None;
-          hook ()
-      | None -> ());
       (* only unshared anonymous entries release pages; coerced/shared
          objects stay resident for their other mappings *)
       if not entry.ent_coerced then release_entry_pages sys entry;
@@ -339,7 +324,6 @@ let shadow_object (sys : Sched.t) orig ~tag =
       obj_backing = None;
       obj_shadow_of = Some orig;
       obj_tag = tag;
-      obj_unmap_hook = None;
     }
   in
   sys.next_obj_id <- sys.next_obj_id + 1;
@@ -502,8 +486,6 @@ let remap_cow (sys : Sched.t) ~src_task ~addr ~bytes ~dst_task =
   shootdown sys ~addr ~bytes;
   dst_addr
 
-let set_unmap_hook obj hook = obj.obj_unmap_hook <- Some hook
-
 (* --- Page stamps -------------------------------------------------------- *)
 (* The simulator carries no real memory contents; a one-word stamp per
    page stands in for them so transfer correctness (COW isolation,
@@ -550,5 +532,3 @@ let committed_bytes task =
 let entry_count task = List.length task.vm.entries
 
 let page_faults (sys : Sched.t) = sys.fault_count
-let page_ins (sys : Sched.t) = sys.pagein_count
-let page_outs (sys : Sched.t) = sys.pageout_count

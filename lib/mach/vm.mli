@@ -71,12 +71,6 @@ val remap_cow :
     page and can never be observed by the other.  Same cost shape and
     alignment requirements as {!remap_move}. *)
 
-val set_unmap_hook : vm_object -> (unit -> unit) -> unit
-(** Arrange for [hook] to run when a mapping of this object is torn down
-    by {!deallocate} (used by the file server to unpin cache pages that
-    are mapped out to a client).  One-shot: the hook is cleared before
-    it runs. *)
-
 val write_stamp : Sched.t -> task -> addr:int -> int -> unit
 val read_stamp : Sched.t -> task -> addr:int -> int
 (** Page-content stamps: the simulator carries no real bytes, so a
@@ -95,10 +89,5 @@ val entry_count : task -> int
 
 val set_default_backing : Sched.t -> backing_store -> unit
 
-val null_backing : backing_store
-(** A backing store with no latency and no effect — for unit tests. *)
-
 val page_faults : Sched.t -> int
-val page_ins : Sched.t -> int
-val page_outs : Sched.t -> int
-(** Counters since boot (stored globally per scheduler). *)
+(** Page faults since boot (stored per scheduler). *)

@@ -36,7 +36,6 @@ type t = {
   occupied : (int, float) Hashtbl.t;  (* window index -> bus cycles booked *)
   writers : (int, int) Hashtbl.t;  (* line address -> last-writing cpu *)
   mutable transactions : int;
-  mutable contended : int;  (* transactions that found the bus busy *)
 }
 
 let create ~ncpus =
@@ -46,12 +45,10 @@ let create ~ncpus =
     occupied = Hashtbl.create (if ncpus > 1 then 1024 else 1);
     writers = Hashtbl.create (if ncpus > 1 then 4096 else 1);
     transactions = 0;
-    contended = 0;
   }
 
 let ncpus t = t.ncpus
 let transactions t = t.transactions
-let contended t = t.contended
 
 (* Book [bus_cycles] of demand into the window holding [now] (the
    requesting CPU's clock); returns the stall the CPU must absorb.
@@ -72,7 +69,6 @@ let acquire t ~now ~bus_cycles =
     let stall =
       Float.max 0. (before +. c -. window) -. Float.max 0. (before -. window)
     in
-    if stall > 0. then t.contended <- t.contended + 1;
     stall
   end
 
@@ -97,5 +93,4 @@ let note_access t ~cpu ~line ~write =
 let reset t =
   Hashtbl.reset t.occupied;
   Hashtbl.reset t.writers;
-  t.transactions <- 0;
-  t.contended <- 0
+  t.transactions <- 0

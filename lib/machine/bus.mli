@@ -34,8 +34,5 @@ val note_access : t -> cpu:int -> line:int -> write:bool -> bool
 val transactions : t -> int
 (** Bus transactions arbitrated (multi-CPU machines only). *)
 
-val contended : t -> int
-(** Transactions that found the bus busy and stalled. *)
-
 val reset : t -> unit
 (** Forget reservations and ownership (cold-start measurement aid). *)

@@ -25,9 +25,6 @@ let config t = t.config
 let id t = t.id
 let bus t = t.bus
 let perf t = t.perf
-let icache t = t.icache
-let dcache t = t.dcache
-let tlb t = t.tlb
 
 (* The clock accumulates in float so sub-cycle charges (the 0.5-cycle
    store penalty) are never lost; reads round to nearest rather than
@@ -146,7 +143,6 @@ let store t ~addr ~bytes =
    [invlpg]; deliberately independent of the bytes remapped. *)
 let tlb_shootdown t ~addr ~pages =
   let c = t.config in
-  Perf.tlb_shootdown t.perf;
   charge t (float_of_int c.address_space_switch_cycles);
   for p = 0 to pages - 1 do
     Tlb.invalidate t.tlb (addr + (p * c.page_size));
@@ -178,8 +174,3 @@ let execute t fp = List.iter (execute_item t) fp
 let advance_to t time =
   let time = float_of_int time in
   if time > t.clock then t.clock <- time
-
-let flush_caches t =
-  Cache.flush t.icache;
-  Cache.flush t.dcache;
-  Tlb.flush t.tlb

@@ -16,9 +16,6 @@ val config : t -> Config.t
 val id : t -> int
 val bus : t -> Bus.t
 val perf : t -> Perf.t
-val icache : t -> Cache.t
-val dcache : t -> Cache.t
-val tlb : t -> Tlb.t
 
 val now : t -> int
 (** Current time in cycles, rounded to nearest.  The clock itself
@@ -49,6 +46,3 @@ val tlb_shootdown : t -> addr:int -> pages:int -> unit
 val advance_to : t -> int -> unit
 (** Idle (no instructions, no bus traffic) until the given cycle time.
     A no-op if the time is in the past. *)
-
-val flush_caches : t -> unit
-(** Invalidate I-cache, D-cache and TLB (cold-start measurement aid). *)

@@ -37,14 +37,6 @@ let copy ~src ~dst ~bytes =
   in
   loop 0 []
 
-let touch_region (r : Layout.region) =
-  let page = 4096 in
-  let rec loop off acc =
-    if off >= r.size then List.rev acc
-    else loop (off + page) (Load { addr = r.base + off; bytes = 4 } :: acc)
-  in
-  loop 0 []
-
 (* Machine-state accounting: the bytes of hardware bookkeeping state the
    simulated machine itself carries.  Caches and TLBs are per-CPU
    structures, so an SMP machine multiplies them by [ncpus] — a density

@@ -47,9 +47,6 @@ val copy : src:int -> dst:int -> bytes:int -> t
     cache-line-sized chunks (the physical-copy primitive of the IBM RPC
     path). *)
 
-val touch_region : Layout.region -> t
-(** Load one word from every page of a region (fault-in / warm-up). *)
-
 val code_bytes : t -> int
 (** Total fetched bytes in the footprint. *)
 

@@ -16,7 +16,6 @@ let create cpu layout ~width ~height =
 
 let region t = t.region
 let width t = t.width
-let height t = t.height
 
 let check t ~x ~y =
   if x < 0 || y < 0 || x >= t.width || y >= t.height then

@@ -12,7 +12,6 @@ val create : Cpu.t -> Layout.t -> width:int -> height:int -> t
 
 val region : t -> Layout.region
 val width : t -> int
-val height : t -> int
 
 val fill_rect : t -> x:int -> y:int -> w:int -> h:int -> pixel:char -> unit
 (** Executes the uncached stores for the rectangle and records the pixels

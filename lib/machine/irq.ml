@@ -33,9 +33,5 @@ let raise_line t line =
   | Some e -> e.handler ()
   | None -> t.spurious <- t.spurious + 1
 
-let handler_name t ~line =
-  check_line t line;
-  Option.map (fun e -> e.name) t.table.(line)
-
 let spurious t = t.spurious
 let lines t = Array.length t.table

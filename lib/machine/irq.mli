@@ -20,6 +20,5 @@ val raise_line : t -> int -> unit
     counters.  A raise on an unhandled line counts as spurious and is
     otherwise ignored. *)
 
-val handler_name : t -> line:int -> string option
 val spurious : t -> int
 val lines : t -> int

@@ -25,9 +25,8 @@ type t = {
 }
 
 let disk_irq_line = 14
-let timer_irq_line = 0
 
-let create ?(disk_geometry = Disk.default_geometry) config =
+let create config =
   let bus = Bus.create ~ncpus:config.Config.ncpus in
   let cpus =
     Array.init config.Config.ncpus (fun id -> Cpu.create ~id ~bus config)
@@ -40,7 +39,8 @@ let create ?(disk_geometry = Disk.default_geometry) config =
      CPUs only through scheduler messages *)
   let irq = Irq.create cpu ~lines:16 in
   let disk =
-    Disk.create cpu events irq ~line:disk_irq_line ~name:"hd0" disk_geometry
+    Disk.create cpu events irq ~line:disk_irq_line ~name:"hd0"
+      Disk.default_geometry
   in
   let framebuffer = Framebuffer.create cpu layout ~width:640 ~height:480 in
   { config; cpu; cpus; bus; active = 0; layout; events; irq; disk; framebuffer }
@@ -93,10 +93,6 @@ let advance_to_next_event t =
       Cpu.advance_to t.cpu time;
       let (_ : int) = Event_queue.run_due t.events ~now:(Cpu.now t.cpu) in
       true
-
-let run_events t =
-  let (_ : int) = Event_queue.run_due t.events ~now:(Cpu.now t.cpu) in
-  ()
 
 let pp_inventory ppf t =
   Format.fprintf ppf "@[<v>machine: %a@ %a@]" Config.pp t.config

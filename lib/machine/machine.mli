@@ -49,9 +49,8 @@ type t = {
 }
 
 val disk_irq_line : int
-val timer_irq_line : int
 
-val create : ?disk_geometry:Disk.geometry -> Config.t -> t
+val create : Config.t -> t
 
 val ncpus : t -> int
 val nth_cpu : t -> int -> Cpu.t
@@ -82,9 +81,6 @@ val advance_to_next_event : t -> bool
     pending event and fire everything due (device events are delivered
     on the boot CPU).  Sets the active CPU to 0.  [false] when no event
     is pending (a deadlocked or finished system). *)
-
-val run_events : t -> unit
-(** Fire any events due at or before the current time. *)
 
 val pp_inventory : Format.formatter -> t -> unit
 (** Print the physical layout — the machine-level part of Figure 1. *)

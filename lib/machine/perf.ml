@@ -8,10 +8,9 @@ type t = {
   mutable dcache_misses : int;
   mutable tlb_misses : int;
   mutable address_space_switches : int;
-  mutable tlb_shootdowns : int;
   mutable interrupts : int;
-  (* SMP counters: kept outside [snapshot] (like [tlb_shootdowns]) so
-     single-CPU windowed measurements stay byte-identical to pre-SMP. *)
+  (* SMP counters: kept outside [snapshot] so single-CPU windowed
+     measurements stay byte-identical to pre-SMP. *)
   mutable coherence_misses : int;
   mutable bus_stall_cycles : float;
   mutable ipis_sent : int;
@@ -42,7 +41,6 @@ let create () : t =
     dcache_misses = 0;
     tlb_misses = 0;
     address_space_switches = 0;
-    tlb_shootdowns = 0;
     interrupts = 0;
     coherence_misses = 0;
     bus_stall_cycles = 0.;
@@ -80,9 +78,6 @@ let tlb_miss (t : t) = t.tlb_misses <- t.tlb_misses + 1
 
 let address_space_switch (t : t) =
   t.address_space_switches <- t.address_space_switches + 1
-
-let tlb_shootdown (t : t) = t.tlb_shootdowns <- t.tlb_shootdowns + 1
-let tlb_shootdowns (t : t) = t.tlb_shootdowns
 
 let coherence_miss (t : t) = t.coherence_misses <- t.coherence_misses + 1
 let coherence_misses (t : t) = t.coherence_misses

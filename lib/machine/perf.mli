@@ -35,19 +35,12 @@ val dcache_access : t -> hit:bool -> unit
 val tlb_miss : t -> unit
 val address_space_switch : t -> unit
 
-val tlb_shootdown : t -> unit
-(** Count one remap-driven TLB shootdown (IPI + invalidate round). *)
-
-val tlb_shootdowns : t -> int
-(** Shootdowns so far.  Kept outside {!snapshot} — the remap benches
-    read it directly rather than through window diffs. *)
-
 (** {2 SMP counters}
 
     Per-CPU coherence, bus-arbitration and inter-processor-interrupt
-    events.  Like {!tlb_shootdowns} they live outside {!snapshot}: the
-    SMP benches read them directly, and single-CPU snapshot diffs stay
-    byte-identical to the pre-SMP model. *)
+    events.  They live outside {!snapshot}: the SMP benches read them
+    directly, and single-CPU snapshot diffs stay byte-identical to the
+    pre-SMP model. *)
 
 val coherence_miss : t -> unit
 val coherence_misses : t -> int

@@ -90,9 +90,6 @@ let spawn_process t ~name body =
   ignore (Mach.Kernel.thread_spawn t.kernel task ~name body : Mach.Ktypes.thread);
   task
 
-let spawn_thread t task ~name body =
-  ignore (Mach.Kernel.thread_spawn t.kernel task ~name body : Mach.Ktypes.thread)
-
 let run t = Mach.Kernel.run t.kernel
 
 (* every system call traps; the service body then runs in-kernel *)
@@ -166,7 +163,6 @@ let sys_write t h data =
 
 let sys_seek t h ~pos = syscall t (fun () -> h.of_pos <- max 0 pos)
 
-let sys_stat t ~path = syscall t (fun () -> Fileserver.Vfs.stat t.vfs sem ~path)
 let sys_mkdir t ~path =
   syscall t (fun () ->
       Result.map (fun (_ : file_id) -> ()) (Fileserver.Vfs.mkdir t.vfs sem ~path))
@@ -175,8 +171,6 @@ let sys_readdir t ~path = syscall t (fun () -> Fileserver.Vfs.readdir t.vfs sem 
 let sys_unlink t ~path = syscall t (fun () -> Fileserver.Vfs.unlink t.vfs sem ~path)
 let sys_rename t ~src ~dst =
   syscall t (fun () -> Fileserver.Vfs.rename t.vfs sem ~src ~dst)
-
-let sys_sync t = syscall t (fun () -> Fileserver.Vfs.sync t.vfs)
 
 let sys_alloc t ~bytes =
   syscall t (fun () ->

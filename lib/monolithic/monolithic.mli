@@ -28,8 +28,6 @@ val spawn_process :
   t -> name:string -> (unit -> unit) -> Mach.Ktypes.task
 (** A process: one task, one initial thread running the body. *)
 
-val spawn_thread : t -> Mach.Ktypes.task -> name:string -> (unit -> unit) -> unit
-
 val run : t -> unit
 
 (** {1 System calls}
@@ -42,12 +40,10 @@ val sys_close : t -> handle -> unit
 val sys_read : t -> handle -> bytes:int -> (bytes, fs_error) result
 val sys_write : t -> handle -> bytes -> (int, fs_error) result
 val sys_seek : t -> handle -> pos:int -> unit
-val sys_stat : t -> path:string -> (stat, fs_error) result
 val sys_mkdir : t -> path:string -> (unit, fs_error) result
 val sys_readdir : t -> path:string -> (string list, fs_error) result
 val sys_unlink : t -> path:string -> (unit, fs_error) result
 val sys_rename : t -> src:string -> dst:string -> (unit, fs_error) result
-val sys_sync : t -> unit
 
 val sys_alloc : t -> bytes:int -> int
 (** Commitment-oriented allocation (OS/2 style: eager). *)

@@ -167,7 +167,6 @@ let registry_messages t = t.registry_msgs
 let cross_shard_accepts t = t.xshard_accepts
 let shard_delivered t = Array.map (fun sh -> sh.sh_delivered) t.shards
 let shard_batches t = Array.map (fun sh -> sh.sh_batches) t.shards
-let shard_backlog t = Array.map (fun sh -> Queue.length sh.sh_rx) t.shards
 let port_shard t ~port = shard_of_port t port
 
 let half_open t =

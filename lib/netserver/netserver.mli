@@ -182,11 +182,6 @@ val shard_delivered : t -> int array
 val shard_batches : t -> int array
 (** Netisr drain activations per shard (delivered/batches = batching). *)
 
-val shard_backlog : t -> int array
-(** Current rx-ring occupancy per shard — what a NIC driver would read
-    to apply ring-full backpressure.  All zeros when [shard_count] is 1
-    (the single-loop path delivers synchronously, no ring). *)
-
 val port_shard : t -> port:int -> int
 (** Which shard the steering hash assigns [port]'s traffic to — the
     flow-to-netisr mapping a smart NIC or traffic generator would use

@@ -25,7 +25,6 @@ type t = {
   mvm_task : task;
   vdm_lib : Machine.Layout.region;  (* trap-handling shared libraries *)
   translator : Machine.Layout.region option;
-  mutable vdms : vdm list;
   mutable reflected : int;
 }
 
@@ -66,7 +65,6 @@ let start (kernel : Mach.Kernel.t) runtime ?file_server ~translate () =
         mvm_task;
         vdm_lib;
         translator;
-        vdms = [];
         reflected = 0;
       })
 
@@ -101,11 +99,7 @@ let create_vdm t ~name =
           v_hits = 0;
         }
       in
-      t.vdms <- v :: t.vdms;
       v)
-
-let vdm_task v = v.v_task
-let vdm_count t = List.length t.vdms
 
 let machine t = t.kernel.Mach.Kernel.machine
 

@@ -12,8 +12,6 @@
     DESIGN.md §5); they exercise the same structure: compute bursts, I/O
     port traps, INT 21h service calls and DPMI mode switches. *)
 
-open Mach.Ktypes
-
 type t
 type vdm
 
@@ -31,14 +29,9 @@ val start :
     active); [false] models native x86 execution. *)
 
 val create_vdm : t -> name:string -> vdm
-val vdm_task : vdm -> task
-val vdm_count : t -> int
 
 val spawn_program : t -> vdm -> name:string -> guest_op list -> unit
 (** Run the guest program on a fresh thread of the VDM task. *)
-
-val run_program : t -> vdm -> guest_op list -> unit
-(** Run from the current thread (must belong to the VDM's task). *)
 
 val guest_instructions : vdm -> int
 val blocks_translated : vdm -> int

@@ -106,7 +106,6 @@ let server_task t = t.os2_task
 let server_port t = t.os2_port
 let process_count t = List.length t.processes
 let process_task p = p.p_task
-let memory_of p = p.p_mem
 
 (* find the process record for a freshly created pid *)
 let find_pid t pid = List.find (fun p -> p.p_pid = pid) t.processes
@@ -178,15 +177,6 @@ let dos_sub_alloc t p ~bytes =
   charge_doscall t ~bytes:96 ();
   Os2_memory.dos_sub_alloc p.p_mem ~bytes
 
-let dos_create_thread t p ~name body =
-  charge_doscall t ();
-  Mach.Kernel.thread_spawn t.kernel p.p_task ~name body
-
-let dos_sleep t p ~cycles =
-  ignore p;
-  charge_doscall t ~bytes:96 ();
-  ignore (Mach.Clock.sleep_for t.kernel.Mach.Kernel.sys ~cycles : kern_return)
-
 let dos_exit t p =
   charge_doscall t ~bytes:96 ();
   match
@@ -198,5 +188,3 @@ let dos_exit t p =
       (* exit is best-effort: the server may already have torn us down *)
       ()
   | Ok _ | Error _ -> ()
-
-let doscalls_region t = t.doscalls

@@ -32,7 +32,6 @@ val create_process :
 
 val process_task : process -> task
 val process_count : t -> int
-val memory_of : process -> Os2_memory.t
 
 (** {1 Doscalls (the in-library API)} *)
 
@@ -55,12 +54,6 @@ val dos_delete :
 
 val dos_alloc_mem : t -> process -> bytes:int -> (int, kern_return) result
 val dos_sub_alloc : t -> process -> bytes:int -> (int, kern_return) result
-val dos_create_thread : t -> process -> name:string -> (unit -> unit) -> thread
-val dos_sleep : t -> process -> cycles:int -> unit
 val dos_exit : t -> process -> unit
 (** Terminate the process's task and drop it from the process table
     (an RPC to the server). *)
-
-val doscalls_region : t -> Machine.Layout.region
-(** The shared doscalls library text (one region, coerced into every
-    process). *)

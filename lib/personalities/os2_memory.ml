@@ -46,15 +46,6 @@ let dos_alloc_mem t ~bytes =
     Ok addr
   end
 
-let dos_free_mem t addr =
-  charge t;
-  match List.assoc_opt addr t.objects with
-  | None -> ()
-  | Some size ->
-      t.objects <- List.remove_assoc addr t.objects;
-      t.committed <- t.committed - size;
-      Mach.Vm.deallocate t.kernel.Mach.Kernel.sys t.task ~addr
-
 let fresh_arena t =
   match dos_alloc_mem t ~bytes:arena_bytes with
   | Error e -> Error e

@@ -17,8 +17,6 @@ val create : Mach.Kernel.t -> Mach.Ktypes.task -> t
 val dos_alloc_mem : t -> bytes:int -> (int, Mach.Ktypes.kern_return) result
 (** An OS/2 memory object: page-rounded and committed immediately. *)
 
-val dos_free_mem : t -> int -> unit
-
 val dos_sub_alloc : t -> bytes:int -> (int, Mach.Ktypes.kern_return) result
 (** Byte-granularity allocation inside a committed arena (grabbing a new
     arena when full). *)

@@ -41,8 +41,6 @@ let create (kernel : Mach.Kernel.t) os2 =
   in
   { kernel; os2; pmlib; shared_arena; window_count = 0; delivered = 0 }
 
-let pmlib_region t = t.pmlib
-
 let charge_pm t ?(bytes = 224) () =
   Mach.Ktext.exec_in t.kernel.Mach.Kernel.ktext t.pmlib ~offset:0x300 ~bytes
 
@@ -104,10 +102,6 @@ let win_get_msg t w =
   match Queue.take_opt w.w_queue with
   | Some m -> m
   | None -> { msg_code = 0; msg_param = 0 }  (* spurious wake *)
-
-let win_send_msg t w ~code ~param ~reply =
-  win_post_msg t w ~code ~param;
-  win_get_msg t reply
 
 let clip_dims w =
   (max 1 (min w.w_w (639 - w.w_x)), max 1 (min w.w_h (479 - w.w_y)))

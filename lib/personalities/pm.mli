@@ -15,8 +15,6 @@ type message = { msg_code : int; msg_param : int }
 
 val create : Mach.Kernel.t -> Os2.t -> t
 
-val pmlib_region : t -> Machine.Layout.region
-
 val win_create :
   t -> Os2.process -> x:int -> y:int -> w:int -> h:int -> window
 (** Allocates the window record in the coerced shared arena and maps the
@@ -28,10 +26,6 @@ val win_post_msg : t -> window -> code:int -> param:int -> unit
 
 val win_get_msg : t -> window -> message
 (** Block until a message arrives. *)
-
-val win_send_msg : t -> window -> code:int -> param:int -> reply:window -> message
-(** Synchronous send: post to [window], then wait on [reply] for the
-    answer (the receiving thread must post it). *)
 
 val gpi_fill : t -> window -> pixel:char -> unit
 (** Fill the window's rectangle: user-level compute plus direct frame

@@ -77,8 +77,6 @@ let launch t ~name entry =
       : thread);
   app
 
-let app_task a = a.a_task
-
 let file_write t app ~path data =
   Finegrain.invoke t.frameworks app.a_file_obj ~work_units:6;
   via_wrapper t;

@@ -34,8 +34,6 @@ val launch :
   t -> name:string -> (application -> unit) -> application
 (** Run a CommonPoint application (a task + framework objects). *)
 
-val app_task : application -> Mach.Ktypes.task
-
 val file_write :
   t -> application -> path:string -> bytes ->
   (int, Fileserver.Fs_types.fs_error) result

@@ -4,17 +4,13 @@
     run emits the same stamp, and re-running a workload with the checker
     toggled stays byte-identical. *)
 
-val git_rev : unit -> string
-(** The commit hash of HEAD, resolved by reading [.git] directly
-    (searching upward from the working directory); ["unknown"] outside a
-    work tree (e.g. the test sandbox). *)
-
-val timestamp : unit -> string
-(** UTC, [YYYY-MM-DDThh:mm:ssZ]; frozen at first use. *)
-
 val block : ?seed:int -> unit -> Bench_json.t
 (** The [{ "git_rev": ..., "seed": ..., "timestamp": ... }] object for a
-    ["run"] field.  [seed] defaults to 0 for unseeded workloads. *)
+    ["run"] field.  [git_rev] is HEAD's commit hash, read from [.git]
+    (searching upward from the working directory), or ["unknown"]
+    outside a work tree (e.g. the test sandbox); [timestamp] is UTC,
+    [YYYY-MM-DDThh:mm:ssZ], frozen at first use.  [seed] defaults to 0
+    for unseeded workloads. *)
 
 val json : ?seed:int -> unit -> string
 (** {!block} printed on one line, for writers that build text. *)

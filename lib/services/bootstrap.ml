@@ -13,7 +13,7 @@ type t = {
 let boot ?(naming = Full_naming) machine =
   let kernel = Mach.Kernel.boot machine in
   let runtime = Runtime.install kernel in
-  let pager = Default_pager.start kernel () in
+  let pager = Default_pager.start kernel in
   let name_service, simple_names =
     match naming with
     | Full_naming -> (Some (Name_service.start kernel runtime), None)

@@ -2,16 +2,17 @@ open Mach.Ktypes
 
 let blocks_per_page = page_size / 512
 
+(* the swap extent on the system disk *)
+let swap_start = 24576
+let swap_blocks = 16384
+
 type t = {
   kernel : Mach.Kernel.t;
   text : Machine.Layout.region;
-  swap_start : int;
-  swap_blocks : int;
   slots : (int * int, int) Hashtbl.t;  (* (obj_id, page idx) -> block *)
   mutable next_block : int;
   mutable pageins : int;
   mutable pageouts : int;
-  mutable wraps : int;
 }
 
 let charge t = Mach.Ktext.exec_in t.kernel.Mach.Kernel.ktext t.text ~offset:0x100 ~bytes:384
@@ -20,17 +21,14 @@ let slot_for t key =
   match Hashtbl.find_opt t.slots key with
   | Some b -> b
   | None ->
-      if t.next_block + blocks_per_page > t.swap_start + t.swap_blocks then begin
-        t.next_block <- t.swap_start;
-        t.wraps <- t.wraps + 1
-      end;
+      if t.next_block + blocks_per_page > swap_start + swap_blocks then
+        t.next_block <- swap_start;
       let b = t.next_block in
       t.next_block <- t.next_block + blocks_per_page;
       Hashtbl.replace t.slots key b;
       b
 
-let start (kernel : Mach.Kernel.t) ?(swap_blocks = 16384) ?(swap_start = 24576)
-    () =
+let start (kernel : Mach.Kernel.t) =
   let layout = kernel.Mach.Kernel.machine.Machine.layout in
   let text =
     match Machine.Layout.find layout "default-pager.text" with
@@ -43,13 +41,10 @@ let start (kernel : Mach.Kernel.t) ?(swap_blocks = 16384) ?(swap_start = 24576)
     {
       kernel;
       text;
-      swap_start;
-      swap_blocks;
       slots = Hashtbl.create 64;
       next_block = swap_start;
       pageins = 0;
       pageouts = 0;
-      wraps = 0;
     }
   in
   let disk = kernel.Mach.Kernel.machine.Machine.disk in
@@ -79,4 +74,3 @@ let start (kernel : Mach.Kernel.t) ?(swap_blocks = 16384) ?(swap_start = 24576)
 let pageins t = t.pageins
 let pageouts t = t.pageouts
 let swap_blocks_used t = Hashtbl.length t.slots * blocks_per_page
-let swap_full_events t = t.wraps

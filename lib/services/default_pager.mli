@@ -8,12 +8,10 @@
 
 type t
 
-val start : Mach.Kernel.t -> ?swap_blocks:int -> ?swap_start:int -> unit -> t
-(** Claims [swap_blocks] disk blocks from [swap_start] and installs the
-    backing store. *)
+val start : Mach.Kernel.t -> t
+(** Claims 16384 disk blocks from block 24576 and installs the backing
+    store. *)
 
 val pageins : t -> int
 val pageouts : t -> int
 val swap_blocks_used : t -> int
-val swap_full_events : t -> int
-(** Times the swap allocator wrapped (old slots reclaimed). *)

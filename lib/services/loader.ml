@@ -17,7 +17,6 @@ type t = {
   text : Machine.Layout.region;  (* the loader's own code *)
   mutable images : (string * image) list;
   mutable lib_regions : (string * Machine.Layout.region) list;
-  mutable loads : int;
 }
 
 let create (kernel : Mach.Kernel.t) runtime =
@@ -29,7 +28,7 @@ let create (kernel : Mach.Kernel.t) runtime =
         Machine.Layout.alloc layout ~name:"loader.text"
           ~kind:Machine.Layout.Code ~size:(16 * 1024)
   in
-  { kernel; runtime; text; images = []; lib_regions = []; loads = 0 }
+  { kernel; runtime; text; images = []; lib_regions = [] }
 
 let register t image =
   if List.mem_assoc image.img_name t.images then
@@ -90,7 +89,6 @@ let rec load_library t task name =
                 (* coerced: resolved once, when first materialised *)
                 if fresh then charge_symbols t (image.img_symbols / 4));
             task.libraries <- (name, region) :: task.libraries;
-            t.loads <- t.loads + 1;
             Ok region
       end
 
@@ -116,10 +114,8 @@ let load_program t task name ~entry =
               (Mach.Vm.allocate t.kernel.Mach.Kernel.sys task
                  ~bytes:image.img_data_bytes ()
                 : int);
-          t.loads <- t.loads + 1;
           Ok
             (Mach.Kernel.thread_spawn t.kernel task
                ~name:(name ^ ".main") entry))
 
 let libraries_of task = List.sort compare (List.map fst task.libraries)
-let loads_performed t = t.loads

@@ -47,4 +47,3 @@ val load_program :
     segment setup, and start a thread at [entry]. *)
 
 val libraries_of : task -> string list
-val loads_performed : t -> int

@@ -121,28 +121,24 @@ let list_children t ~path =
   | Some node ->
       List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) node.children [])
 
-let search t ?(root = "/") ~filter () =
-  match descend t.root (components root) with
-  | None -> []
-  | Some start ->
-      let prefix = String.concat "/" (components root) in
-      let results = ref [] in
-      let rec walk path node =
-        let e = entry_of path node in
-        if path <> "" && filter e then results := e :: !results;
-        let names =
-          List.sort compare
-            (Hashtbl.fold (fun k _ acc -> k :: acc) node.children [])
-        in
-        List.iter
-          (fun name ->
-            let child = Hashtbl.find node.children name in
-            let child_path = if path = "" then name else path ^ "/" ^ name in
-            walk child_path child)
-          names
-      in
-      walk prefix start;
-      List.rev !results
+(* Depth-first filtered search of the whole tree. *)
+let search t ~filter =
+  let results = ref [] in
+  let rec walk path node =
+    let e = entry_of path node in
+    if path <> "" && filter e then results := e :: !results;
+    let names =
+      List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) node.children [])
+    in
+    List.iter
+      (fun name ->
+        let child = Hashtbl.find node.children name in
+        let child_path = if path = "" then name else path ^ "/" ^ name in
+        walk child_path child)
+      names
+  in
+  walk "" t.root;
+  List.rev !results
 
 let search_attribute t ~key ~value =
   search t
@@ -150,7 +146,6 @@ let search_attribute t ~key ~value =
       match List.assoc_opt key e.attributes with
       | Some v -> v = value
       | None -> false)
-    ()
 
 let subscribe t ~prefix f = t.subscriptions <- (prefix, f) :: t.subscriptions
 let size t = t.count

@@ -40,10 +40,6 @@ val resolve_port : t -> path:string -> port option
 val list_children : t -> path:string -> string list
 (** Immediate child names, sorted. *)
 
-val search :
-  t -> ?root:string -> filter:(entry -> bool) -> unit -> entry list
-(** Depth-first filtered search of a subtree. *)
-
 val search_attribute : t -> key:string -> value:string -> entry list
 
 val subscribe : t -> prefix:string -> (change -> unit) -> unit

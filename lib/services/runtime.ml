@@ -85,14 +85,6 @@ let free t task addr =
 
 let heap_bytes_in_use t task = (heap_for t task).in_use
 
-let cthread_fork t task ~name body =
-  execute t ~offset:0x400 ~bytes:160 ();
-  Mach.Sched.thread_spawn t.kernel.Mach.Kernel.sys task ~name body
-
-let cthread_yield t =
-  execute t ~offset:0x400 ~bytes:48 ();
-  Mach.Sched.yield ()
-
 let umutex_create t ~name =
   {
     um_owner_lib = t;

@@ -34,11 +34,6 @@ val free : t -> task -> int -> unit
 
 val heap_bytes_in_use : t -> task -> int
 
-(** {1 C threads} *)
-
-val cthread_fork : t -> task -> name:string -> (unit -> unit) -> thread
-val cthread_yield : t -> unit
-
 (** {1 Memory-based synchronizers}
 
     Fast path entirely in user space; kernel involvement only under

@@ -1,5 +1,11 @@
-type handle = Obj.t
-type queue = Obj.t
+type handle = {
+  read : bytes:int -> int;
+  write : bytes:int -> int;
+  seek : pos:int -> unit;
+  close : unit -> unit;
+}
+
+type queue = { post : int -> unit; wait : unit -> int }
 
 type t = {
   api_name : string;
@@ -8,18 +14,12 @@ type t = {
   go : unit -> unit;
   root : string;
   f_open : path:string -> create:bool -> (handle, string) result;
-  f_read : handle -> bytes:int -> int;
-  f_write : handle -> bytes:int -> int;
-  f_seek : handle -> pos:int -> unit;
-  f_close : handle -> unit;
   f_unlink : path:string -> unit;
   alloc : bytes:int -> int;
   touch : addr:int -> write:bool -> bytes:int -> unit;
   compute : units:int -> unit;
   draw : x:int -> y:int -> w:int -> h:int -> unit;
   make_queue : name:string -> queue;
-  q_post : queue -> int -> unit;
-  q_wait : queue -> int;
   yield : unit -> unit;
 }
 
@@ -87,30 +87,34 @@ let of_wpos (w : Wpos.t) =
             Personalities.Os2.dos_open os2 (current_process ()) ~path ~create
               ()
           with
-          | Ok h -> Ok (Obj.repr h)
+          | Ok h ->
+              Ok
+                {
+                  read =
+                    (fun ~bytes ->
+                      match
+                        Personalities.Os2.dos_read os2 (current_process ()) h
+                          ~bytes
+                      with
+                      | Ok data -> Bytes.length data
+                      | Error _ -> 0);
+                  write =
+                    (fun ~bytes ->
+                      match
+                        Personalities.Os2.dos_write os2 (current_process ()) h
+                          (Bytes.make bytes 'w')
+                      with
+                      | Ok n -> n
+                      | Error _ -> 0);
+                  seek =
+                    (fun ~pos ->
+                      Fileserver.File_server.Client.seek w.Wpos.file_server h
+                        ~pos);
+                  close =
+                    (fun () ->
+                      Personalities.Os2.dos_close os2 (current_process ()) h);
+                }
           | Error e -> Error (fs_err e));
-      f_read =
-        (fun h ~bytes ->
-          match
-            Personalities.Os2.dos_read os2 (current_process ()) (Obj.obj h)
-              ~bytes
-          with
-          | Ok data -> Bytes.length data
-          | Error _ -> 0);
-      f_write =
-        (fun h ~bytes ->
-          match
-            Personalities.Os2.dos_write os2 (current_process ()) (Obj.obj h)
-              (Bytes.make bytes 'w')
-          with
-          | Ok n -> n
-          | Error _ -> 0);
-      f_seek =
-        (fun h ~pos ->
-          Fileserver.File_server.Client.seek w.Wpos.file_server (Obj.obj h)
-            ~pos);
-      f_close =
-        (fun h -> Personalities.Os2.dos_close os2 (current_process ()) (Obj.obj h));
       f_unlink =
         (fun ~path ->
           ignore
@@ -138,13 +142,14 @@ let of_wpos (w : Wpos.t) =
         (fun ~name ->
           ignore name;
           let p = current_process () in
-          Obj.repr (Personalities.Pm.win_create pm p ~x:0 ~y:0 ~w:64 ~h:64));
-      q_post =
-        (fun q v ->
-          Personalities.Pm.win_post_msg pm (Obj.obj q) ~code:v ~param:0);
-      q_wait =
-        (fun q ->
-          (Personalities.Pm.win_get_msg pm (Obj.obj q)).Personalities.Pm.msg_code);
+          let win = Personalities.Pm.win_create pm p ~x:0 ~y:0 ~w:64 ~h:64 in
+          {
+            post =
+              (fun v -> Personalities.Pm.win_post_msg pm win ~code:v ~param:0);
+            wait =
+              (fun () ->
+                (Personalities.Pm.win_get_msg pm win).Personalities.Pm.msg_code);
+          });
       yield = (fun () -> Mach.Sched.yield ());
     }
   in
@@ -155,9 +160,6 @@ let of_wpos (w : Wpos.t) =
 let of_monolithic (m : Monolithic.t) =
   let kernel = Monolithic.kernel m in
   let fb = (Monolithic.machine m).Machine.framebuffer in
-  let queues : (int, int Queue.t * Mach.Sync.semaphore) Hashtbl.t =
-    Hashtbl.create 8
-  in
   let next_q = ref 0 in
   let rec api =
     {
@@ -171,20 +173,23 @@ let of_monolithic (m : Monolithic.t) =
       f_open =
         (fun ~path ~create ->
           match Monolithic.sys_open m ~path ~create () with
-          | Ok h -> Ok (Obj.repr h)
+          | Ok h ->
+              Ok
+                {
+                  read =
+                    (fun ~bytes ->
+                      match Monolithic.sys_read m h ~bytes with
+                      | Ok data -> Bytes.length data
+                      | Error _ -> 0);
+                  write =
+                    (fun ~bytes ->
+                      match Monolithic.sys_write m h (Bytes.make bytes 'w') with
+                      | Ok n -> n
+                      | Error _ -> 0);
+                  seek = (fun ~pos -> Monolithic.sys_seek m h ~pos);
+                  close = (fun () -> Monolithic.sys_close m h);
+                }
           | Error e -> Error (fs_err e));
-      f_read =
-        (fun h ~bytes ->
-          match Monolithic.sys_read m (Obj.obj h) ~bytes with
-          | Ok data -> Bytes.length data
-          | Error _ -> 0);
-      f_write =
-        (fun h ~bytes ->
-          match Monolithic.sys_write m (Obj.obj h) (Bytes.make bytes 'w') with
-          | Ok n -> n
-          | Error _ -> 0);
-      f_seek = (fun h ~pos -> Monolithic.sys_seek m (Obj.obj h) ~pos);
-      f_close = (fun h -> Monolithic.sys_close m (Obj.obj h));
       f_unlink = (fun ~path -> ignore (Monolithic.sys_unlink m ~path));
       alloc = (fun ~bytes -> Monolithic.sys_alloc m ~bytes);
       touch =
@@ -206,21 +211,19 @@ let of_monolithic (m : Monolithic.t) =
               ~name:(Printf.sprintf "pmq%d" !next_q)
               ~value:0
           in
-          Hashtbl.replace queues !next_q (q, sem);
-          Obj.repr !next_q);
-      q_post =
-        (fun qr v ->
-          let q, sem = Hashtbl.find queues (Obj.obj qr) in
-          compute_in_current_task kernel ~units:2;
-          Queue.add v q;
-          Mach.Sync.semaphore_signal kernel.Mach.Kernel.sys sem);
-      q_wait =
-        (fun qr ->
-          let q, sem = Hashtbl.find queues (Obj.obj qr) in
-          ignore
-            (Mach.Sync.semaphore_wait kernel.Mach.Kernel.sys sem
-              : Mach.Ktypes.kern_return);
-          match Queue.take_opt q with Some v -> v | None -> 0);
+          {
+            post =
+              (fun v ->
+                compute_in_current_task kernel ~units:2;
+                Queue.add v q;
+                Mach.Sync.semaphore_signal kernel.Mach.Kernel.sys sem);
+            wait =
+              (fun () ->
+                ignore
+                  (Mach.Sync.semaphore_wait kernel.Mach.Kernel.sys sem
+                    : Mach.Ktypes.kern_return);
+                match Queue.take_opt q with Some v -> v | None -> 0);
+          });
       yield = (fun () -> Monolithic.sys_yield m);
     }
   in

@@ -6,9 +6,15 @@
     (traps into in-kernel services) — implement this one record, so a
     workload is written once and measured on both. *)
 
-type handle
+type handle = {
+  read : bytes:int -> int;  (** Bytes read; 0 on error. *)
+  write : bytes:int -> int;  (** Bytes written; 0 on error. *)
+  seek : pos:int -> unit;
+  close : unit -> unit;
+}
+(** An open file: each operation runs as the calling thread's process. *)
 
-type queue
+type queue = { post : int -> unit; wait : unit -> int }
 (** A PM-style message queue (window queue on WPOS, an equivalent
     semaphore-backed queue on the monolithic system). *)
 
@@ -20,10 +26,6 @@ type t = {
   go : unit -> unit;  (** Drive the system until everything finishes. *)
   root : string;  (** Directory prefix for workload files. *)
   f_open : path:string -> create:bool -> (handle, string) result;
-  f_read : handle -> bytes:int -> int;
-  f_write : handle -> bytes:int -> int;
-  f_seek : handle -> pos:int -> unit;
-  f_close : handle -> unit;
   f_unlink : path:string -> unit;
   alloc : bytes:int -> int;
   touch : addr:int -> write:bool -> bytes:int -> unit;
@@ -32,8 +34,6 @@ type t = {
   draw : x:int -> y:int -> w:int -> h:int -> unit;
       (** Direct-to-framebuffer drawing from user level. *)
   make_queue : name:string -> queue;
-  q_post : queue -> int -> unit;
-  q_wait : queue -> int;
   yield : unit -> unit;
 }
 

@@ -513,10 +513,6 @@ let crash_loop () =
 
 (* --- sweep ----------------------------------------------------------------- *)
 
-(* fs-crash at 30000 ppm is one of the five scenarios; the lower rates of
-   its sweep run after them. *)
-let crash_ppms = [ 0; 2_000; 10_000 ]
-
 let run ?(seed = 42) ?(endpoints = 16) ?(rounds = 40) ?(victim_ops = 12)
     ?(clients = 3) ?(sessions = 6) () =
   let crash = fs_crash ~seed ~clients ~sessions in
@@ -526,7 +522,11 @@ let run ?(seed = 42) ?(endpoints = 16) ?(rounds = 40) ?(victim_ops = 12)
   let fs = crash ~crash_ppm:30_000 () in
   let storm = shard_storm ~victim_ops () in
   let golden = shard_golden ~endpoints ~rounds () in
-  let sweep = List.map (fun crash_ppm -> crash ~crash_ppm ()) crash_ppms in
+  (* fs-crash at 30000 ppm is one of the five scenarios; the lower rates
+     of its sweep run after them *)
+  let sweep =
+    List.map (fun crash_ppm -> crash ~crash_ppm ()) [ 0; 2_000; 10_000 ]
+  in
   {
     fr_seed = seed;
     fr_points = [ golden; storm ] @ sweep @ [ fs; wedge; loop ];

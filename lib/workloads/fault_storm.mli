@@ -16,7 +16,7 @@
       give availability-under-fault and shard MTTR.
     - {b fs-crash}: the E1-style edit workload against a
       health-supervised file server under random crash injection plus
-      disk write-reordering, swept over {!crash_ppms} and 30000 ppm; MTTR
+      disk write-reordering, swept over 0, 2000, 10000 and 30000 ppm; MTTR
       is the supervisor's death-to-rebind.
     - {b fs-wedge}: scripted [Wedge_server] faults stick the serve loop
       mid-request with the port still alive — only the heartbeat
@@ -64,9 +64,6 @@ type result = {
   fr_points : point list;
 }
 
-val crash_ppms : int list
-(** [[0; 2000; 10000]]: fs-crash's sweep below the scenario's 30000. *)
-
 val fs_crash :
   seed:int -> clients:int -> sessions:int -> crash_ppm:int -> unit -> point
 (** One fs-crash run: [clients] editors of [sessions] sessions each
@@ -76,7 +73,7 @@ val fs_crash :
 val run :
   ?seed:int -> ?endpoints:int -> ?rounds:int -> ?victim_ops:int ->
   ?clients:int -> ?sessions:int -> unit -> result
-(** Run all five scenarios, then fs-crash at {!crash_ppms}; the points
+(** Run all five scenarios, then fs-crash at 0, 2000 and 10000 ppm; the points
     list the sweep in rate order.  [endpoints]/[rounds] size the open-loop
     golden storm, [victim_ops] the closed-loop echo run, and
     [clients]/[sessions] the file-server scenarios.  Every boot and every

@@ -18,15 +18,15 @@ let file_intensive_1 scale (api : Api.t) =
       for i = 1 to scale do
         let h = open_or_fail api ~path ~create:true in
         (* edit session: read the document, append, rewrite a section *)
-        api.Api.f_seek h ~pos:0;
+        h.Api.seek ~pos:0;
         for _ = 1 to 10 do
-          ignore (api.Api.f_read h ~bytes:512)
+          ignore (h.Api.read ~bytes:512)
         done;
-        api.Api.f_seek h ~pos:(i * 128 mod 2048);
+        h.Api.seek ~pos:(i * 128 mod 2048);
         for _ = 1 to 3 do
-          ignore (api.Api.f_write h ~bytes:512)
+          ignore (h.Api.write ~bytes:512)
         done;
-        api.Api.f_close h;
+        h.Api.close ();
         api.Api.compute ~units:12
       done)
 
@@ -37,14 +37,14 @@ let file_intensive_2 scale (api : Api.t) =
       for i = 1 to scale do
         let path = Printf.sprintf "%s/todo%03d.rec" api.Api.root (i mod 50) in
         let h = open_or_fail api ~path ~create:true in
-        ignore (api.Api.f_write h ~bytes:128);
-        api.Api.f_close h;
+        ignore (h.Api.write ~bytes:128);
+        h.Api.close ();
         let h = open_or_fail api ~path ~create:false in
-        ignore (api.Api.f_read h ~bytes:128);
-        api.Api.f_seek h ~pos:0;
-        ignore (api.Api.f_read h ~bytes:64);
-        ignore (api.Api.f_read h ~bytes:64);
-        api.Api.f_close h;
+        ignore (h.Api.read ~bytes:128);
+        h.Api.seek ~pos:0;
+        ignore (h.Api.read ~bytes:64);
+        ignore (h.Api.read ~bytes:64);
+        h.Api.close ();
         if i mod 2 = 0 then api.Api.f_unlink ~path;
         api.Api.compute ~units:6
       done)
@@ -98,24 +98,24 @@ let pm_tasking ~processes ~messages ~draw_every (api : Api.t) =
       wait_peers ();
       for m = 1 to messages do
         let peer = Option.get peer_qs.(m mod processes) in
-        api.Api.q_post peer m;
-        ignore (api.Api.q_wait q);
+        peer.Api.post m;
+        ignore (q.Api.wait ());
         api.Api.compute ~units:4;
         if m mod draw_every = 0 then
           api.Api.draw ~x:(m mod 500) ~y:(m mod 380) ~w:40 ~h:30
       done;
       (* shut the peers down *)
-      Array.iter (fun q -> api.Api.q_post (Option.get q) 0) peer_qs);
+      Array.iter (fun q -> (Option.get q).Api.post 0) peer_qs);
   for p = 0 to processes - 1 do
     api.Api.spawn ~name:(Printf.sprintf "pm-peer%d" p) (fun api ->
         let q = api.Api.make_queue ~name:(Printf.sprintf "peer%d" p) in
         peer_qs.(p) <- Some q;
         let rec serve () =
-          let v = api.Api.q_wait q in
+          let v = q.Api.wait () in
           if v <> 0 then begin
             api.Api.compute ~units:3;
             (match !hub_q with
-            | Some hq -> api.Api.q_post hq v
+            | Some hq -> hq.Api.post v
             | None -> ());
             serve ()
           end

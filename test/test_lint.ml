@@ -28,11 +28,12 @@ let check_bad name rule () =
     true
     (List.mem rule (rules_of fs));
   (* a known-bad must never be reported as anything-goes noise: every
-     finding carries the fixture's path and a real line *)
+     finding carries the fixture's path (a file of it, for a directory
+     fixture) and a real line *)
   List.iter
     (fun f ->
-      Alcotest.(check string) "finding names the fixture" (fixture name)
-        f.Lint.Report.f_file;
+      Alcotest.(check bool) "finding names the fixture" true
+        (String.starts_with ~prefix:(fixture name) f.Lint.Report.f_file);
       Alcotest.(check bool) "finding has a line" true (f.Lint.Report.f_line > 0))
     fs
 
@@ -53,6 +54,9 @@ let pairs =
     ("bad_heartbeat.ml", "clean_heartbeat.ml", Lint.Report.rule_noblock);
     ("bad_await.ml", "clean_await.ml", Lint.Report.rule_noblock);
     ("bad_interface.ml", "clean_interface.ml", Lint.Report.rule_interface);
+    (* directories: the rule needs an interface, its own implementation
+       and another unit *)
+    ("bad_export", "clean_export", Lint.Report.rule_export);
   ]
 
 (* Each bad fixture packs several shapes of its violation (use-after-
@@ -71,6 +75,7 @@ let test_bad_counts () =
       ("bad_heartbeat.ml", 3);
       ("bad_await.ml", 1);
       ("bad_interface.ml", 2);
+      ("bad_export", 2);
     ]
 
 (* Findings are deterministic: two runs over the same corpus agree. *)

@@ -616,7 +616,61 @@ let test_host_info () =
   let sys = k.Mach.Kernel.sys in
   let hi = Mach.Host.host_info sys in
   Alcotest.(check int) "uniprocessor" 1 hi.Mach.Host.processors;
-  Alcotest.(check int) "16 MB" (16 * 1024 * 1024) hi.Mach.Host.memory_bytes
+  Alcotest.(check int) "16 MB" (16 * 1024 * 1024) hi.Mach.Host.memory_bytes;
+  let k4 =
+    Test_util.kernel_on
+      ~config:(Machine.Config.with_ncpus Machine.Config.ppc604_133 ~n:4)
+      ()
+  in
+  let hi4 = Mach.Host.host_info k4.Mach.Kernel.sys in
+  Alcotest.(check int) "4-CPU ppc604" 4 hi4.Mach.Host.processors
+
+let test_processor_sets () =
+  let k = Test_util.kernel_on () in
+  let sys = k.Mach.Kernel.sys in
+  let ps = Mach.Host.pset_create sys ~name:"batch" in
+  Alcotest.(check string) "named" "batch" (Mach.Host.pset_name ps);
+  let t = Mach.Kernel.task_create k ~name:"worker" () in
+  Mach.Host.assign_task sys ps t;
+  Mach.Host.assign_task sys ps t;
+  Alcotest.(check (list string)) "assigned once" [ "worker" ]
+    (List.map (fun t -> t.task_name) (Mach.Host.pset_tasks ps));
+  let d = Mach.Host.default_pset sys in
+  Alcotest.(check string) "default set" "default" (Mach.Host.pset_name d);
+  Alcotest.(check bool) "stable per system" true
+    (d == Mach.Host.default_pset sys);
+  let other = (Test_util.kernel_on ()).Mach.Kernel.sys in
+  Alcotest.(check bool) "each system has its own" false
+    (d == Mach.Host.default_pset other)
+
+(* The default set lives in the system's own state: once the system is
+   dropped, nothing keeps it reachable. *)
+let test_default_pset_released () =
+  let w = Weak.create 1 in
+  let[@inline never] boot_and_drop () =
+    let k = Test_util.kernel_on () in
+    ignore (Mach.Host.default_pset k.Mach.Kernel.sys : Mach.Host.processor_set);
+    Weak.set w 0 (Some k.Mach.Kernel.sys)
+  in
+  boot_and_drop ();
+  Gc.full_major ();
+  Alcotest.(check bool) "system collected" false (Weak.check w 0)
+
+(* An interrupt with no parked driver thread is kept pending; once the
+   line is detached it no longer reflects at all. *)
+let test_reflection_pending_and_detach () =
+  let k = Test_util.kernel_on () in
+  let io = k.Mach.Kernel.io in
+  let irq = k.Mach.Kernel.machine.Machine.irq in
+  Mach.Io.attach_user_handler io ~line:7 ~name:"dev7";
+  Machine.Irq.raise_line irq 7;
+  Alcotest.(check int) "pending" 1 (Mach.Io.pending_reflections io ~line:7);
+  Mach.Io.detach io ~line:7;
+  let spurious = Machine.Irq.spurious irq in
+  Machine.Irq.raise_line irq 7;
+  Alcotest.(check int) "detached" 0 (Mach.Io.pending_reflections io ~line:7);
+  Alcotest.(check int) "no handler left" (spurious + 1)
+    (Machine.Irq.spurious irq)
 
 let suite =
   [
@@ -658,4 +712,9 @@ let suite =
     Alcotest.test_case "dma transfer" `Quick test_dma_transfer;
     Alcotest.test_case "trap thread_self" `Quick test_trap_thread_self;
     Alcotest.test_case "host info" `Quick test_host_info;
+    Alcotest.test_case "processor sets" `Quick test_processor_sets;
+    Alcotest.test_case "default pset released with its system" `Quick
+      test_default_pset_released;
+    Alcotest.test_case "reflection pending and detach" `Quick
+      test_reflection_pending_and_detach;
   ]

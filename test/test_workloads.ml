@@ -10,10 +10,10 @@ let test_api_parity_monolithic () =
       match api.f_open ~path:"/c/x" ~create:true with
       | Error e -> Alcotest.fail e
       | Ok h ->
-          ignore (api.f_write h ~bytes:100);
-          api.f_seek h ~pos:0;
-          read_back := api.f_read h ~bytes:100;
-          api.f_close h;
+          ignore (h.write ~bytes:100);
+          h.seek ~pos:0;
+          read_back := h.read ~bytes:100;
+          h.close ();
           let a = api.alloc ~bytes:4096 in
           api.touch ~addr:a ~write:true ~bytes:4096;
           api.compute ~units:4;
@@ -31,10 +31,10 @@ let test_api_parity_wpos () =
       match api.f_open ~path:"/os2/x" ~create:true with
       | Error e -> Alcotest.fail e
       | Ok h ->
-          ignore (api.f_write h ~bytes:100);
-          api.f_seek h ~pos:0;
-          read_back := api.f_read h ~bytes:100;
-          api.f_close h;
+          ignore (h.write ~bytes:100);
+          h.seek ~pos:0;
+          read_back := h.read ~bytes:100;
+          h.close ();
           let a = api.alloc ~bytes:4096 in
           api.touch ~addr:a ~write:true ~bytes:4096;
           api.compute ~units:4;
@@ -51,12 +51,12 @@ let test_queues_ping_pong () =
       let open Workloads.Api in
       let q = api.make_queue ~name:"a" in
       q1 := Some q;
-      got := api.q_wait q);
+      got := q.wait ());
   api.Workloads.Api.spawn ~name:"b" (fun api ->
       let open Workloads.Api in
       let rec wait () =
         match !q1 with
-        | Some q -> api.q_post q 17
+        | Some q -> q.post 17
         | None ->
             api.yield ();
             wait ()
