@@ -28,7 +28,6 @@ type centry = {
 
 type blocked = {
   b_tname : string;
-  b_res : string;
   b_rdesc : string;
   mutable b_holders : int list;
   b_cpu : int;  (* CPU the thread blocked on; -1 = unknown/uniprocessor *)
@@ -56,9 +55,8 @@ type t = {
   dead_ports : (int * int, unit) Hashtbl.t;
   mutable transitions : int;
   mutable teardown_residual : int;
-  (* deadlock: (space, tid) -> blocked; (space, res) -> owning tid *)
+  (* deadlock: (space, tid) -> blocked *)
   blocked : (int * int, blocked) Hashtbl.t;
-  owners : (int * string, int) Hashtbl.t;
   seen_cycles : (string, unit) Hashtbl.t;
   mutable blocks_tracked : int;
   (* buffers: (space, addr) -> bytes live; retired set for UAR detection *)
@@ -105,7 +103,6 @@ let create () =
     transitions = 0;
     teardown_residual = 0;
     blocked = Hashtbl.create 32;
-    owners = Hashtbl.create 32;
     seen_cycles = Hashtbl.create 8;
     blocks_tracked = 0;
     buf_live = Hashtbl.create 64;
@@ -238,10 +235,7 @@ let successors t ~space tid =
   (* a wake message is already racing towards this thread: it is not
      really stuck, so waits through it cannot close a cycle *)
   | Some b when b.b_wake_inflight -> []
-  | Some b -> (
-      match Hashtbl.find_opt t.owners (space, b.b_res) with
-      | Some o when o <> tid && not (List.mem o b.b_holders) -> o :: b.b_holders
-      | _ -> b.b_holders)
+  | Some b -> b.b_holders
 
 (* DFS from [start]; returns the cycle path [start; ...; last] where
    [last] waits (transitively) back on [start]. *)
@@ -290,12 +284,11 @@ let describe_cycle t ~space path =
           (String.concat "," (List.map string_of_int cpus))
   | _ -> base
 
-let blocked_on t ~space ~tid ~tname ~cpu ~res ~rdesc ~holders =
+let blocked_on t ~space ~tid ~tname ~cpu ~rdesc ~holders =
   t.blocks_tracked <- t.blocks_tracked + 1;
   Hashtbl.replace t.blocked (space, tid)
     {
       b_tname = tname;
-      b_res = res;
       b_rdesc = rdesc;
       b_holders = holders;
       b_cpu = cpu;
@@ -333,18 +326,7 @@ let retarget t ~space ~tid ~holders =
   | None -> ()
   | Some b -> b.b_holders <- holders
 
-let acquired t ~space ~tid ~res = Hashtbl.replace t.owners (space, res) tid
-
-let released t ~space ~res = Hashtbl.remove t.owners (space, res)
-
-let thread_gone t ~space ~tid =
-  Hashtbl.remove t.blocked (space, tid);
-  let owned =
-    Hashtbl.fold
-      (fun ((sp, _) as k) o acc -> if sp = space && o = tid then k :: acc else acc)
-      t.owners []
-  in
-  List.iter (Hashtbl.remove t.owners) owned
+let thread_gone t ~space ~tid = Hashtbl.remove t.blocked (space, tid)
 
 let blocked_count t = Hashtbl.length t.blocked
 

@@ -124,16 +124,15 @@ val dead_rights : t -> space:int -> task:int -> int
 (* --- deadlock detector -------------------------------------------------- *)
 
 val blocked_on :
-  t -> space:int -> tid:int -> tname:string -> cpu:int -> res:string ->
-  rdesc:string -> holders:int list -> unit
-(** Thread [tid] blocked on resource [res] (a stable key; [rdesc] is the
-    human name).  [holders] are the threads that could unblock it, as
-    known at block time; resources with an owner registered via
-    {!acquired} contribute that owner as well.  [cpu] is the CPU the
-    thread blocked on (-1 = unknown): a detected cycle whose waiters
-    span more than one CPU is flagged cross-CPU in the finding.  Runs
-    cycle detection from [tid]; a cycle is a "wait-cycle" finding naming
-    every edge. *)
+  t -> space:int -> tid:int -> tname:string -> cpu:int -> rdesc:string ->
+  holders:int list -> unit
+(** Thread [tid] blocked on the resource named [rdesc].  [holders] are
+    the threads that could unblock it, as known at block time (a lock's
+    waiter names every holder, and is {!retarget}ed as holders change).
+    [cpu] is the CPU the thread blocked on (-1 = unknown): a detected
+    cycle whose waiters span more than one CPU is flagged cross-CPU in
+    the finding.  Runs cycle detection from [tid]; a cycle is a
+    "wait-cycle" finding naming every edge. *)
 
 val unblocked : t -> space:int -> tid:int -> unit
 (** The thread resumed (normally, by timeout, or woken by a dying port):
@@ -152,14 +151,9 @@ val retarget : t -> space:int -> tid:int -> holders:int list -> unit
 (** Narrow a blocked thread's holder set once the real peer is known
     (e.g. the server thread that picked up its RPC). *)
 
-val acquired : t -> space:int -> tid:int -> res:string -> unit
-(** [tid] now owns [res] (mutex semantics). *)
-
-val released : t -> space:int -> res:string -> unit
-
 val thread_gone : t -> space:int -> tid:int -> unit
-(** The thread terminated: purge its wait-for edge and ownerships so no
-    stale deadlock edges survive a kill. *)
+(** The thread terminated: purge its wait-for edge so no stale deadlock
+    edge survives a kill. *)
 
 val blocked_count : t -> int
 (** Threads currently in the wait-for graph (all spaces). *)

@@ -140,7 +140,6 @@ let boot ?(config = default_config) () =
   t
 
 let run t = Mach.Kernel.run t.kernel
-let run_until t pred = Mach.Kernel.run_until t.kernel pred
 
 let name_service t = Mk_services.Bootstrap.name_service_exn t.services
 

@@ -48,8 +48,6 @@ val boot : ?config:config -> unit -> t
 val run : t -> unit
 (** Drive the system until idle. *)
 
-val run_until : t -> (unit -> bool) -> bool
-
 val name_service : t -> Mk_services.Name_service.t
 (** @raise Invalid_argument when booted with [Simple_naming]. *)
 

@@ -17,8 +17,6 @@ type t = {
   (* user-level architecture *)
   u_task : task option;
   mutable u_port : port option;
-  mutable u_beat : Mach.Health.beat option;
-  mutable u_health : port option;
   (* OODDM architecture *)
   oo_runtime : Finegrain.t option;
   oo_driver : Finegrain.obj option;
@@ -79,7 +77,7 @@ let do_write t ~block data =
 
 let user_serve t port =
   let s = sys t in
-  Mach.Rpc.serve s ?beat:t.u_beat port (fun req ->
+  Mach.Rpc.serve s port (fun req ->
       match req.msg_payload with
       | DD_read { block; count } ->
           let data = do_read t ~block ~count in
@@ -89,19 +87,6 @@ let user_serve t port =
           do_write t ~block data;
           simple_message ~payload:DD_r_done ()
       | _ -> simple_message ~payload:(P_error Kern_invalid_argument) ())
-
-(* Spawn the heartbeat thread for the user-level instance: answers pings
-   off the serve loop's beat so a wedged dd-serve is detectable. *)
-let spawn_health t u_task =
-  let s = sys t in
-  match (t.u_health, t.u_beat) with
-  | Some hp, Some beat ->
-      ignore
-        (Mach.Kernel.thread_spawn t.kernel u_task
-           ~name:"dd-health.0" (fun () ->
-             Mach.Rpc.serve s hp (Mach.Health.handler beat))
-          : thread)
-  | _ -> ()
 
 let start (kernel : Mach.Kernel.t) rm ~arch =
   let driver_name =
@@ -129,8 +114,6 @@ let start (kernel : Mach.Kernel.t) rm ~arch =
           intrs = 0;
           u_task = None;
           u_port = None;
-          u_beat = None;
-          u_health = None;
           oo_runtime = None;
           oo_driver = None;
         }
@@ -166,22 +149,12 @@ let start (kernel : Mach.Kernel.t) rm ~arch =
                 Mach.Port.allocate s ~receiver:u_task ~name:"disk-driver"
               in
               let t =
-                {
-                  base with
-                  u_task = Some u_task;
-                  u_port = Some u_port;
-                  u_beat = Some (Mach.Health.beat ());
-                  u_health =
-                    Some
-                      (Mach.Port.allocate s ~receiver:u_task
-                         ~name:"disk-health");
-                }
+                { base with u_task = Some u_task; u_port = Some u_port }
               in
               ignore
                 (Mach.Kernel.thread_spawn kernel u_task ~name:"dd-serve"
                    (fun () -> user_serve t u_port)
                   : thread);
-              spawn_health t u_task;
               Ok t))
 
 let arch t = t.a
@@ -254,7 +227,6 @@ let requests t = t.reqs
 let interrupts_taken t = t.intrs
 let driver_task t = t.u_task
 let port t = t.u_port
-let health_port t = t.u_health
 
 (* --- storage fault injection -------------------------------------------- *)
 

@@ -37,11 +37,6 @@ val driver_task : t -> Mach.Ktypes.task option
 val port : t -> Mach.Ktypes.port option
 (** The current service port ([Some] only for user-level). *)
 
-val health_port : t -> Mach.Ktypes.port option
-(** The current incarnation's heartbeat port ([Some] only for
-    user-level); answers {!Mach.Health.H_ping} off the serve loop's
-    beat. *)
-
 val arm_faults : Mach.Kernel.t -> Machine.Disk.t -> unit
 (** Install a write interceptor on the disk that consults the kernel's
     fault plan ([sys.faults]) at every media write, mapping

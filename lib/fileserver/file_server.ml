@@ -294,7 +294,7 @@ let handle t (msg : message) : message_builder =
   | FS_path_op { p_sem; p_op; p_path } ->
       reply (do_path_op t p_sem p_op p_path)
   | FS_sync ->
-      Vfs.sync t.fs_vfs;
+      Vfs.sync t.kernel.Mach.Kernel.sys t.fs_vfs;
       reply FS_r_unit
   | _ -> reply (FS_r_err (E_io "bad request"))
 

@@ -49,9 +49,6 @@ type recover_report = {
 val clean_recovery : recover_report
 val merge_recovery : recover_report -> recover_report -> recover_report
 
-(* A mount's lock, installed by {!serialized}. *)
-type mount_lock
-
 (* The physical-file-system operations record — the extended vnode
    architecture's per-format plug.  Each format builds one per mount;
    the vnode layer dispatches through it. *)
@@ -78,7 +75,7 @@ type pfs = {
   pfs_sync : unit -> unit;
   pfs_free_blocks : unit -> int;
   pfs_recover : unit -> recover_report;
-  pfs_lock : mount_lock option;  (* [Some] once wrapped by {!serialized} *)
+  pfs_lock : Mach.Sync.lock option;  (* [Some] once wrapped by {!serialized} *)
 }
 
 val ( let* ) :
@@ -95,43 +92,26 @@ val journalled : txn -> pfs -> pfs
 
 (* The same vector with every entry that touches the mount's blocks
    (lookup, create, remove, readdir, stat, read, read_paged, write,
-   truncate, rename, sync) run under one per-mount FIFO reader/writer
-   lock.  A thread inside a [Shared_request] holds it shared, one inside
-   an [Exclusive_request] or outside any request exclusive; a mutating
-   entry (create, remove, write, truncate, rename, sync) reached by a
-   shared request raises [Invalid_argument].  A request thread keeps the
-   lock from its first locked entry until {!release_held}; any other
-   thread holds it for one entry.  A free acquire costs nothing and
-   allocates nothing.  An exclusive acquire then starts no earlier than
-   the end of every hold already released, a shared one no earlier than
-   the end of every exclusive hold already released, spinning, charged,
-   up to that stamp.  A contended acquire waits in [Sched.wait] on every
-   current holder; a later reader never passes a queued writer, and a
-   release that frees the lock hands it to the oldest waiter (and, when
-   that one is shared, to the shared waiters directly behind it).
+   truncate, rename, sync) run under one per-mount lock, the kernel's
+   reader/writer lock ([Mach.Sync.lock], which keeps the holds exclusive
+   in simulated time).  This module keeps only the file server's policy
+   for it.  A thread inside a [Shared_request] holds it shared, one
+   inside an [Exclusive_request] or outside any request exclusive; a
+   mutating entry (create, remove, write, truncate, rename, sync)
+   reached by a shared request raises [Invalid_argument].  A request
+   thread keeps the lock from its first locked entry until
+   {!release_held}; any other thread holds it for one entry.
    [pfs_recover] frees the lock of holders that were terminated and
    otherwise takes it, so recovery waits out a request still in flight.
    Wrap outside {!journalled}, so no transaction body waits on the
    lock. *)
 val serialized : Mach.Sched.t -> pfs -> pfs
 
-(* Inside a request, take the lock now and keep it to the request's
-   end (a request that needs several mounts takes them in mount-id
-   order); a no-op for any other thread. *)
-val hold : mount_lock -> unit
+(* Inside a request of the system's current thread, take the lock now
+   and keep it to the request's end (a request that needs several
+   mounts takes them in mount-id order); a no-op for any other
+   thread. *)
+val hold : Mach.Sched.t -> Mach.Sync.lock -> unit
 
 (* Release the lock if [thread] holds it: the end of a request. *)
-val release_held : mount_lock -> Mach.Ktypes.thread -> unit
-
-(* Per-lock counters: shared and exclusive holds taken (a later entry
-   of the same hold is not one), acquires that waited, and the cycles
-   they waited — blocked in the kernel plus spins up to a release
-   stamp. *)
-type lock_stats = {
-  ls_shared : int;
-  ls_exclusive : int;
-  ls_waits : int;
-  ls_wait_cycles : int;
-}
-
-val lock_stats : mount_lock -> lock_stats
+val release_held : Mach.Sync.lock -> Mach.Ktypes.thread -> unit

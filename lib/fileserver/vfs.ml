@@ -334,14 +334,14 @@ let rename t sem ~src ~dst =
 (* A request that syncs takes every mount's lock first, in mount-id
    order, so it can never deadlock against another multi-mount request;
    the flushes then run in mount-table order. *)
-let sync t =
+let sync sys t =
   let by_id =
     List.sort
       (fun (_, a) (_, b) -> compare (Vnode.mount_id a) (Vnode.mount_id b))
       t.mount_table
   in
   List.iter
-    (fun (_, m) -> Option.iter Fs_types.hold (Vnode.pfs m).pfs_lock)
+    (fun (_, m) -> Option.iter (Fs_types.hold sys) (Vnode.pfs m).pfs_lock)
     by_id;
   List.iter (fun (_, m) -> (Vnode.pfs m).pfs_sync ()) t.mount_table
 
@@ -362,7 +362,7 @@ let mount_lock_stats t =
   List.filter_map
     (fun (point, m) ->
       Option.map
-        (fun l -> ("/" ^ point, Fs_types.lock_stats l))
+        (fun l -> ("/" ^ point, Mach.Sync.lock_stats l))
         (Vnode.pfs m).pfs_lock)
     (List.rev t.mount_table)
 

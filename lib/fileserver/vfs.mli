@@ -64,15 +64,15 @@ val rename :
 (** Source and destination must be on the same mount; a cross-mount
     rename fails before either path is walked. *)
 
-val sync : t -> unit
-(** Flush every mount.  Inside a request the mount locks are taken
-    first, in mount-id order. *)
+val sync : Mach.Sched.t -> t -> unit
+(** Flush every mount.  Inside a request (of the system's current
+    thread) the mount locks are taken first, in mount-id order. *)
 
 val end_request : t -> Mach.Ktypes.thread -> unit
 (** A file-server request is over: release every mount lock the thread
     took for it. *)
 
-val mount_lock_stats : t -> (string * Fs_types.lock_stats) list
+val mount_lock_stats : t -> (string * Mach.Sync.lock_stats) list
 (** Each serialized mount's lock counters, by mount point, in mount
     order. *)
 

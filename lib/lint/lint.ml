@@ -97,6 +97,10 @@ let run ~roots () =
       (fun p -> Result.map (fun sg -> (p, sg)) (Lint_ast.parse_interface p))
       mlis
   in
+  (* An interface that declares nothing is not a file of the tree: dune
+     writes one per executable module inside _build, and a scan there
+     must count what a scan of the source tree counts. *)
+  let interfaces = List.filter (fun (_, sg) -> sg <> []) interfaces in
   let g = Lint_graph.build sources in
   let findings =
     ml_errors @ mli_errors
@@ -112,7 +116,8 @@ let run ~roots () =
     Lint_ast.count_nodes (List.map (fun s -> s.Lint_ast.s_ast) sources)
   in
   {
-    r_files = List.length files;
+    r_files =
+      List.length mls + List.length interfaces + List.length mli_errors;
     r_defs = List.length g.Lint_graph.fn_order;
     r_nodes = nodes;
     r_cycles = analysis_passes * nodes;

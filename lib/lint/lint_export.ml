@@ -2,30 +2,36 @@
 
    A [val] in an interface that no other compilation unit names is API
    surface nobody uses: it costs a body, a doc comment and a test, and
-   nothing would notice it breaking.  A reference is matched by its last
-   path component only, so [Mach.Sched.wait], [Sched.wait] and a bare
-   [wait] under [open Sched] all count for [Sched.wait] -- and so does
-   any other module's [wait].  That keeps the rule conservative: a name
-   collision can hide an unused export but never invent one.  The
-   unit's own .ml does not count as a reference.  A val marked
-   [[@@machlint.allow]] is exempt (a facility kept on purpose). *)
+   nothing would notice it breaking.  A qualified reference
+   ([Mach.Sched.wait], [Sched.wait]) whose qualifier names a scanned
+   module counts for that module's val only.  Any other reference -- a
+   bare [wait] under [open Sched], or one through an alias the scan does
+   not know ([module S = Sched] ... [S.wait]) -- is matched by its last
+   path component, so it counts for every module's [wait].  That keeps
+   the rule conservative: a name collision or an alias can hide an
+   unused export but never invent one.  The unit's own .ml does not
+   count as a reference.  A val marked [[@@machlint.allow]] is exempt (a
+   facility kept on purpose). *)
 
 open Parsetree
 
-(* name -> compilation units (path without extension) that use it *)
-let references (sources : Lint_ast.source list) =
+(* (qualifier, name) -> compilation units (path without extension) that
+   use it; the qualifier is [""] for a reference matched by name only.
+   [modules] are the module names the scanned interfaces declare. *)
+let references ~modules (sources : Lint_ast.source list) =
   let refs = Hashtbl.create 4096 in
-  let add unit name =
-    let units = Option.value ~default:[] (Hashtbl.find_opt refs name) in
-    if not (List.mem unit units) then Hashtbl.replace refs name (unit :: units)
+  let add unit key =
+    let units = Option.value ~default:[] (Hashtbl.find_opt refs key) in
+    if not (List.mem unit units) then Hashtbl.replace refs key (unit :: units)
   in
   List.iter
     (fun (src : Lint_ast.source) ->
       let unit = Filename.remove_extension src.Lint_ast.s_path in
       let add_lid lid =
-        Option.iter
-          (fun p -> add unit (Lint_ast.last_of p))
-          (Lint_ast.flatten_lid lid)
+        match Option.map List.rev (Lint_ast.flatten_lid lid) with
+        | None | Some [] -> ()
+        | Some (name :: q :: _) when List.mem q modules -> add unit (q, name)
+        | Some (name :: _) -> add unit ("", name)
       in
       let it =
         {
@@ -35,7 +41,7 @@ let references (sources : Lint_ast.source list) =
               (match e.pexp_desc with
               | Pexp_ident { txt; _ } -> add_lid txt
               | Pexp_letop { let_; ands; _ } ->
-                  List.iter (fun b -> add unit b.pbop_op.Location.txt)
+                  List.iter (fun b -> add unit ("", b.pbop_op.Location.txt))
                     (let_ :: ands)
               | _ -> ());
               Ast_iterator.default_iterator.expr it e);
@@ -70,15 +76,27 @@ let rec vals modpath sg =
     sg
 
 let check sources (interfaces : (string * signature) list) =
-  let refs = references sources in
+  let declared =
+    List.map
+      (fun (path, sg) -> (path, vals [ Lint_ast.module_name path ] sg))
+      interfaces
+  in
+  let modules =
+    List.concat_map
+      (fun (_, vs) -> List.map (fun (modpath, _) -> Lint_ast.last_of modpath) vs)
+      declared
+    |> List.sort_uniq compare
+  in
+  let refs = references ~modules sources in
+  let users key = Option.value ~default:[] (Hashtbl.find_opt refs key) in
   List.concat_map
-    (fun (path, sg) ->
+    (fun (path, vs) ->
       let unit = Filename.remove_extension path in
-      vals [ Lint_ast.module_name path ] sg
+      vs
       |> List.filter_map (fun (modpath, vd) ->
              let name = vd.pval_name.Location.txt in
              let users =
-               Option.value ~default:[] (Hashtbl.find_opt refs name)
+               users ("", name) @ users (Lint_ast.last_of modpath, name)
              in
              if
                List.exists (fun u -> u <> unit) users
@@ -92,4 +110,4 @@ let check sources (interfaces : (string * signature) list) =
                     (Printf.sprintf
                        "val %s is referenced by no other compilation unit"
                        (String.concat "." (modpath @ [ name ]))))))
-    interfaces
+    declared

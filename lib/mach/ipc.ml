@@ -45,6 +45,7 @@ let send (sys : Sched.t) port ?reply_to (mb : message_builder) =
         msg_rights = mb.mb_rights;
         msg_kbuf = kbuf;
         msg_sender = Some sender;
+        msg_sent = 0.;
       }
     in
     (* block while the queue is full (classic mach_msg behaviour); room
@@ -57,7 +58,6 @@ let send (sys : Sched.t) port ?reply_to (mb : message_builder) =
       else if Queue.length port.msg_queue >= port.q_limit then
         match
           Sched.wait sys ~q:port.waiting_senders th
-            ~res:("room:" ^ string_of_int port.port_id)
             ~rdesc:("send-room(" ^ port.pname ^ ")")
             ~holders:(Mcheck.receiver_tids port) "msg-send-queue-full"
         with
@@ -81,6 +81,7 @@ let send (sys : Sched.t) port ?reply_to (mb : message_builder) =
         match wait_for_room () with
         | Kern_success ->
             Ktext.exec1 k ~frame Ktext.msg_enqueue;
+            msg.msg_sent <- Sched.now sys;
             Queue.add msg port.msg_queue;
             ignore (Sched.wake_one sys port.waiting_receivers : bool);
             user_exit sys frame;
@@ -103,6 +104,7 @@ let receive (sys : Sched.t) port =
     match Queue.take_opt port.msg_queue with
     | Some msg ->
         Sched.dequeue_waiter th port.waiting_receivers;
+        Sched.observe sys msg.msg_sent;
         Ok msg
     | None ->
         if port.dead then begin
@@ -114,7 +116,6 @@ let receive (sys : Sched.t) port =
              edge, but the node must exist so a kill can be audited *)
           match
             Sched.wait sys ~q:port.waiting_receivers th
-              ~res:("msgq:" ^ string_of_int port.port_id)
               ~rdesc:("receive(" ^ port.pname ^ ")")
               ~holders:[] "msg-receive"
           with

@@ -154,6 +154,10 @@ and message = {
   msg_rights : (port * right) list;
   mutable msg_kbuf : int;  (* kernel buffer address while in transit *)
   msg_sender : task option;  (* for out-of-line mapping at receive time *)
+  mutable msg_sent : float;
+      (* the sender's clock when it queued the message for a receiver
+         (0 until then, and for a reply handed straight to its caller):
+         the receiver observes it before acting on the message *)
 }
 
 (* How an out-of-line region crosses the task boundary.  [Copy] is the

@@ -70,11 +70,6 @@ let receiver_tids (port : port) =
 let retarget sys (th : thread) ~holders =
   on sys (fun c space -> Check.retarget c ~space ~tid:th.tid ~holders)
 
-let acquired sys (th : thread) ~res =
-  on sys (fun c space -> Check.acquired c ~space ~tid:th.tid ~res)
-
-let released sys ~res = on sys (fun c space -> Check.released c ~space ~res)
-
 (* One finished hold of a lock, in simulated cycles. *)
 let lock_hold (sys : Sched.t) ~res ~rdesc ~tid ~exclusive ~from ~until =
   on sys (fun c space ->

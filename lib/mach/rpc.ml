@@ -150,6 +150,7 @@ let call (sys : Sched.t) port ?deadline ?(commutes = false)
         msg_rights = mb.mb_rights;
         msg_kbuf = 0;
         msg_sender = Some client;
+        msg_sent = 0.;
       }
     in
     let rx =
@@ -172,6 +173,7 @@ let call (sys : Sched.t) port ?deadline ?(commutes = false)
           (match fate with
           | Fault.M_delay cycles -> ignore (Clock.sleep_for sys ~cycles)
           | _ -> ());
+          msg.msg_sent <- Sched.now sys;
           push_pending port rx;
           Ktext.exec1 k ~frame Ktext.rpc_handoff;
           wake_server sys port rx);
@@ -179,7 +181,6 @@ let call (sys : Sched.t) port ?deadline ?(commutes = false)
          server thread once one picks the exchange up (see [dequeue]) *)
       match
         Sched.wait sys th
-          ~res:("rpc:" ^ string_of_int port.port_id)
           ~rdesc:("rpc-call(" ^ port.pname ^ ")")
           ~holders:(Mcheck.receiver_tids port) "rpc-call"
       with
@@ -227,6 +228,8 @@ let rec dequeue (sys : Sched.t) port th frame =
   let k = sys.ktext in
   match next_call port th with
   | Some rx ->
+      (* the call cannot be served before it was sent *)
+      Sched.observe sys rx.rx_request.msg_sent;
       if rx.rx_cpu = sys.active then port.served_local <- port.served_local + 1
       else port.served_crossed <- port.served_crossed + 1;
       (* the client now waits on this exact thread, not the whole task *)
@@ -254,7 +257,6 @@ let rec dequeue (sys : Sched.t) port th frame =
         (* served by any future caller: node only, no holder edge *)
         match
           Sched.wait sys ~q:port.waiting_servers th
-            ~res:("rpcq:" ^ string_of_int port.port_id)
             ~rdesc:("rpc-receive(" ^ port.pname ^ ")")
             ~holders:[] receive_reason
         with
@@ -297,6 +299,7 @@ let finish_reply (sys : Sched.t) rx (mb : message_builder) server =
         msg_rights = mb.mb_rights;
         msg_kbuf = 0;
         msg_sender = Some server;
+        msg_sent = 0.;
       };
   (* a timed-out client is blocked in some unrelated wait by now: waking
      it would corrupt that wait, so the late reply is simply dropped *)

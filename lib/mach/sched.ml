@@ -110,6 +110,9 @@ let create machine ktext =
 
 let ncpus t = Array.length t.percpu
 
+(* The clock of the CPU now executing: the stamp a producer publishes. *)
+let now t = Machine.Cpu.now_exact t.machine.Machine.cpu
+
 let enable_checks t chk =
   t.checks <- Some chk;
   t.check_space <- Check.new_space chk;
@@ -175,7 +178,7 @@ let thread_spawn t task ~name ?affinity ?(bound = false) body =
       reply_port_cache = None;
       affinity;
       bound;
-      ready_at = Machine.Cpu.now_exact t.machine.Machine.cpu;
+      ready_at = now t;
       request = No_request;
     }
   in
@@ -203,6 +206,19 @@ let post_xmsg t ~target msg =
   pc.pc_next_at <- Float.min pc.pc_next_at (sent_at msg);
   if was_empty then Machine.ipi t.machine ~target
 
+(* The one rule for simulated time (Lamport, CACM 1978: no consumer acts
+   before its cause).  A CPU that consumes what a producer published at
+   [stamp] — a ready thread, a scheduler message, a lock, a semaphore
+   unit, a pending call, a queued message — idles up to the stamp when
+   its clock is behind it.  The idle is uncharged: the CPU did no work,
+   it waited.  On one CPU the clock never runs backwards, so no stamp is
+   ever ahead of its consumer and this never moves a clock. *)
+let observe_cpu cpu stamp =
+  if stamp > Machine.Cpu.now_exact cpu then
+    Machine.Cpu.advance_to cpu (int_of_float (Float.ceil stamp))
+
+let observe t stamp = observe_cpu t.machine.Machine.cpu stamp
+
 (* A thread became runnable at [now]: it may not run earlier, nor
    earlier than it last stopped. *)
 let stamp_ready th now = if now > th.ready_at then th.ready_at <- now
@@ -212,11 +228,14 @@ let wake t ?(result = Kern_success) th =
   | Th_blocked _ ->
       if Array.length t.percpu = 1 || th.affinity = t.active then begin
         (* the waker runs on the thread's owning CPU: plain enqueue,
-           stamped with that CPU's clock *)
+           stamped with that CPU's clock — and no earlier than the
+           waker's, for a device event that fires on the boot CPU while
+           [active] still names the CPU dispatched last *)
         th.wake_result <- result;
         th.state <- Th_runnable;
         stamp_ready th
           (Machine.Cpu.now_exact (Machine.nth_cpu t.machine th.affinity));
+        stamp_ready th (now t);
         Queue.add th t.percpu.(th.affinity).pc_runq
       end
       else begin
@@ -227,7 +246,7 @@ let wake t ?(result = Kern_success) th =
              {
                xth = th;
                xresult = result;
-               sent_at = Machine.Cpu.now_exact t.machine.Machine.cpu;
+               sent_at = now t;
              });
         match t.checks with
         | None -> ()
@@ -320,14 +339,14 @@ let wake_one_on t q ~cpu = wake_home t q ~cpu || wake_one t q
    but a plain [Kern_success] (timeout, abort, dying port) leaves [q]
    again — a waiter that gave up must not absorb a later wake meant for
    a thread still waiting. *)
-let wait t ?q th ~res ~rdesc ~holders reason =
+let wait t ?q th ~rdesc ~holders reason =
   Option.iter (enqueue_waiter th) q;
   (match t.checks with
   | None -> ()
   | Some c ->
       Check.blocked_on c ~space:t.check_space ~tid:th.tid
         ~tname:(th.t_task.task_name ^ "." ^ th.tname)
-        ~cpu:t.active ~res ~rdesc ~holders);
+        ~cpu:t.active ~rdesc ~holders);
   let r = block reason in
   (match t.checks with
   | None -> ()
@@ -354,7 +373,7 @@ let terminate t th =
       (X_teardown
          {
            xtid = th.tid;
-           sent_at = Machine.Cpu.now_exact t.machine.Machine.cpu;
+           sent_at = now t;
          });
   match t.checks with
   | None -> ()
@@ -437,8 +456,7 @@ let step t i th =
   Machine.set_active t.machine i;
   let pc = t.percpu.(i) in
   let cpu = Machine.nth_cpu t.machine i in
-  if th.ready_at > Machine.Cpu.now_exact cpu then
-    Machine.Cpu.advance_to cpu (int_of_float (Float.ceil th.ready_at));
+  observe t th.ready_at;
   let before = Machine.Cpu.now_exact cpu in
   charge_dispatch t pc th;
   t.switches <- t.switches + 1;
@@ -460,7 +478,7 @@ let step t i th =
   t.current <- None;
   stamp_ready th (Machine.Cpu.now_exact cpu);
   if Machine.Cpu.now_exact cpu = before && pc.pc_next_at < infinity then
-    Machine.Cpu.advance_to cpu (int_of_float (Float.ceil pc.pc_next_at))
+    observe t pc.pc_next_at
 
 let has_runnable pc =
   Queue.fold (fun acc th -> acc || th.state = Th_runnable) false pc.pc_runq
@@ -498,7 +516,7 @@ let[@machlint.no_block] rec drain_ipiq t i =
     let cpu = Machine.nth_cpu t.machine i in
     if pc.pc_next_at <= Machine.Cpu.now_exact cpu || not (has_runnable pc)
     then begin
-      Machine.Cpu.advance_to cpu (int_of_float (Float.ceil pc.pc_next_at));
+      observe_cpu cpu pc.pc_next_at;
       let limit = Machine.Cpu.now_exact cpu in
       Machine.Cpu.execute_item cpu
         (Machine.Footprint.Stall

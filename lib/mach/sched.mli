@@ -22,7 +22,10 @@
     loaded queue.  Every thread carries a ready stamp — the clock at
     which it last became runnable or stopped running — and a CPU behind
     that stamp idles up to it before dispatching the thread, so a thief
-    never runs a stolen thread earlier than it became runnable.  With
+    never runs a stolen thread earlier than it became runnable.  Every
+    such skip is one rule, {!observe}, which the kernel's other
+    hand-offs (locks, semaphores, pending calls, queued messages) use
+    too.  With
     one CPU all of this machinery is inert and the scheduler behaves — cycle for
     cycle — like the original uniprocessor one.
 
@@ -115,6 +118,19 @@ val block : string -> kern_return
 
 val yield : unit -> unit
 
+val now : t -> float
+(** The exact clock of the CPU now executing: the stamp a producer
+    publishes with what it hands over. *)
+
+val observe : t -> float -> unit
+(** [observe t stamp]: the one rule for simulated time.  The executing
+    CPU consumes something a producer published at [stamp]; when its
+    clock is behind the stamp it idles up to it, uncharged.  Every clock
+    skip in the kernel goes through here: the ready stamp at dispatch,
+    an idle CPU's skip to its earliest scheduler message, and the
+    stamps on lock releases, semaphore units, pending RPC calls and
+    queued IPC messages.  On one CPU it never moves a clock. *)
+
 val wake : t -> ?result:kern_return -> thread -> unit
 (** Make a blocked thread runnable.  When the waker runs on the thread's
     owning CPU this is a plain enqueue; otherwise it posts an [X_wake]
@@ -154,11 +170,11 @@ val wake_one_on : t -> thread Queue.t -> cpu:int -> bool
     thread {!wake_one} would. *)
 
 val wait :
-  t -> ?q:thread Queue.t -> thread -> res:string -> rdesc:string ->
-  holders:int list -> string -> kern_return
+  t -> ?q:thread Queue.t -> thread -> rdesc:string -> holders:int list ->
+  string -> kern_return
 (** The kernel's one blocking wait, which every IPC, RPC and synchronizer
     wait goes through: add the thread to [q] unless already queued,
-    report the wait-for edge on [res] (described by [rdesc], unblockable
+    report the wait-for edge on the resource named [rdesc] (unblockable
     by the [holders] thread ids) to an attached Machcheck, {!block} with
     [reason], and withdraw the edge on wake.  On any result but
     [Kern_success] the thread is also removed from [q]. *)

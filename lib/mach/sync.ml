@@ -1,23 +1,47 @@
 open Ktypes
 
+(* A semaphore's count is its queue of units, each stamped with the clock
+   of the signal that made it (0 for the initial value): a waiter takes
+   the oldest unit and observes its stamp. *)
 type semaphore = {
-  s_id : int;  (* process-unique: the wait-for graph's resource key *)
   s_name : string;
-  mutable s_value : int;
+  s_units : float Queue.t;
   s_waiters : thread Queue.t;
 }
 
-type mutex = { m_sem : semaphore; mutable m_owner : thread option }
-type event = { e_id : int; e_name : string; e_waiters : thread Queue.t }
+type event = { e_name : string; e_waiters : thread Queue.t }
+
+(* The kernel's lock: its holders — one exclusive holder or any number of
+   shared ones — with the clock at which each hold began, its FIFO of
+   waiters, the two release stamps that keep it exclusive in simulated
+   time, and its counters. *)
+type lock = {
+  l_sys : Sched.t;
+  l_res : string;  (* Machcheck resource key *)
+  l_rdesc : string;
+  l_reason : string;  (* what a waiter blocks on *)
+  l_wants_shared : thread -> bool;
+  mutable l_holders : thread array;  (* [0, l_count) hold it *)
+  mutable l_since : float array;  (* per holder: the clock its hold began *)
+  mutable l_count : int;
+  mutable l_shared : bool;  (* the holders share it *)
+  l_waiters : thread Queue.t;
+  (* boxed, so an acquire reads and observes them without allocating *)
+  mutable l_end : float;  (* end of every released hold *)
+  mutable l_end_exclusive : float;  (* end of every released exclusive hold *)
+  mutable l_shared_holds : int;
+  mutable l_exclusive_holds : int;
+  mutable l_waits : int;
+  mutable l_wait_cycles : float;
+}
+
+type mutex = lock
 
 let next_sync_id = ref 0
 
 let fresh_sync_id () =
   incr next_sync_id;
   !next_sync_id
-
-let sem_res s = "sem:" ^ string_of_int s.s_id
-let evt_res e = "evt:" ^ string_of_int e.e_id
 
 let trap_around (sys : Sched.t) inner =
   let th = Sched.self () in
@@ -26,30 +50,34 @@ let trap_around (sys : Sched.t) inner =
   Trap.leave sys th;
   r
 
+(* --- semaphores --------------------------------------------------------- *)
+
 let semaphore_create (sys : Sched.t) ~name ~value =
   Ktext.exec sys.ktext [ Ktext.sync_fast ];
-  { s_id = fresh_sync_id (); s_name = name; s_value = value;
-    s_waiters = Queue.create () }
+  let units = Queue.create () in
+  for _ = 1 to value do
+    Queue.add 0. units
+  done;
+  { s_name = name; s_units = units; s_waiters = Queue.create () }
 
 let semaphore_wait (sys : Sched.t) s =
   trap_around sys (fun th frame ->
       let k = sys.ktext in
       Ktext.exec k ~frame [ Ktext.sync_fast ];
       let rec wait () =
-        if s.s_value > 0 then begin
-          s.s_value <- s.s_value - 1;
-          Kern_success
-        end
-        else begin
-          Ktext.exec k ~frame [ Ktext.sync_block ];
-          match
-            Sched.wait sys ~q:s.s_waiters th ~res:(sem_res s)
-              ~rdesc:("sem(" ^ s.s_name ^ ")") ~holders:[]
-              ("sem-wait:" ^ s.s_name)
-          with
-          | Kern_success -> wait ()
-          | err -> err
-        end
+        match Queue.take_opt s.s_units with
+        | Some stamp ->
+            Sched.observe sys stamp;
+            Kern_success
+        | None -> (
+            Ktext.exec k ~frame [ Ktext.sync_block ];
+            match
+              Sched.wait sys ~q:s.s_waiters th
+                ~rdesc:("sem(" ^ s.s_name ^ ")") ~holders:[]
+                ("sem-wait:" ^ s.s_name)
+            with
+            | Kern_success -> wait ()
+            | err -> err)
       in
       wait ())
 
@@ -60,44 +88,193 @@ let semaphore_signal (sys : Sched.t) s =
   trap_around sys (fun _th frame ->
       let k = sys.ktext in
       Ktext.exec k ~frame [ Ktext.sync_fast ];
-      s.s_value <- s.s_value + 1;
+      Queue.add (Sched.now sys) s.s_units;
       ignore (Sched.wake_one sys s.s_waiters : bool))
 
-let semaphore_value s = s.s_value
+let semaphore_value s = Queue.length s.s_units
 let semaphore_waiters s = Queue.length s.s_waiters
 
-let mutex_create sys ~name =
-  { m_sem = semaphore_create sys ~name ~value:1; m_owner = None }
+(* --- the lock ------------------------------------------------------------ *)
+
+(* The FIFO reader/writer lock of sync.mli.  A section that never blocks
+   runs atomically on the host, so a CPU whose clock lags could
+   otherwise take a lock the host has already released at a simulated
+   time inside, or just before, a hold it conflicts with: hence the two
+   release stamps an acquire observes. *)
+
+let lock_create (sys : Sched.t) ~name ~rdesc ~shared =
+  {
+    l_sys = sys;
+    l_res = "lock:" ^ string_of_int (fresh_sync_id ());
+    l_rdesc = rdesc;
+    l_reason = name;
+    l_wants_shared = shared;
+    l_holders = [||];
+    l_since = [||];
+    l_count = 0;
+    l_shared = false;
+    l_waiters = Queue.create ();
+    l_end = 0.;
+    l_end_exclusive = 0.;
+    l_shared_holds = 0;
+    l_exclusive_holds = 0;
+    l_waits = 0;
+    l_wait_cycles = 0.;
+  }
+
+(* [th]'s slot among the holders, or -1. *)
+let rec holder_slot l th i =
+  if i >= l.l_count then -1
+  else if l.l_holders.(i) == th then i
+  else holder_slot l th (i + 1)
+
+let lock_holds l th = holder_slot l th 0 >= 0
+let lock_holders l = List.init l.l_count (fun i -> l.l_holders.(i))
+let holder_tids l = List.init l.l_count (fun i -> l.l_holders.(i).tid)
+
+let grant l th ~shared =
+  let n = l.l_count in
+  if n = Array.length l.l_holders then begin
+    let cap = max 4 (2 * n) in
+    let holders = Array.make cap th and since = Array.make cap 0. in
+    Array.blit l.l_holders 0 holders 0 n;
+    Array.blit l.l_since 0 since 0 n;
+    l.l_holders <- holders;
+    l.l_since <- since
+  end;
+  l.l_holders.(n) <- th;
+  l.l_count <- n + 1;
+  l.l_shared <- shared
+
+(* Point every waiter's wait-for edge at the current holders. *)
+let retarget_waiters l =
+  match l.l_sys.Sched.checks with
+  | Some _ when not (Queue.is_empty l.l_waiters) ->
+      let holders = holder_tids l in
+      Queue.iter (fun w -> Mcheck.retarget l.l_sys w ~holders) l.l_waiters
+  | Some _ | None -> ()
+
+(* Wait in the kernel until a release hands the lock to [th].  A wake
+   that finds the lock free (the waiter gave up its queue place) takes
+   it; one that finds other holders waits again, on them. *)
+let rec wait_for_handoff l th =
+  ignore
+    (Sched.wait l.l_sys ~q:l.l_waiters th ~rdesc:l.l_rdesc
+       ~holders:(holder_tids l) l.l_reason
+      : kern_return);
+  if lock_holds l th then ()
+  else if l.l_count = 0 then grant l th ~shared:(l.l_wants_shared th)
+  else wait_for_handoff l th
+
+let lock_acquire l th =
+  let shared = l.l_wants_shared th in
+  let t0 = Sched.now l.l_sys in
+  if l.l_count = 0 || (shared && l.l_shared && Queue.is_empty l.l_waiters)
+  then grant l th ~shared
+  else wait_for_handoff l th;
+  Sched.observe l.l_sys (if shared then l.l_end_exclusive else l.l_end);
+  let now = Sched.now l.l_sys in
+  if now > t0 then begin
+    l.l_waits <- l.l_waits + 1;
+    l.l_wait_cycles <- l.l_wait_cycles +. (now -. t0)
+  end;
+  if shared then l.l_shared_holds <- l.l_shared_holds + 1
+  else l.l_exclusive_holds <- l.l_exclusive_holds + 1;
+  l.l_since.(holder_slot l th 0) <- now
+
+(* Hand a free lock to the oldest waiter still blocked, and when that
+   one is shared, to every shared waiter directly behind it. *)
+let rec handoff l =
+  if not (Queue.is_empty l.l_waiters) then begin
+    let w = Queue.peek l.l_waiters in
+    match w.state with
+    | Th_blocked _ ->
+        let shared = l.l_wants_shared w in
+        if l.l_count = 0 || (shared && l.l_shared) then begin
+          ignore (Queue.take l.l_waiters : thread);
+          grant l w ~shared;
+          Mcheck.retarget l.l_sys w ~holders:[];
+          Sched.wake l.l_sys w;
+          if shared then handoff l
+        end
+    | Th_runnable | Th_running | Th_terminated ->
+        ignore (Queue.take l.l_waiters : thread);
+        handoff l
+  end
+
+(* End [th]'s hold: report it, advance the release stamps, and when the
+   lock falls free pass it on.  The new holders stop waiting on anyone;
+   the waiters behind them now wait on them — a wait-for edge left
+   pointing at a former holder would close a false cycle the moment that
+   thread queues again. *)
+let lock_release l th =
+  let i = holder_slot l th 0 in
+  if i >= 0 then begin
+    let now = Sched.now l.l_sys in
+    let exclusive = not l.l_shared in
+    (match l.l_sys.Sched.checks with
+    | None -> ()
+    | Some _ ->
+        Mcheck.lock_hold l.l_sys ~res:l.l_res ~rdesc:l.l_rdesc ~tid:th.tid
+          ~exclusive ~from:l.l_since.(i) ~until:now);
+    if now > l.l_end then l.l_end <- now;
+    if exclusive && now > l.l_end_exclusive then l.l_end_exclusive <- now;
+    let last = l.l_count - 1 in
+    l.l_holders.(i) <- l.l_holders.(last);
+    l.l_since.(i) <- l.l_since.(last);
+    l.l_count <- last;
+    if last = 0 then handoff l;
+    retarget_waiters l
+  end
+
+type lock_stats = {
+  ls_shared : int;
+  ls_exclusive : int;
+  ls_waits : int;
+  ls_wait_cycles : int;
+}
+
+let lock_stats l =
+  {
+    ls_shared = l.l_shared_holds;
+    ls_exclusive = l.l_exclusive_holds;
+    ls_waits = l.l_waits;
+    ls_wait_cycles = int_of_float (Float.round l.l_wait_cycles);
+  }
+
+(* --- mutexes: the lock, always held exclusive, behind a trap ------------ *)
+
+let mutex_create (sys : Sched.t) ~name =
+  Ktext.exec sys.ktext [ Ktext.sync_fast ];
+  lock_create sys ~name:("mutex-lock:" ^ name) ~rdesc:("mutex(" ^ name ^ ")")
+    ~shared:(fun _ -> false)
 
 let mutex_lock (sys : Sched.t) m =
-  let r = semaphore_wait sys m.m_sem in
-  if r = Kern_success then begin
-    let th = Sched.self () in
-    m.m_owner <- Some th;
-    Mcheck.acquired sys th ~res:(sem_res m.m_sem)
-  end;
-  r
+  trap_around sys (fun th frame ->
+      Ktext.exec sys.ktext ~frame
+        (if m.l_count = 0 then [ Ktext.sync_fast ]
+         else [ Ktext.sync_fast; Ktext.sync_block ]);
+      lock_acquire m th)
 
-(* Wrong-holder unlocks raise *before* any state changes: the owner edge
-   in the wait-for graph stays with the true holder, and the semaphore
-   is not signalled on behalf of a thread that never held it. *)
+(* A wrong-holder unlock raises before any state changes: the holder
+   edge in the wait-for graph stays with the true holder. *)
 let mutex_unlock (sys : Sched.t) m =
   let th = Sched.self () in
-  (match m.m_owner with
-  | Some owner when owner.tid = th.tid ->
-      m.m_owner <- None;
-      Mcheck.released sys ~res:(sem_res m.m_sem)
-  | Some _ | None -> raise (Kern_error Kern_invalid_argument));
-  semaphore_signal sys m.m_sem
+  if not (lock_holds m th) then raise (Kern_error Kern_invalid_argument);
+  trap_around sys (fun _th frame ->
+      Ktext.exec sys.ktext ~frame [ Ktext.sync_fast ];
+      lock_release m th)
+
+(* --- events -------------------------------------------------------------- *)
 
 let event_create (sys : Sched.t) ~name =
   Ktext.exec sys.ktext [ Ktext.sync_fast ];
-  { e_id = fresh_sync_id (); e_name = name; e_waiters = Queue.create () }
+  { e_name = name; e_waiters = Queue.create () }
 
 let event_wait (sys : Sched.t) e =
   trap_around sys (fun th frame ->
       Ktext.exec sys.ktext ~frame [ Ktext.sync_block ];
-      Sched.wait sys ~q:e.e_waiters th ~res:(evt_res e)
+      Sched.wait sys ~q:e.e_waiters th
         ~rdesc:("event(" ^ e.e_name ^ ")") ~holders:[]
         ("event-wait:" ^ e.e_name))
 

@@ -76,17 +76,3 @@ let code_bytes t =
     (fun acc -> function Fetch { bytes; _ } -> acc + bytes | _ -> acc)
     0 t
 
-let pp_item ppf = function
-  | Fetch { region; offset; bytes } ->
-      Format.fprintf ppf "fetch %s+%d (%d B)" region.Layout.name offset bytes
-  | Load { addr; bytes } -> Format.fprintf ppf "load 0x%x (%d B)" addr bytes
-  | Store { addr; bytes } -> Format.fprintf ppf "store 0x%x (%d B)" addr bytes
-  | Uncached_read { addr; bytes } ->
-      Format.fprintf ppf "ucread 0x%x (%d B)" addr bytes
-  | Uncached_write { addr; bytes } ->
-      Format.fprintf ppf "ucwrite 0x%x (%d B)" addr bytes
-  | Switch_address_space -> Format.fprintf ppf "switch-as"
-  | Stall n -> Format.fprintf ppf "stall %d" n
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%a@]" (Format.pp_print_list pp_item) t

@@ -66,5 +66,3 @@ type machine_state = {
 }
 
 val machine_state : Config.t -> machine_state
-
-val pp : Format.formatter -> t -> unit

@@ -129,11 +129,3 @@ let cpi s =
 let cycles (t : t) = int_of_float (Float.round t.cycles)
 let cycles_exact (t : t) = t.cycles
 
-let pp ppf s =
-  Format.fprintf ppf
-    "@[<v>instructions %d@ cycles %d@ bus cycles %d@ CPI %.2f@ I$ %d/%d \
-     hit/miss@ D$ %d/%d hit/miss@ TLB misses %d@ AS switches %d@ \
-     interrupts %d@]"
-    s.instructions s.cycles s.bus_cycles (cpi s) s.icache_hits
-    s.icache_misses s.dcache_hits s.dcache_misses s.tlb_misses
-    s.address_space_switches s.interrupts

@@ -70,5 +70,3 @@ val cycles : t -> int
 
 val cycles_exact : t -> float
 (** The unrounded cycle accumulator. *)
-
-val pp : Format.formatter -> snapshot -> unit

@@ -173,10 +173,6 @@ let dos_alloc_mem t p ~bytes =
   charge_doscall t ~bytes:96 ();
   Os2_memory.dos_alloc_mem p.p_mem ~bytes
 
-let dos_sub_alloc t p ~bytes =
-  charge_doscall t ~bytes:96 ();
-  Os2_memory.dos_sub_alloc p.p_mem ~bytes
-
 let dos_exit t p =
   charge_doscall t ~bytes:96 ();
   match

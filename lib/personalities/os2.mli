@@ -53,7 +53,6 @@ val dos_delete :
   t -> process -> path:string -> (unit, Fileserver.Fs_types.fs_error) result
 
 val dos_alloc_mem : t -> process -> bytes:int -> (int, kern_return) result
-val dos_sub_alloc : t -> process -> bytes:int -> (int, kern_return) result
 val dos_exit : t -> process -> unit
 (** Terminate the process's task and drop it from the process table
     (an RPC to the server). *)

@@ -9,11 +9,9 @@ type payload +=
   | NS_resolve of string
   | NS_unbind of string
   | NS_list of string
-  | NS_search_attr of string * string
   | NS_r_ok of bool
   | NS_r_entry of Name_db.entry option
   | NS_r_names of string list
-  | NS_r_entries of Name_db.entry list
 
 type t = {
   kernel : Mach.Kernel.t;
@@ -28,7 +26,6 @@ let op_bind = 1
 let op_resolve = 2
 let op_unbind = 3
 let op_list = 4
-let op_search = 5
 
 (* The X.500-style machinery is heavyweight: a fixed parse/ACL prologue
    plus a per-component walk and per-entry attribute evaluation. *)
@@ -76,9 +73,6 @@ let handle t (msg : message) : message_builder =
       let names = Name_db.list_children t.database ~path in
       charge_per_entry t (List.length names);
       reply (NS_r_names names)
-  | NS_search_attr (key, value) ->
-      charge_per_entry t (Name_db.size t.database);
-      reply (NS_r_entries (Name_db.search_attribute t.database ~key ~value))
   | _ -> reply (NS_r_ok false)
 
 let start kernel runtime =
@@ -156,14 +150,6 @@ let unbind t ~path =
 let list_children t ~path =
   match rpc t ~op:op_list ~path ~extra:0 (NS_list path) with
   | NS_r_names names -> names
-  | _ -> []
-
-let search_attribute t ~key ~value =
-  match
-    rpc t ~op:op_search ~path:key ~extra:(String.length value)
-      (NS_search_attr (key, value))
-  with
-  | NS_r_entries es -> es
   | _ -> []
 
 let requests_served t = t.served

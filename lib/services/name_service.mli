@@ -2,11 +2,11 @@
 
     Port rights only have meaning inside a port space, and the kernel
     offers no name→port resolution, so every client and server finds the
-    other through this service.  The interface supports attributes on
-    names, hierarchical paths, attribute search and change notification —
-    and is correspondingly expensive, which is why Release 2 added the
-    {!Name_simple} alternative for embedded configurations (experiment
-    E9 measures the difference).
+    other through this service.  Its database ({!Name_db}) supports
+    attributes on names, hierarchical paths, attribute search and change
+    notification — and the service is correspondingly expensive, which
+    is why Release 2 added the {!Name_simple} alternative for embedded
+    configurations (experiment E9 measures the difference).
 
     All client operations run over {!Mach.Rpc} from the calling thread's
     task. *)
@@ -34,6 +34,5 @@ val resolve : t -> path:string -> Name_db.entry option
 val resolve_port : t -> path:string -> port option
 val unbind : t -> path:string -> bool
 val list_children : t -> path:string -> string list
-val search_attribute : t -> key:string -> value:string -> Name_db.entry list
 
 val requests_served : t -> int

@@ -184,9 +184,9 @@ let measure_fileserver ~ncpus ~clients ~sessions =
     (finish ~workload:"fileserver" ~placement:"spread" ~ncpus
        ~ops:(clients * sessions) m sys)
     with
-    sp_lock_waits = sum (fun l -> l.F.Fs_types.ls_waits);
-    sp_lock_wait_cycles = sum (fun l -> l.F.Fs_types.ls_wait_cycles);
-    sp_shared_holds = sum (fun l -> l.F.Fs_types.ls_shared);
+    sp_lock_waits = sum (fun l -> l.Mach.Sync.ls_waits);
+    sp_lock_wait_cycles = sum (fun l -> l.Mach.Sync.ls_wait_cycles);
+    sp_shared_holds = sum (fun l -> l.Mach.Sync.ls_shared);
     sp_crossed_calls = Mach.Rpc.served_crossed (F.File_server.port fs);
   }
 

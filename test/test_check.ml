@@ -100,13 +100,13 @@ let[@machlint.allow "lock-order"] test_mutex_abba_cycle () =
   let m1 = Mach.Sync.mutex_create sys ~name:"m1" in
   let m2 = Mach.Sync.mutex_create sys ~name:"m2" in
   Test_util.spawn k t "t1" (fun () ->
-      ignore (Mach.Sync.mutex_lock sys m1 : kern_return);
+      Mach.Sync.mutex_lock sys m1;
       Mach.Sched.yield ();
-      ignore (Mach.Sync.mutex_lock sys m2 : kern_return));
+      Mach.Sync.mutex_lock sys m2);
   Test_util.spawn k t "t2" (fun () ->
-      ignore (Mach.Sync.mutex_lock sys m2 : kern_return);
+      Mach.Sync.mutex_lock sys m2;
       Mach.Sched.yield ();
-      ignore (Mach.Sync.mutex_lock sys m1 : kern_return));
+      Mach.Sync.mutex_lock sys m1);
   Mach.Kernel.run k;
   let rep = Check.report chk in
   Alcotest.(check int) "one wait cycle" 1 (Check.count rep "wait_cycles");
@@ -115,8 +115,8 @@ let[@machlint.allow "lock-order"] test_mutex_abba_cycle () =
   match find_kind rep "wait-cycle" with
   | [ f ] ->
       Alcotest.(check bool) "dumps both mutexes" true
-        (contains f.Check.f_detail "sem(m1)"
-        && contains f.Check.f_detail "sem(m2)");
+        (contains f.Check.f_detail "mutex(m1)"
+        && contains f.Check.f_detail "mutex(m2)");
       Alcotest.(check bool) "dumps the task/thread names" true
         (contains f.Check.f_detail "app.t1" && contains f.Check.f_detail "app.t2")
   | fs ->
@@ -200,7 +200,7 @@ let test_wrong_holder_unlock_audited () =
   let m = Mach.Sync.mutex_create sys ~name:"m" in
   let order = Buffer.create 8 in
   Test_util.spawn k t "holder" (fun () ->
-      ignore (Mach.Sync.mutex_lock sys m : kern_return);
+      Mach.Sync.mutex_lock sys m;
       Buffer.add_char order 'a';
       Mach.Sched.yield ();
       Mach.Sched.yield ();
@@ -213,7 +213,7 @@ let test_wrong_holder_unlock_audited () =
          Mach.Sync.mutex_unlock sys m;
          Alcotest.fail "wrong-holder unlock succeeded"
        with Kern_error Kern_invalid_argument -> Buffer.add_char order 'x');
-      ignore (Mach.Sync.mutex_lock sys m : kern_return);
+      Mach.Sync.mutex_lock sys m;
       Buffer.add_char order 'l';
       Mach.Sync.mutex_unlock sys m);
   Mach.Kernel.run k;
@@ -616,9 +616,9 @@ let test_report_columns () =
   Check.right_inserted c ~space ~task:2 ~tname:"t2" ~port:2 ~pname:"p2"
     ~right:Check.R_send_once ~now:Check.R_send_once;
   (* deadlock: two threads waiting on each other *)
-  Check.blocked_on c ~space ~tid:1 ~tname:"a" ~cpu:0 ~res:"r1" ~rdesc:"r1"
+  Check.blocked_on c ~space ~tid:1 ~tname:"a" ~cpu:0 ~rdesc:"r1"
     ~holders:[ 2 ];
-  Check.blocked_on c ~space ~tid:2 ~tname:"b" ~cpu:0 ~res:"r2" ~rdesc:"r2"
+  Check.blocked_on c ~space ~tid:2 ~tname:"b" ~cpu:0 ~rdesc:"r2"
     ~holders:[ 1 ];
   (* buffers: release twice, then touch *)
   Check.buf_allocated c ~space ~addr:0x100 ~bytes:64;

@@ -76,6 +76,7 @@ let test_bad_counts () =
       ("bad_await.ml", 1);
       ("bad_interface.ml", 2);
       ("bad_export", 2);
+      ("bad_qualified", 1);
     ]
 
 (* Findings are deterministic: two runs over the same corpus agree. *)
@@ -141,6 +142,11 @@ let suite =
       ])
     pairs
   @ [
+      (* a qualified reference counts for its own module's val only *)
+      Alcotest.test_case "unused-export qualified known-bad" `Quick
+        (check_bad "bad_qualified" Lint.Report.rule_export);
+      Alcotest.test_case "unused-export qualified known-clean" `Quick
+        (check_clean "clean_qualified");
       Alcotest.test_case "known-bads keep all their shapes" `Quick
         test_bad_counts;
       Alcotest.test_case "findings are deterministic" `Quick test_deterministic;

@@ -244,7 +244,7 @@ let test_exclusive_waits_for_released_hold () =
         (s1 >= 1_000_000. && s1 < 1_000_010.);
       checkb "CPU 0's hold starts at that hold's end" true
         (s2 >= e1 && s2 < e1 +. 1.);
-      let ls = F.Fs_types.lock_stats (Option.get pfs.pfs_lock) in
+      let ls = Mach.Sync.lock_stats (Option.get pfs.pfs_lock) in
       checki "two exclusive holds" 2 ls.ls_exclusive;
       checki "the second waited" 1 ls.ls_waits
   | _, _, l -> Alcotest.failf "expected two sections, got %d" (List.length l)
@@ -264,7 +264,7 @@ let test_shared_holds_overlap () =
   match List.rev !sections with
   | [ (_, s1, e1); (_, s2, e2) ] ->
       checkb "the holds overlap" true (s1 < e2 && s2 < e1);
-      let ls = F.Fs_types.lock_stats (Option.get pfs.pfs_lock) in
+      let ls = Mach.Sync.lock_stats (Option.get pfs.pfs_lock) in
       checki "two shared holds" 2 ls.ls_shared;
       checki "no exclusive hold" 0 ls.ls_exclusive;
       checki "no acquire waited" 0 ls.ls_waits

@@ -232,7 +232,7 @@ let test_no_allocation () =
       let take () = ignore (Mach.Rpc.next_call port th : rpc_exchange option) in
       let hold mode () =
         th.request <- mode;
-        F.Fs_types.hold l;
+        F.Fs_types.hold sys l;
         F.Fs_types.release_held l th;
         th.request <- No_request
       in

@@ -220,13 +220,15 @@ let test_stolen_thread_waits_for_ready_stamp () =
    yielding in a loop never moves its CPU's clock toward the stamp of a
    wake held there.  The dispatcher must deliver the wake anyway.  Both
    threads are bound: an idle CPU 0 that stole [s] would sit ahead of
-   CPU 1's frozen clock and never run it. *)
+   CPU 1's frozen clock and never run it.  [p] and the waker are spawned
+   while CPU 1 is the executing CPU, so [p]'s ready stamp is CPU 1's
+   clock, not the waker's: only the dispatcher can move CPU 1 forward. *)
 let test_zero_cost_yield_loop_terminates () =
   let k = Test_util.kernel_on ~config:(smp_config 2) () in
   let sys = k.Mach.Kernel.sys in
   let m = k.Mach.Kernel.machine in
   let task = Mach.Kernel.task_create k ~name:"spin" () in
-  let flag = ref false and spins = ref 0 in
+  let flag = ref false and spins = ref 0 and held_seen = ref false in
   let s =
     Mach.Kernel.thread_spawn k task ~name:"s" ~affinity:1 ~bound:true
       (fun () ->
@@ -236,28 +238,228 @@ let test_zero_cost_yield_loop_terminates () =
   checkb "s blocked" true
     (Mach.Kernel.run_until k (fun () ->
          match s.state with Th_blocked _ -> true | _ -> false));
-  ignore
-    (Mach.Kernel.thread_spawn k task ~name:"waker" ~affinity:0 (fun () ->
-         Machine.execute m [ Machine.Footprint.Stall 2000 ];
-         Mach.Sched.wake sys s)
-      : thread);
   let held () =
     not (Queue.is_empty sys.Mach.Sched.percpu.(1).Mach.Sched.pc_ipiq)
   in
-  checkb "the wake is held for cpu1" true (Mach.Kernel.run_until k held);
   Mach.Sched.with_uncharged sys (fun () ->
+      ignore
+        (Mach.Kernel.thread_spawn k task ~name:"waker" ~affinity:0 (fun () ->
+             Machine.execute m [ Machine.Footprint.Stall 2000 ];
+             Mach.Sched.wake sys s)
+          : thread);
       ignore
         (Mach.Kernel.thread_spawn k task ~name:"p" ~affinity:1 ~bound:true
            (fun () ->
+             held_seen := held ();
              while (not !flag) && !spins < 10_000 do
                incr spins;
                Mach.Sched.yield ()
              done)
           : thread);
       Mach.Kernel.run k);
+  checkb "the wake was held for cpu1 when p began" true !held_seen;
   checkb "the held wake was delivered" true !flag;
   checkb "the yield loop ended on the wake, not the spin cap" true
     (!spins < 10_000)
+
+(* --- causality: every hand-off observes its producer's stamp ------------- *)
+
+(* The probes below run 2 CPUs with switch charging off, so a dispatch
+   moves no clock and only the hand-off's stamp can.  In each, a CPU-0
+   producer stalls about 1,000,000 cycles before it hands something over
+   while the CPU-1 consumer's clock is still a few thousand cycles in. *)
+
+let on_cpu m i = Machine.Cpu.now_exact (Machine.nth_cpu m i)
+let here m = on_cpu m (Machine.active m)
+
+(* An idle CPU takes a wake stamped ~1,000,000 cycles ahead of its
+   clock by idling up to the stamp, not by paying for the wait. *)
+let test_idle_cpu_skips_uncharged () =
+  let k = Test_util.kernel_on ~config:(smp_config 2) () in
+  let sys = k.Mach.Kernel.sys in
+  let m = k.Mach.Kernel.machine in
+  let task = Mach.Kernel.task_create k ~name:"idle" () in
+  let sent = ref infinity and resumed = ref 0.0 in
+  let sleeper =
+    Mach.Kernel.thread_spawn k task ~name:"sleeper" ~affinity:1 ~bound:true
+      (fun () ->
+        ignore (Mach.Sched.block "waiting for cpu0" : kern_return);
+        resumed := here m)
+  in
+  checkb "the sleeper blocked" true
+    (Mach.Kernel.run_until k (fun () ->
+         match sleeper.state with Th_blocked _ -> true | _ -> false));
+  ignore
+    (Mach.Kernel.thread_spawn k task ~name:"waker" ~affinity:0 ~bound:true
+       (fun () ->
+         Machine.execute m [ Machine.Footprint.Stall 1_000_000 ];
+         sent := here m;
+         Mach.Sched.wake sys sleeper)
+      : thread);
+  Mach.Sched.with_uncharged sys (fun () -> Mach.Kernel.run k);
+  let charged =
+    Machine.Perf.cycles_exact (Machine.Cpu.perf (Machine.nth_cpu m 1))
+  in
+  checkb "the sleeper resumes no earlier than the wake" true
+    (!resumed >= !sent);
+  checkb "cpu1 idled up to the wake: it was charged under 10,000 cycles" true
+    (charged < 10_000.0)
+
+(* A semaphore unit made by a signal at cycle ~1,000,000 on CPU 0 must
+   not let a CPU-1 waiter pass before that cycle. *)
+let test_semaphore_unit_stamp () =
+  let k = Test_util.kernel_on ~config:(smp_config 2) () in
+  let sys = k.Mach.Kernel.sys in
+  let m = k.Mach.Kernel.machine in
+  let task = Mach.Kernel.task_create k ~name:"sem" () in
+  let sem = Mach.Sync.semaphore_create sys ~name:"s" ~value:0 in
+  let signalled = ref infinity and passed = ref 0.0 in
+  ignore
+    (Mach.Kernel.thread_spawn k task ~name:"signaller" ~affinity:0 ~bound:true
+       (fun () ->
+         Machine.execute m [ Machine.Footprint.Stall 1_000_000 ];
+         signalled := here m;
+         Mach.Sync.semaphore_signal sys sem)
+      : thread);
+  ignore
+    (Mach.Kernel.thread_spawn k task ~name:"waiter" ~affinity:1 ~bound:true
+       (fun () ->
+         Mach.Sched.yield ();
+         Mach.Sched.yield ();
+         ignore (Mach.Sync.semaphore_wait sys sem : kern_return);
+         passed := here m)
+      : thread);
+  Mach.Sched.with_uncharged sys (fun () -> Mach.Kernel.run k);
+  checkb "the signal came first in host order" true (!signalled < infinity);
+  checkb "the waiter passes no earlier than the signal" true
+    (!passed >= !signalled)
+
+(* A serve thread on CPU 1 that yields twice inside a request must not
+   take, when the request ends, a call sent at cycle ~1,010,000 from
+   CPU 0 while its own clock still reads ~20,000. *)
+let test_rpc_pending_call_stamp () =
+  let k = Test_util.kernel_on ~config:(smp_config 2) () in
+  let sys = k.Mach.Kernel.sys in
+  let m = k.Mach.Kernel.machine in
+  let srv = Mach.Kernel.task_create k ~name:"srv" () in
+  let port = Mach.Port.allocate sys ~receiver:srv ~name:"svc" in
+  let started = Hashtbl.create 2 in
+  let handler (msg : message) =
+    (match msg.msg_payload with
+    | P_int i -> Hashtbl.replace started i (here m)
+    | _ -> ());
+    Machine.execute m [ Machine.Footprint.Stall 20_000 ];
+    Mach.Sched.yield ();
+    Mach.Sched.yield ();
+    simple_message ()
+  in
+  ignore
+    (Mach.Kernel.thread_spawn k srv ~name:"serve" ~affinity:1 ~bound:true
+       (fun () -> Mach.Rpc.serve sys port handler)
+      : thread);
+  let clients = Mach.Kernel.task_create k ~name:"clients" () in
+  let sent = ref infinity in
+  ignore
+    (Mach.Kernel.thread_spawn k clients ~name:"late" ~affinity:0 ~bound:true
+       (fun () ->
+         Machine.execute m [ Machine.Footprint.Stall 10_000 ];
+         Mach.Sched.yield ();
+         Machine.execute m [ Machine.Footprint.Stall 1_000_000 ];
+         sent := here m;
+         ignore (Mach.Rpc.call sys port (simple_message ~payload:(P_int 2) ())))
+      : thread);
+  ignore
+    (Mach.Kernel.thread_spawn k clients ~name:"early" ~affinity:1 ~bound:true
+       (fun () ->
+         ignore (Mach.Rpc.call sys port (simple_message ~payload:(P_int 1) ())))
+      : thread);
+  Mach.Sched.with_uncharged sys (fun () -> Mach.Kernel.run k);
+  checki "both calls served" 2 (Hashtbl.length started);
+  checkb "the early call was served before the late one was sent" true
+    (Hashtbl.find started 1 < !sent);
+  checkb "the late call is served no earlier than it was sent" true
+    (Hashtbl.find started 2 >= !sent)
+
+(* A message queued by a send at cycle ~1,000,000 on CPU 0 must not be
+   received on CPU 1 before that cycle. *)
+let test_ipc_message_stamp () =
+  let k = Test_util.kernel_on ~config:(smp_config 2) () in
+  let sys = k.Mach.Kernel.sys in
+  let m = k.Mach.Kernel.machine in
+  let task = Mach.Kernel.task_create k ~name:"ipc" () in
+  let port = Mach.Port.allocate sys ~receiver:task ~name:"q" in
+  let sent = ref infinity and received = ref 0.0 in
+  ignore
+    (Mach.Kernel.thread_spawn k task ~name:"sender" ~affinity:0 ~bound:true
+       (fun () ->
+         Machine.execute m [ Machine.Footprint.Stall 1_000_000 ];
+         sent := here m;
+         ignore (Mach.Ipc.send sys port (simple_message ()) : kern_return))
+      : thread);
+  ignore
+    (Mach.Kernel.thread_spawn k task ~name:"receiver" ~affinity:1 ~bound:true
+       (fun () ->
+         Mach.Sched.yield ();
+         Mach.Sched.yield ();
+         match Mach.Ipc.receive sys port with
+         | Ok _ -> received := here m
+         | Error _ -> ())
+      : thread);
+  Mach.Sched.with_uncharged sys (fun () -> Mach.Kernel.run k);
+  checkb "the send came first in host order" true (!sent < infinity);
+  checkb "the message is received no earlier than it was sent" true
+    (!received >= !sent)
+
+(* Two mutex holds on two CPUs never overlap in simulated time: CPU 0
+   takes the mutex, stalls ~1,000,000 cycles and drops it all in one
+   dispatch, before CPU 1, its clock still near 0, asks for it. *)
+let test_mutex_holds_do_not_overlap () =
+  let k = Test_util.kernel_on ~config:(smp_config 2) () in
+  let sys = k.Mach.Kernel.sys in
+  let m = k.Mach.Kernel.machine in
+  let task = Mach.Kernel.task_create k ~name:"mtx" () in
+  let mx = Mach.Sync.mutex_create sys ~name:"m" in
+  let holds = ref [] in
+  let worker cpu stall =
+    ignore
+      (Mach.Kernel.thread_spawn k task ~name:(Printf.sprintf "w%d" cpu)
+         ~affinity:cpu ~bound:true
+         (fun () ->
+           Mach.Sync.mutex_lock sys mx;
+           let from = here m in
+           Machine.execute m [ Machine.Footprint.Stall stall ];
+           holds := (from, here m) :: !holds;
+           Mach.Sync.mutex_unlock sys mx)
+        : thread)
+  in
+  worker 0 1_000_000;
+  worker 1 1_000;
+  Mach.Sched.with_uncharged sys (fun () -> Mach.Kernel.run k);
+  match !holds with
+  | [ (f1, u1); (f0, u0) ] ->
+      checkb "the CPU-1 hold starts after the CPU-0 hold ends" true
+        (f1 >= u0 || f0 >= u1)
+  | l -> Alcotest.failf "expected two holds, got %d" (List.length l)
+
+(* A device event at cycle T that wakes a thread homed on CPU 1 — the
+   CPU dispatched last, whose clock is behind T — must not let it run
+   before T. *)
+let test_device_event_wake_stamp () =
+  let k = Test_util.kernel_on ~config:(smp_config 2) () in
+  let sys = k.Mach.Kernel.sys in
+  let m = k.Mach.Kernel.machine in
+  let task = Mach.Kernel.task_create k ~name:"dev" () in
+  let asleep = ref 0.0 and woke = ref 0.0 in
+  ignore
+    (Mach.Kernel.thread_spawn k task ~name:"sleeper" ~affinity:1 ~bound:true
+       (fun () ->
+         asleep := here m;
+         ignore (Mach.Clock.sleep_for sys ~cycles:500_000 : kern_return);
+         woke := here m)
+      : thread);
+  Mach.Sched.with_uncharged sys (fun () -> Mach.Kernel.run k);
+  checkb "the sleeper runs no earlier than its timer event" true
+    (!woke >= !asleep +. 500_000.0)
 
 (* --- Machcheck: cross-CPU deadlock --------------------------------------- *)
 
@@ -274,21 +476,21 @@ let[@machlint.allow "lock-order"] test_cross_cpu_deadlock_annotated () =
   let got1 = ref false and got2 = ref false in
   ignore
     (Mach.Kernel.thread_spawn k t ~name:"t1" ~affinity:0 ~bound:true (fun () ->
-         ignore (Mach.Sync.mutex_lock sys m1 : kern_return);
+         Mach.Sync.mutex_lock sys m1;
          got1 := true;
          while not !got2 do
            Mach.Sched.yield ()
          done;
-         ignore (Mach.Sync.mutex_lock sys m2 : kern_return))
+         Mach.Sync.mutex_lock sys m2)
       : thread);
   ignore
     (Mach.Kernel.thread_spawn k t ~name:"t2" ~affinity:1 ~bound:true (fun () ->
-         ignore (Mach.Sync.mutex_lock sys m2 : kern_return);
+         Mach.Sync.mutex_lock sys m2;
          got2 := true;
          while not !got1 do
            Mach.Sched.yield ()
          done;
-         ignore (Mach.Sync.mutex_lock sys m1 : kern_return))
+         Mach.Sync.mutex_lock sys m1)
       : thread);
   Mach.Kernel.run k;
   let rep = Check.report chk in
@@ -341,6 +543,18 @@ let suite =
       test_zero_cost_yield_loop_terminates;
     Alcotest.test_case "a stolen thread never runs before its wake" `Quick
       test_stolen_thread_waits_for_ready_stamp;
+    Alcotest.test_case "an idle CPU skips to a wake's stamp uncharged" `Quick
+      test_idle_cpu_skips_uncharged;
+    Alcotest.test_case "a semaphore unit carries its signal's stamp" `Quick
+      test_semaphore_unit_stamp;
+    Alcotest.test_case "a pending call is served no earlier than sent" `Quick
+      test_rpc_pending_call_stamp;
+    Alcotest.test_case "a queued message is received no earlier than sent"
+      `Quick test_ipc_message_stamp;
+    Alcotest.test_case "mutex holds on two CPUs do not overlap" `Quick
+      test_mutex_holds_do_not_overlap;
+    Alcotest.test_case "a device-event wake runs no earlier than the event"
+      `Quick test_device_event_wake_stamp;
     Alcotest.test_case "cross-CPU deadlock cycle annotated" `Quick
       test_cross_cpu_deadlock_annotated;
     Alcotest.test_case "machine state scales per CPU" `Quick
