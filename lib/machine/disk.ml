@@ -38,7 +38,7 @@ type t = {
   line : int;
   name : string;
   geometry : geometry;
-  store : bytes;
+  chunks : bytes array;  (* the media; [Bytes.empty] until first written *)
   mutable queue : slot list;  (* reversed: newest first *)
   mutable inflight : slot option;
   mutable served : int;
@@ -58,6 +58,11 @@ let default_geometry =
     transfer_cycles_per_block = 8_000;
   }
 
+(* The media is sparse: it is stored in fixed-size chunks, each allocated
+   on its first write, and a range never written reads as zeros.  Every
+   access goes through [store_in] and [store_out]. *)
+let chunk_bytes = 32 * 1024
+
 let create cpu events irq ~line ~name geometry =
   let t =
     {
@@ -67,7 +72,11 @@ let create cpu events irq ~line ~name geometry =
       line;
       name;
       geometry;
-      store = Bytes.make (geometry.blocks * geometry.block_size) '\000';
+      chunks =
+        Array.make
+          (((geometry.blocks * geometry.block_size) + chunk_bytes - 1)
+          / chunk_bytes)
+          Bytes.empty;
       queue = [];
       inflight = None;
       served = 0;
@@ -104,10 +113,40 @@ let blocks_of_request t = function
   | Read { count; _ } -> count
   | Write { data; _ } -> gather_bytes data / t.geometry.block_size
 
+(* [f i o pos n] for each piece of the media's bytes [off, off + len)
+   that lies in one chunk: [n] bytes at offset [o] of chunk [i], which
+   are bytes [pos, pos + n) of the span *)
+let iter_span ~off len f =
+  let rec go pos =
+    if pos < len then begin
+      let o = (off + pos) mod chunk_bytes in
+      let n = min (len - pos) (chunk_bytes - o) in
+      f ((off + pos) / chunk_bytes) o pos n;
+      go (pos + n)
+    end
+  in
+  go 0
+
+(* copy the first [len] bytes of [src] onto the media at byte [off] *)
+let store_in t ~off src len =
+  iter_span ~off len (fun i o pos n ->
+      if Bytes.length t.chunks.(i) = 0 then
+        t.chunks.(i) <- Bytes.make chunk_bytes '\000';
+      Bytes.blit src pos t.chunks.(i) o n)
+
+(* a copy of [len] bytes of the media from byte [off] *)
+let store_out t ~off len =
+  let dst = Bytes.create len in
+  iter_span ~off len (fun i o pos n ->
+      let c = t.chunks.(i) in
+      if Bytes.length c = 0 then Bytes.fill dst pos n '\000'
+      else Bytes.blit c o dst pos n);
+  dst
+
 (* --- media application, with the interceptor in the path ----------------- *)
 
 let land_write t ~block data =
-  Bytes.blit data 0 t.store (block * t.geometry.block_size) (Bytes.length data)
+  store_in t ~off:(block * t.geometry.block_size) data (Bytes.length data)
 
 let release_held t =
   let ready = t.held in
@@ -146,15 +185,15 @@ let apply_write t ~block data =
           (* a prefix of the write lands, torn at a 4-byte granule *)
           let len = Bytes.length data in
           let keep = r mod (len / 4) * 4 in
-          if keep > 0 then
-            Bytes.blit data 0 t.store (block * t.geometry.block_size) keep;
+          store_in t ~off:(block * t.geometry.block_size) data keep;
           None
       | Wf_bit_rot r ->
           land_write t ~block data;
           let bit = r mod (Bytes.length data * 8) in
           let off = (block * t.geometry.block_size) + (bit / 8) in
-          let v = Char.code (Bytes.get t.store off) lxor (1 lsl (bit mod 8)) in
-          Bytes.set t.store off (Char.chr v);
+          let old = Bytes.get (store_out t ~off 1) 0 in
+          let v = Char.code old lxor (1 lsl (bit mod 8)) in
+          store_in t ~off (Bytes.make 1 (Char.chr v)) 1;
           None
       | Wf_reorder n ->
           Some { h_ttl = max 1 n; h_block = block; h_data = Bytes.copy data }
@@ -175,7 +214,7 @@ and complete t slot =
   let k =
     match slot.req with
     | Read { block; count; k } ->
-        let data = Bytes.sub t.store (block * bs) (count * bs) in
+        let data = store_out t ~off:(block * bs) (count * bs) in
         fun () -> k data
     | Write { block; data; k } ->
         (* each element lands as its own media write, in list order *)
@@ -236,7 +275,7 @@ let barrier t k =
 
 let read_image t ~block ~count =
   check t ~block ~count;
-  Bytes.sub t.store (block * t.geometry.block_size)
+  store_out t ~off:(block * t.geometry.block_size)
     (count * t.geometry.block_size)
 
 let write_image t ~block data =
@@ -244,7 +283,7 @@ let write_image t ~block data =
   if Bytes.length data = 0 || Bytes.length data mod bs <> 0 then
     invalid_arg "Disk.write_image: data must be a whole number of blocks";
   check t ~block ~count:(Bytes.length data / bs);
-  if t.powered then Bytes.blit data 0 t.store (block * bs) (Bytes.length data)
+  if t.powered then store_in t ~off:(block * bs) data (Bytes.length data)
 
 let set_write_interceptor t f = t.interceptor <- f
 

@@ -6,7 +6,13 @@
     the device's interrupt line and then invokes the request's
     continuation.  DMA transfer bus traffic is charged on completion.
     Every file-system access goes through that queue; {!read_image} and
-    {!write_image} are raw accessors for mkfs and tests. *)
+    {!write_image} are raw accessors for mkfs and tests.
+
+    The media is sparse: the host stores it in 32 KiB chunks allocated
+    on first write, and a range never written reads as zeros.  A booted
+    machine costs the host the chunks it writes, not the 20 MB of
+    {!default_geometry}: creating the disk allocates 5 KiB, and a
+    perfbench os2-hot run ends with 15 chunks (480 KiB) allocated. *)
 
 type t
 

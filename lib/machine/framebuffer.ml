@@ -3,7 +3,7 @@ type t = {
   region : Layout.region;
   width : int;
   height : int;
-  pixels : Bytes.t;
+  mutable pixels : Bytes.t;  (* [Bytes.empty] until the first store *)
   mutable written : int;
 }
 
@@ -12,7 +12,7 @@ let create cpu layout ~width ~height =
     Layout.alloc layout ~name:"framebuffer" ~kind:Layout.Device
       ~size:(width * height)
   in
-  { cpu; region; width; height; pixels = Bytes.make (width * height) '\000'; written = 0 }
+  { cpu; region; width; height; pixels = Bytes.empty; written = 0 }
 
 let region t = t.region
 let width t = t.width
@@ -25,13 +25,19 @@ let store_span t ~x ~y ~len =
   let addr = t.region.Layout.base + (y * t.width) + x in
   Cpu.execute t.cpu [ Footprint.Uncached_write { addr; bytes = len } ]
 
+(* the pixel array to record a store in, allocated on the first one *)
+let stored t =
+  if Bytes.length t.pixels = 0 then
+    t.pixels <- Bytes.make (t.width * t.height) '\000';
+  t.pixels
+
 let fill_rect t ~x ~y ~w ~h ~pixel =
   if w > 0 && h > 0 then begin
     check t ~x ~y;
     check t ~x:(x + w - 1) ~y:(y + h - 1);
     for row = y to y + h - 1 do
       store_span t ~x ~y:row ~len:w;
-      Bytes.fill t.pixels ((row * t.width) + x) w pixel
+      Bytes.fill (stored t) ((row * t.width) + x) w pixel
     done;
     t.written <- t.written + (w * h)
   end
@@ -42,12 +48,13 @@ let blit_row t ~x ~y s =
     check t ~x ~y;
     check t ~x:(x + len - 1) ~y;
     store_span t ~x ~y ~len;
-    Bytes.blit_string s 0 t.pixels ((y * t.width) + x) len;
+    Bytes.blit_string s 0 (stored t) ((y * t.width) + x) len;
     t.written <- t.written + len
   end
 
 let pixel t ~x ~y =
   check t ~x ~y;
-  Bytes.get t.pixels ((y * t.width) + x)
+  if Bytes.length t.pixels = 0 then '\000'
+  else Bytes.get t.pixels ((y * t.width) + x)
 
 let pixels_written t = t.written

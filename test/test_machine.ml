@@ -274,9 +274,103 @@ let test_disk_bounds () =
       try Disk.read m.disk ~block:(-1) ~count:1 (fun _ -> ())
       with Invalid_argument _ -> raise (Invalid_argument "range"))
 
+(* --- sparse media -------------------------------------------------------------
+
+   The media is stored in 32 KiB chunks allocated on first write, so 64
+   blocks of 512 bytes to a chunk: block 63 ends chunk 0 and block 64
+   starts chunk 1. *)
+
+let zeros n = Bytes.make n '\000'
+
+(* one straddling buffer: blocks 62-65, the boundary 1024 bytes in *)
+let straddle = Bytes.init 2048 (fun i -> Char.chr (1 + (i mod 251)))
+
+let test_unwritten_reads_zero () =
+  let m = create Config.pentium_133 in
+  let last = Disk.default_geometry.Disk.blocks - 1 in
+  Disk.write m.disk ~block:64 [ Bytes.make 512 'x' ] (fun () -> ());
+  drain m;
+  List.iter
+    (fun block ->
+      let got = ref Bytes.empty in
+      Disk.read m.disk ~block ~count:1 (fun b -> got := b);
+      drain m;
+      let what = Printf.sprintf "block %d" block in
+      Alcotest.(check bytes) (what ^ " via read") (zeros 512) !got;
+      Alcotest.(check bytes) (what ^ " via read_image") (zeros 512)
+        (Disk.read_image m.disk ~block ~count:1))
+    [ 0; 63; 65; last ]
+
+let test_gather_write_straddles_chunk () =
+  let m = create Config.pentium_133 in
+  let bufs = [ Bytes.make 512 'a'; straddle; Bytes.make 512 'c' ] in
+  Disk.write m.disk ~block:61 bufs (fun () -> ());
+  drain m;
+  let got = ref Bytes.empty in
+  Disk.read m.disk ~block:60 ~count:8 (fun b -> got := b);
+  drain m;
+  Alcotest.(check bytes) "read back intact"
+    (Bytes.concat Bytes.empty ((zeros 512 :: bufs) @ [ zeros 512 ]))
+    !got
+
+(* a write through an interceptor that returns [fault] for it *)
+let faulted_write m ~block data fault =
+  Disk.set_write_interceptor m.disk (Some (fun ~block:_ ~data:_ -> fault));
+  Disk.write m.disk ~block [ data ] (fun () -> ());
+  drain m;
+  Disk.set_write_interceptor m.disk None
+
+let test_torn_write_straddles_chunk () =
+  let m = create Config.pentium_133 in
+  (* entropy 300 keeps 300 of the 512 granules: 1200 bytes *)
+  faulted_write m ~block:62 straddle (Disk.Wf_torn 300);
+  let expected = Bytes.cat (Bytes.sub straddle 0 1200) (zeros (2048 - 1200)) in
+  Alcotest.(check bytes) "exactly the aligned prefix" expected
+    (Disk.read_image m.disk ~block:62 ~count:4)
+
+let test_bit_rot_flips_one_bit () =
+  let m = create Config.pentium_133 in
+  (* bit 3 of byte 1100, past the chunk boundary *)
+  faulted_write m ~block:62 straddle (Disk.Wf_bit_rot ((1100 * 8) + 3));
+  let got = Disk.read_image m.disk ~block:62 ~count:4 in
+  let rec popcount v = if v = 0 then 0 else (v land 1) + popcount (v lsr 1) in
+  let flipped = ref 0 in
+  Bytes.iteri
+    (fun i c ->
+      flipped :=
+        !flipped + popcount (Char.code c lxor Char.code (Bytes.get straddle i)))
+    got;
+  Alcotest.(check int) "one bit flipped" 1 !flipped;
+  Alcotest.(check int) "the chosen bit"
+    (Char.code (Bytes.get straddle 1100) lxor 8)
+    (Char.code (Bytes.get got 1100))
+
+let test_write_image_powered_off () =
+  let m = create Config.pentium_133 in
+  faulted_write m ~block:10 (Bytes.make 512 'x') Disk.Wf_power_cut;
+  Alcotest.(check bool) "power cut" false (Disk.powered_on m.disk);
+  Disk.write_image m.disk ~block:62 straddle;
+  Alcotest.(check bytes) "dropped: the cut write" (zeros 512)
+    (Disk.read_image m.disk ~block:10 ~count:1);
+  Alcotest.(check bytes) "dropped: the raw write" (zeros 2048)
+    (Disk.read_image m.disk ~block:62 ~count:4)
+
+(* The media is sparse: booting perfbench's machine must not allocate
+   its 20 MB disk up front (a dense store costs 20.4 MiB here). *)
+let test_create_allocation () =
+  let config = Config.with_ncpus Config.ppc604_133 ~n:4 in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  ignore (create config : Machine.t);
+  let mib = (Gc.allocated_bytes () -. before) /. 1048576. in
+  if mib >= 1.0 then
+    Alcotest.failf "Machine.create allocated %.2f MiB (limit 1 MiB)" mib
+
 let test_framebuffer () =
   let m = create Config.pentium_133 in
   let fb = m.framebuffer in
+  Alcotest.(check char) "untouched reads zero" '\000'
+    (Framebuffer.pixel fb ~x:0 ~y:0);
   let before = Perf.snapshot (Cpu.perf m.cpu) in
   Framebuffer.fill_rect fb ~x:10 ~y:10 ~w:20 ~h:5 ~pixel:'z';
   let d = Perf.diff (Perf.snapshot (Cpu.perf m.cpu)) before in
@@ -334,6 +428,17 @@ let suite =
       test_barriers_run_in_call_order;
     Alcotest.test_case "barrier on idle disk" `Quick test_barrier_on_idle_disk;
     Alcotest.test_case "disk bounds" `Quick test_disk_bounds;
+    Alcotest.test_case "unwritten blocks read zero" `Quick
+      test_unwritten_reads_zero;
+    Alcotest.test_case "gather write across a chunk" `Quick
+      test_gather_write_straddles_chunk;
+    Alcotest.test_case "torn write across a chunk" `Quick
+      test_torn_write_straddles_chunk;
+    Alcotest.test_case "bit rot flips one bit" `Quick test_bit_rot_flips_one_bit;
+    Alcotest.test_case "write_image while powered off" `Quick
+      test_write_image_powered_off;
+    Alcotest.test_case "create allocates under 1 MiB" `Quick
+      test_create_allocation;
     Alcotest.test_case "framebuffer" `Quick test_framebuffer;
     Alcotest.test_case "irq spurious" `Quick test_irq_spurious;
     Alcotest.test_case "perf diff" `Quick test_perf_diff;
