@@ -141,8 +141,26 @@ let bench_ab ~a ~b ~threshold =
     results;
   if !errors > 0 then exit 2 else if !regressed > 0 then exit 1
 
+(* The machine model's own host cost: one round has each CPU of a
+   4-CPU ppc604 fetch 256 bytes of shared code, load the 256-byte data
+   block, store its own 64-byte line of it (so the next round's loads
+   take coherence transfers) and IPI its neighbour. *)
+let smp_hot_path () =
+  let open Machine in
+  let m = create (Config.with_ncpus Config.ppc604_133 ~n:4) in
+  let code = Layout.alloc m.layout ~name:"code" ~kind:Layout.Code ~size:4096 in
+  let data = Layout.alloc m.layout ~name:"data" ~kind:Layout.Data ~size:4096 in
+  fun () ->
+    for i = 0 to 3 do
+      set_active m i;
+      Cpu.fetch m.cpu code ~offset:0 ~bytes:256;
+      Cpu.load m.cpu ~addr:data.Layout.base ~bytes:256;
+      Cpu.store m.cpu ~addr:(data.Layout.base + (64 * i)) ~bytes:64;
+      ipi m ~target:((i + 1) mod 4)
+    done
+
 (* host-time measurements of the experiment cores, one Bechamel test per
-   table/figure *)
+   table/figure, and of the machine model's hot path *)
 let bechamel () =
   let open Bechamel in
   let open Toolkit in
@@ -165,6 +183,7 @@ let bechamel () =
               Workloads.Api.of_monolithic (Monolithic.boot m ~fs_format:`Hpfs ())
             in
             ignore (Workloads.Table1.run api spec));
+        quick "machine:smp-hot-path" (smp_hot_path ());
       ]
   in
   let ols =

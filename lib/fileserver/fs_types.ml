@@ -184,7 +184,8 @@ let release_dead l =
 let serialized (sys : Mach.Sched.t) p =
   let rdesc = Printf.sprintf "mount(%s)" p.pfs_limits.fl_format in
   let l =
-    Mach.Sync.lock_create sys ~name:"mount-lock" ~rdesc ~shared:is_shared
+    Mach.Sync.lock_create sys ~name:"mount-lock" ~rdesc:"mount"
+      ~rname:p.pfs_limits.fl_format ~shared:is_shared
   in
   let locked ~mutates f =
     match sys.Mach.Sched.current with

@@ -58,7 +58,7 @@ let send (sys : Sched.t) port ?reply_to (mb : message_builder) =
       else if Queue.length port.msg_queue >= port.q_limit then
         match
           Sched.wait sys ~q:port.waiting_senders th
-            ~rdesc:("send-room(" ^ port.pname ^ ")")
+            ~rdesc:"send-room" ~rname:port.pname
             ~holders:(Mcheck.receiver_tids port) "msg-send-queue-full"
         with
         | Kern_success -> wait_for_room ()
@@ -116,7 +116,7 @@ let receive (sys : Sched.t) port =
              edge, but the node must exist so a kill can be audited *)
           match
             Sched.wait sys ~q:port.waiting_receivers th
-              ~rdesc:("receive(" ^ port.pname ^ ")")
+              ~rdesc:"receive" ~rname:port.pname
               ~holders:[] "msg-receive"
           with
           | Kern_success -> get ()

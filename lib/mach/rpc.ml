@@ -181,7 +181,7 @@ let call (sys : Sched.t) port ?deadline ?(commutes = false)
          server thread once one picks the exchange up (see [dequeue]) *)
       match
         Sched.wait sys th
-          ~rdesc:("rpc-call(" ^ port.pname ^ ")")
+          ~rdesc:"rpc-call" ~rname:port.pname
           ~holders:(Mcheck.receiver_tids port) "rpc-call"
       with
       | Kern_success -> (
@@ -257,7 +257,7 @@ let rec dequeue (sys : Sched.t) port th frame =
         (* served by any future caller: node only, no holder edge *)
         match
           Sched.wait sys ~q:port.waiting_servers th
-            ~rdesc:("rpc-receive(" ^ port.pname ^ ")")
+            ~rdesc:"rpc-receive" ~rname:port.pname
             ~holders:[] receive_reason
         with
         | Kern_success -> dequeue sys port th frame

@@ -338,15 +338,17 @@ let wake_one_on t q ~cpu = wake_home t q ~cpu || wake_one t q
    wait-for edge to Machcheck for as long as it sleeps, and on any wake
    but a plain [Kern_success] (timeout, abort, dying port) leaves [q]
    again — a waiter that gave up must not absorb a later wake meant for
-   a thread still waiting. *)
-let wait t ?q th ~rdesc ~holders reason =
+   a thread still waiting.  The resource's name "rdesc(rname)" is built
+   only for an attached Machcheck, so a run without one pays nothing
+   for it. *)
+let wait t ?q th ~rdesc ~rname ~holders reason =
   Option.iter (enqueue_waiter th) q;
   (match t.checks with
   | None -> ()
   | Some c ->
       Check.blocked_on c ~space:t.check_space ~tid:th.tid
         ~tname:(th.t_task.task_name ^ "." ^ th.tname)
-        ~cpu:t.active ~rdesc ~holders);
+        ~cpu:t.active ~rdesc:(rdesc ^ "(" ^ rname ^ ")") ~holders);
   let r = block reason in
   (match t.checks with
   | None -> ()

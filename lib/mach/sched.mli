@@ -170,11 +170,12 @@ val wake_one_on : t -> thread Queue.t -> cpu:int -> bool
     thread {!wake_one} would. *)
 
 val wait :
-  t -> ?q:thread Queue.t -> thread -> rdesc:string -> holders:int list ->
-  string -> kern_return
+  t -> ?q:thread Queue.t -> thread -> rdesc:string -> rname:string ->
+  holders:int list -> string -> kern_return
 (** The kernel's one blocking wait, which every IPC, RPC and synchronizer
     wait goes through: add the thread to [q] unless already queued,
-    report the wait-for edge on the resource named [rdesc] (unblockable
+    report the wait-for edge on the resource named ["rdesc(rname)"]
+    (built only when a Machcheck is attached; unblockable
     by the [holders] thread ids) to an attached Machcheck, {!block} with
     [reason], and withdraw the edge on wake.  On any result but
     [Kern_success] the thread is also removed from [q]. *)

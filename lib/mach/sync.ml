@@ -18,7 +18,8 @@ type event = { e_name : string; e_waiters : thread Queue.t }
 type lock = {
   l_sys : Sched.t;
   l_res : string;  (* Machcheck resource key *)
-  l_rdesc : string;
+  l_rdesc : string;  (* Machcheck names it "l_rdesc(l_rname)" *)
+  l_rname : string;
   l_reason : string;  (* what a waiter blocks on *)
   l_wants_shared : thread -> bool;
   mutable l_holders : thread array;  (* [0, l_count) hold it *)
@@ -73,7 +74,7 @@ let semaphore_wait (sys : Sched.t) s =
             Ktext.exec k ~frame [ Ktext.sync_block ];
             match
               Sched.wait sys ~q:s.s_waiters th
-                ~rdesc:("sem(" ^ s.s_name ^ ")") ~holders:[]
+                ~rdesc:"sem" ~rname:s.s_name ~holders:[]
                 ("sem-wait:" ^ s.s_name)
             with
             | Kern_success -> wait ()
@@ -102,11 +103,12 @@ let semaphore_waiters s = Queue.length s.s_waiters
    time inside, or just before, a hold it conflicts with: hence the two
    release stamps an acquire observes. *)
 
-let lock_create (sys : Sched.t) ~name ~rdesc ~shared =
+let lock_create (sys : Sched.t) ~name ~rdesc ~rname ~shared =
   {
     l_sys = sys;
     l_res = "lock:" ^ string_of_int (fresh_sync_id ());
     l_rdesc = rdesc;
+    l_rname = rname;
     l_reason = name;
     l_wants_shared = shared;
     l_holders = [||];
@@ -159,7 +161,7 @@ let retarget_waiters l =
    it; one that finds other holders waits again, on them. *)
 let rec wait_for_handoff l th =
   ignore
-    (Sched.wait l.l_sys ~q:l.l_waiters th ~rdesc:l.l_rdesc
+    (Sched.wait l.l_sys ~q:l.l_waiters th ~rdesc:l.l_rdesc ~rname:l.l_rname
        ~holders:(holder_tids l) l.l_reason
       : kern_return);
   if lock_holds l th then ()
@@ -215,7 +217,9 @@ let lock_release l th =
     (match l.l_sys.Sched.checks with
     | None -> ()
     | Some _ ->
-        Mcheck.lock_hold l.l_sys ~res:l.l_res ~rdesc:l.l_rdesc ~tid:th.tid
+        Mcheck.lock_hold l.l_sys ~res:l.l_res
+          ~rdesc:(l.l_rdesc ^ "(" ^ l.l_rname ^ ")")
+          ~tid:th.tid
           ~exclusive ~from:l.l_since.(i) ~until:now);
     if now > l.l_end then l.l_end <- now;
     if exclusive && now > l.l_end_exclusive then l.l_end_exclusive <- now;
@@ -246,7 +250,7 @@ let lock_stats l =
 
 let mutex_create (sys : Sched.t) ~name =
   Ktext.exec sys.ktext [ Ktext.sync_fast ];
-  lock_create sys ~name:("mutex-lock:" ^ name) ~rdesc:("mutex(" ^ name ^ ")")
+  lock_create sys ~name:("mutex-lock:" ^ name) ~rdesc:"mutex" ~rname:name
     ~shared:(fun _ -> false)
 
 let mutex_lock (sys : Sched.t) m =
@@ -275,7 +279,7 @@ let event_wait (sys : Sched.t) e =
   trap_around sys (fun th frame ->
       Ktext.exec sys.ktext ~frame [ Ktext.sync_block ];
       Sched.wait sys ~q:e.e_waiters th
-        ~rdesc:("event(" ^ e.e_name ^ ")") ~holders:[]
+        ~rdesc:"event" ~rname:e.e_name ~holders:[]
         ("event-wait:" ^ e.e_name))
 
 let event_signal (sys : Sched.t) e =

@@ -53,10 +53,11 @@ val semaphore_waiters : semaphore -> int
 type lock
 
 val lock_create :
-  Sched.t -> name:string -> rdesc:string -> shared:(thread -> bool) -> lock
-(** [name] is the reason a waiter blocks with, [rdesc] the lock's name
-    in Machcheck findings, and [shared th] whether [th] takes it
-    shared. *)
+  Sched.t -> name:string -> rdesc:string -> rname:string ->
+  shared:(thread -> bool) -> lock
+(** [name] is the reason a waiter blocks with, ["rdesc(rname)"] the
+    lock's name in Machcheck findings (built only when one is attached),
+    and [shared th] whether [th] takes it shared. *)
 
 val lock_acquire : lock -> thread -> unit
 (** Take the lock for [thread], waiting in the kernel while it

@@ -1,82 +1,75 @@
+(* Tags and LRU stamps live in flat arrays, way [w] of set [s] at index
+   [s * assoc + w].  The line size and the set count are powers of two,
+   so locating a line is a shift and a mask, and a lookup scans one
+   set's ways without allocating: this runs once per cache line touched
+   by every simulated instruction fetch, load and store. *)
 type t = {
-  line : int;
-  sets : int;
+  line_shift : int;
+  set_mask : int;
+  set_shift : int;
   assoc : int;
-  tags : int array array;  (* [set].[way]; -1 = invalid *)
-  stamps : int array array;  (* LRU stamps parallel to [tags] *)
+  tags : int array;  (* -1 = invalid *)
+  stamps : int array;  (* LRU stamps parallel to [tags] *)
   mutable tick : int;
 }
 
+let log2_exact what n =
+  if n <= 0 || n land (n - 1) <> 0 then
+    invalid_arg
+      (Printf.sprintf "Cache.create: %s %d is not a power of two" what n);
+  let rec go k = if 1 lsl k = n then k else go (k + 1) in
+  go 0
+
 let create (g : Config.cache_geometry) =
   let sets = g.size / (g.line * g.assoc) in
-  assert (sets > 0);
+  let line_shift = log2_exact "line size" g.line
+  and set_shift = log2_exact "set count" sets in
   {
-    line = g.line;
-    sets;
+    line_shift;
+    set_mask = sets - 1;
+    set_shift;
     assoc = g.assoc;
-    tags = Array.init sets (fun _ -> Array.make g.assoc (-1));
-    stamps = Array.init sets (fun _ -> Array.make g.assoc 0);
+    tags = Array.make (sets * g.assoc) (-1);
+    stamps = Array.make (sets * g.assoc) 0;
     tick = 0;
   }
 
-let locate t addr =
-  let line_addr = addr / t.line in
-  let set = line_addr mod t.sets in
-  let tag = line_addr / t.sets in
-  (set, tag)
+(* The index in [i, stop) holding [tag], or -1. *)
+let rec find (tags : int array) (tag : int) i stop =
+  if i >= stop then -1 else if tags.(i) = tag then i else find tags tag (i + 1) stop
 
-let find_way tags tag =
-  let rec loop i =
-    if i >= Array.length tags then None
-    else if tags.(i) = tag then Some i
-    else loop (i + 1)
-  in
-  loop 0
+(* The least recently used index in [i, stop), the lowest winning ties.
+   Invalid ways keep their stamps, so after a flush the victim is still
+   the way used longest ago. *)
+let rec lru (stamps : int array) best i stop =
+  if i >= stop then best
+  else lru stamps (if stamps.(i) < stamps.(best) then i else best) (i + 1) stop
 
-let lru_way t set =
-  let stamps = t.stamps.(set) in
-  let best = ref 0 in
-  for i = 1 to t.assoc - 1 do
-    if stamps.(i) < stamps.(!best) then best := i
-  done;
-  !best
-
-(* Zero-allocation variant of [locate]/[find_way]: this runs once per
-   cache line touched by every simulated instruction fetch, load and
-   store, so it must not build tuples or options. *)
 let access t addr =
-  let line_addr = addr / t.line in
-  let set = line_addr mod t.sets in
-  let tag = line_addr / t.sets in
+  let line = addr lsr t.line_shift in
+  let base = (line land t.set_mask) * t.assoc in
+  let tag = line lsr t.set_shift in
+  let stop = base + t.assoc in
   t.tick <- t.tick + 1;
-  let tags = t.tags.(set) in
-  let n = Array.length tags in
-  let way =
-    let rec find i = if i >= n then -1 else if tags.(i) = tag then i else find (i + 1) in
-    find 0
-  in
+  let way = find t.tags tag base stop in
   if way >= 0 then begin
-    t.stamps.(set).(way) <- t.tick;
+    t.stamps.(way) <- t.tick;
     true
   end
   else begin
-    let way = lru_way t set in
-    tags.(way) <- tag;
-    t.stamps.(set).(way) <- t.tick;
+    let way = lru t.stamps base (base + 1) stop in
+    t.tags.(way) <- tag;
+    t.stamps.(way) <- t.tick;
     false
   end
 
 let probe t addr =
-  let set, tag = locate t addr in
-  match find_way t.tags.(set) tag with Some _ -> true | None -> false
+  let line = addr lsr t.line_shift in
+  let base = (line land t.set_mask) * t.assoc in
+  find t.tags (line lsr t.set_shift) base (base + t.assoc) >= 0
 
-let flush t =
-  Array.iter (fun ways -> Array.fill ways 0 (Array.length ways) (-1)) t.tags
-
-let lines t = t.sets * t.assoc
+let flush t = Array.fill t.tags 0 (Array.length t.tags) (-1)
+let lines t = Array.length t.tags
 
 let resident t =
-  Array.fold_left
-    (fun acc ways ->
-      Array.fold_left (fun a tag -> if tag >= 0 then a + 1 else a) acc ways)
-    0 t.tags
+  Array.fold_left (fun acc tag -> if tag >= 0 then acc + 1 else acc) 0 t.tags

@@ -2,11 +2,18 @@
 
     The cache is a tag store only: it tracks which physical line addresses
     are resident, not their contents.  That is all the cost model needs —
-    hits and misses drive cycle and bus charges in {!Cpu}. *)
+    hits and misses drive cycle and bus charges in {!Cpu}.
+
+    Lines and sets are located by shift and mask, so [create] requires
+    the line size and the set count ([size / (line * assoc)]) to be
+    powers of two.  Replacement is exact LRU, the lowest way winning
+    ties; {!flush} invalidates lines but keeps their LRU stamps. *)
 
 type t
 
 val create : Config.cache_geometry -> t
+(** @raise Invalid_argument when the line size or the set count is not a
+    power of two. *)
 
 val access : t -> int -> bool
 (** [access t addr] looks up the line containing physical address [addr],

@@ -54,22 +54,29 @@ let charge_bus_smp t n =
 
 (* Walk the lines of [addr..addr+bytes), consulting [cache]; each miss
    costs a line fill.  TLB is consulted once per page touched.  This is
-   the innermost hot path of the whole simulator: it must not allocate.
-   The SMP additions (coherence directory, bus arbitration) are guarded
-   so a 1-CPU machine runs the exact pre-SMP sequence. *)
+   the innermost hot path of the whole simulator.  Walking resident
+   lines allocates nothing; a charge boxes three floats (the argument
+   to [Perf.add_cycles], the counter it updates and the clock), and a
+   bus transaction boxes the stall [Bus.acquire] returns.  So on a warm
+   4-CPU machine a 64-byte load allocates 0 words, a 256-byte fetch 6
+   and a 64-byte store 8: the "hot path allocation" test in
+   test_machine.ml pins those figures.  The SMP additions (coherence
+   directory, bus arbitration) are guarded so a 1-CPU machine runs the
+   exact pre-SMP sequence. *)
 let lines_and_pages t cache addr bytes ~is_icache =
   let c = t.config in
   let smp = Bus.ncpus t.bus > 1 in
   let line = if is_icache then c.icache.line else c.dcache.line in
-  let first_line = addr / line and last_line = (addr + max bytes 1 - 1) / line in
-  for l = first_line to last_line do
-    let a = l * line in
+  let last = addr + max bytes 1 - 1 in
+  (* line and page sizes are powers of two (Cache and Tlb check) *)
+  let a = ref (addr land -line) in
+  while !a <= last do
     (* Cache.access both probes and installs: after a coherence transfer
        the line lives in this cache too, so it runs unconditionally. *)
-    let hit = Cache.access cache a in
+    let hit = Cache.access cache !a in
     if
       smp && not is_icache
-      && Bus.note_access t.bus ~cpu:t.id ~line:a ~write:false
+      && Bus.note_access t.bus ~cpu:t.id ~line:!a ~write:false
     then begin
       (* another CPU wrote this line since we last held it: whatever the
          local tag said, the copy is stale.  One cache-to-cache transfer
@@ -87,17 +94,18 @@ let lines_and_pages t cache addr bytes ~is_icache =
         if smp then charge_bus_smp t c.line_fill_bus_cycles
         else charge_bus t c.line_fill_bus_cycles
       end
-    end
+    end;
+    a := !a + line
   done;
-  let first_page = addr / c.page_size
-  and last_page = (addr + max bytes 1 - 1) / c.page_size in
-  for p = first_page to last_page do
-    if not (Tlb.access t.tlb (p * c.page_size)) then begin
+  let p = ref (addr land -c.page_size) in
+  while !p <= last do
+    if not (Tlb.access t.tlb !p) then begin
       Perf.tlb_miss t.perf;
       charge t (float_of_int c.tlb_miss_cycles);
       if smp then charge_bus_smp t c.tlb_miss_bus_cycles
       else charge_bus t c.tlb_miss_bus_cycles
-    end
+    end;
+    p := !p + c.page_size
   done
 
 (* Direct execution entry points.  [Footprint.item] lists describe the
@@ -126,11 +134,11 @@ let store t ~addr ~bytes =
   if Bus.ncpus t.bus > 1 then begin
     (* take ownership of every written line in the coherence directory;
        sibling CPUs holding these lines will pay a transfer next touch *)
-    let line = c.dcache.line in
-    let first_line = addr / line
-    and last_line = (addr + max bytes 1 - 1) / line in
-    for l = first_line to last_line do
-      ignore (Bus.note_access t.bus ~cpu:t.id ~line:(l * line) ~write:true : bool)
+    let line = c.dcache.line and last = addr + max bytes 1 - 1 in
+    let a = ref (addr land -line) in
+    while !a <= last do
+      ignore (Bus.note_access t.bus ~cpu:t.id ~line:!a ~write:true : bool);
+      a := !a + line
     done;
     charge_bus_smp t (words * c.write_bus_cycles)
   end

@@ -19,5 +19,5 @@ let txn_waits_in_kernel fs sys th q =
   { txn_run =
       (fun () ->
         ignore
-          (Sched.wait sys ~q th ~rdesc:"receive" ~holders:[]
+          (Sched.wait sys ~q th ~rdesc:"receive" ~rname:"p" ~holders:[]
              "msg-receive")) }

@@ -2,6 +2,169 @@
 
 open Machine
 
+(* The cache, TLB and bus models as they were before their bookkeeping
+   moved to flat arrays and open-addressing tables: nested arrays, a
+   scan of every TLB entry per lookup, polymorphic hashtables with float
+   windows.  They are the oracle the differential test holds the models
+   to, return value by return value. *)
+module Ref_cache = struct
+  type t = {
+    line : int;
+    sets : int;
+    assoc : int;
+    tags : int array array;
+    stamps : int array array;
+    mutable tick : int;
+  }
+
+  let create (g : Config.cache_geometry) =
+    let sets = g.size / (g.line * g.assoc) in
+    {
+      line = g.line;
+      sets;
+      assoc = g.assoc;
+      tags = Array.init sets (fun _ -> Array.make g.assoc (-1));
+      stamps = Array.init sets (fun _ -> Array.make g.assoc 0);
+      tick = 0;
+    }
+
+  let locate t addr =
+    let line_addr = addr / t.line in
+    (line_addr mod t.sets, line_addr / t.sets)
+
+  let find_way tags tag =
+    let rec loop i =
+      if i >= Array.length tags then None
+      else if tags.(i) = tag then Some i
+      else loop (i + 1)
+    in
+    loop 0
+
+  let lru_way t set =
+    let stamps = t.stamps.(set) in
+    let best = ref 0 in
+    for i = 1 to t.assoc - 1 do
+      if stamps.(i) < stamps.(!best) then best := i
+    done;
+    !best
+
+  let access t addr =
+    let set, tag = locate t addr in
+    t.tick <- t.tick + 1;
+    match find_way t.tags.(set) tag with
+    | Some way ->
+        t.stamps.(set).(way) <- t.tick;
+        true
+    | None ->
+        let way = lru_way t set in
+        t.tags.(set).(way) <- tag;
+        t.stamps.(set).(way) <- t.tick;
+        false
+
+  let probe t addr =
+    let set, tag = locate t addr in
+    Option.is_some (find_way t.tags.(set) tag)
+
+  let flush t =
+    Array.iter (fun ways -> Array.fill ways 0 (Array.length ways) (-1)) t.tags
+
+  let resident t =
+    Array.fold_left
+      (fun acc ways ->
+        Array.fold_left (fun a tag -> if tag >= 0 then a + 1 else a) acc ways)
+      0 t.tags
+end
+
+module Ref_tlb = struct
+  type t = {
+    page_size : int;
+    pages : int array;
+    stamps : int array;
+    mutable tick : int;
+  }
+
+  let create ~entries ~page_size =
+    {
+      page_size;
+      pages = Array.make entries (-1);
+      stamps = Array.make entries 0;
+      tick = 0;
+    }
+
+  let access t vaddr =
+    let page = vaddr / t.page_size in
+    t.tick <- t.tick + 1;
+    let n = Array.length t.pages in
+    let rec find i =
+      if i >= n then None else if t.pages.(i) = page then Some i else find (i + 1)
+    in
+    match find 0 with
+    | Some i ->
+        t.stamps.(i) <- t.tick;
+        true
+    | None ->
+        let victim = ref 0 in
+        for i = 1 to n - 1 do
+          if t.stamps.(i) < t.stamps.(!victim) then victim := i
+        done;
+        t.pages.(!victim) <- page;
+        t.stamps.(!victim) <- t.tick;
+        false
+
+  let invalidate t vaddr =
+    let page = vaddr / t.page_size in
+    Array.iteri (fun i p -> if p = page then t.pages.(i) <- -1) t.pages
+
+  let flush t = Array.fill t.pages 0 (Array.length t.pages) (-1)
+
+  let resident t =
+    Array.fold_left (fun acc p -> if p >= 0 then acc + 1 else acc) 0 t.pages
+end
+
+module Ref_bus = struct
+  let window = 8192.
+
+  type t = {
+    ncpus : int;
+    occupied : (int, float) Hashtbl.t;
+    writers : (int, int) Hashtbl.t;
+    mutable transactions : int;
+  }
+
+  let create ~ncpus =
+    {
+      ncpus;
+      occupied = Hashtbl.create 1024;
+      writers = Hashtbl.create 4096;
+      transactions = 0;
+    }
+
+  let acquire t ~now ~bus_cycles =
+    if t.ncpus = 1 then 0.
+    else begin
+      t.transactions <- t.transactions + 1;
+      let w = int_of_float (now /. window) in
+      let before =
+        match Hashtbl.find_opt t.occupied w with Some b -> b | None -> 0.
+      in
+      let c = float_of_int bus_cycles in
+      Hashtbl.replace t.occupied w (before +. c);
+      Float.max 0. (before +. c -. window) -. Float.max 0. (before -. window)
+    end
+
+  let note_access t ~cpu ~line ~write =
+    if t.ncpus = 1 then false
+    else
+      let miss =
+        match Hashtbl.find_opt t.writers line with
+        | Some w -> w <> cpu
+        | None -> false
+      in
+      (if write then Hashtbl.replace t.writers line cpu
+       else if miss then Hashtbl.remove t.writers line);
+      miss
+end
+
 let test_cache_hit_miss () =
   let c = Cache.create { Config.size = 1024; line = 32; assoc = 2 } in
   Alcotest.(check bool) "first access misses" false (Cache.access c 0x100);
@@ -400,6 +563,157 @@ let test_perf_diff () =
   Alcotest.(check int) "cycle delta" 10 d.Perf.cycles;
   Alcotest.(check (float 0.01)) "cpi" 2.0 (Perf.cpi d)
 
+(* --- the models against their reference ----------------------------------- *)
+
+let agree what step pp want got =
+  if want <> got then
+    Alcotest.failf "%s, step %d: reference %s, model %s" what step (pp want)
+      (pp got)
+
+let agree_bool what step = agree what step string_of_bool
+let agree_int what step = agree what step string_of_int
+
+(* Seeded random streams through both implementations; every result and
+   every resident count must match.  Addresses span four times the
+   cache so sets conflict, and TLB pages come from a working set a
+   little larger than the TLB plus pages 256 apart, which share a memo
+   slot. *)
+let test_cache_matches_reference () =
+  List.iter
+    (fun (g : Config.cache_geometry) ->
+      let rng = Random.State.make [| g.size; g.assoc |] in
+      let model = Cache.create g and oracle = Ref_cache.create g in
+      let what = Printf.sprintf "%d/%d/%d" g.size g.line g.assoc in
+      for step = 1 to 40_000 do
+        let addr = Random.State.int rng (4 * g.size) in
+        (match Random.State.int rng 100 with
+        | 0 ->
+            Cache.flush model;
+            Ref_cache.flush oracle
+        | n when n < 20 ->
+            agree_bool (what ^ " probe") step (Ref_cache.probe oracle addr)
+              (Cache.probe model addr)
+        | _ ->
+            agree_bool (what ^ " access") step
+              (Ref_cache.access oracle addr)
+              (Cache.access model addr));
+        agree_int (what ^ " resident") step (Ref_cache.resident oracle)
+          (Cache.resident model)
+      done)
+    [
+      Config.pentium_133.icache;
+      Config.ppc604_133.dcache;
+      { Config.size = 1024; line = 32; assoc = 2 };
+      { Config.size = 256; line = 16; assoc = 4 };
+      { Config.size = 512; line = 64; assoc = 1 };
+      { Config.size = 768; line = 32; assoc = 3 };
+    ]
+
+let test_tlb_matches_reference () =
+  List.iter
+    (fun (c : Config.t) ->
+      let entries = c.tlb_entries and page_size = c.page_size in
+      let rng = Random.State.make [| entries |] in
+      let model = Tlb.create ~entries ~page_size
+      and oracle = Ref_tlb.create ~entries ~page_size in
+      let what = Printf.sprintf "%d-entry tlb" entries in
+      for step = 1 to 40_000 do
+        let page =
+          if Random.State.bool rng then Random.State.int rng (entries + entries / 4)
+          else Random.State.int rng 16 * 256
+        in
+        let vaddr = (page * page_size) + Random.State.int rng page_size in
+        (match Random.State.int rng 200 with
+        | 0 ->
+            Tlb.flush model;
+            Ref_tlb.flush oracle
+        | n when n < 10 ->
+            Tlb.invalidate model vaddr;
+            Ref_tlb.invalidate oracle vaddr
+        | _ ->
+            agree_bool (what ^ " access") step
+              (Ref_tlb.access oracle vaddr)
+              (Tlb.access model vaddr));
+        agree_int (what ^ " resident") step (Ref_tlb.resident oracle)
+          (Tlb.resident model)
+      done)
+    [ Config.pentium_133; Config.ppc604_133; { Config.ppc604_133 with tlb_entries = 2 } ]
+
+(* Per-CPU clocks advance by random steps, so a lagging CPU books into
+   windows a sibling has already passed, and demand averages about three
+   windows' capacity, so windows oversubscribe.  Half the lines come from
+   a hot set of 1024, whose reads of remote-written lines exercise
+   removal; the rest from 64 K lines, which grow the directory's table
+   twice. *)
+let test_bus_matches_reference () =
+  List.iter
+    (fun ncpus ->
+      let rng = Random.State.make [| ncpus |] in
+      let model = Bus.create ~ncpus and oracle = Ref_bus.create ~ncpus in
+      let clocks = Array.make ncpus 0. in
+      let what = Printf.sprintf "%d CPUs" ncpus in
+      for step = 1 to 100_000 do
+        let cpu = Random.State.int rng ncpus in
+        clocks.(cpu) <-
+          clocks.(cpu) +. float_of_int (Random.State.int rng 200)
+          +. if Random.State.bool rng then 0.5 else 0.;
+        if Random.State.int rng 3 = 0 then begin
+          let now = clocks.(cpu) and bus_cycles = 1 + Random.State.int rng 512 in
+          agree (what ^ " acquire") step string_of_float
+            (Ref_bus.acquire oracle ~now ~bus_cycles)
+            (Bus.acquire model ~now ~bus_cycles)
+        end
+        else begin
+          let line =
+            32 * Random.State.int rng (if Random.State.bool rng then 1024 else 65536)
+          and write = Random.State.int rng 4 = 0 in
+          agree_bool (what ^ " note_access") step
+            (Ref_bus.note_access oracle ~cpu ~line ~write)
+            (Bus.note_access model ~cpu ~line ~write)
+        end
+      done;
+      agree_int (what ^ " transactions") 0 oracle.Ref_bus.transactions
+        (Bus.transactions model))
+    [ 1; 4 ]
+
+let test_geometry_power_of_two () =
+  let raises what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  raises "48-byte lines" (fun () ->
+      Cache.create { Config.size = 1536; line = 48; assoc = 2 });
+  raises "3 sets" (fun () ->
+      Cache.create { Config.size = 384; line = 32; assoc = 4 });
+  raises "3000-byte pages" (fun () -> Tlb.create ~entries:8 ~page_size:3000)
+
+(* A warm 4-CPU machine re-touching resident lines: a load allocates
+   nothing.  What a fetch or a store allocates is the cycle charge's
+   boxed floats (the argument to [Perf.add_cycles], the counter it
+   updates and the CPU clock: 6 words) and, for a store, the stall
+   [Bus.acquire] returns (2 words). *)
+let test_hot_path_allocation () =
+  let m = create (Config.with_ncpus Config.ppc604_133 ~n:4) in
+  let code = Layout.alloc m.layout ~name:"code" ~kind:Layout.Code ~size:4096 in
+  let data = Layout.alloc m.layout ~name:"data" ~kind:Layout.Data ~size:4096 in
+  let addr = data.Layout.base in
+  let cpu = m.cpu in
+  let fetch () = Cpu.fetch cpu code ~offset:0 ~bytes:256 in
+  let load () = Cpu.load cpu ~addr ~bytes:64 in
+  let store () = Cpu.store cpu ~addr ~bytes:64 in
+  List.iter (fun f -> f (); f ()) [ fetch; load; store ];
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let baseline = words (fun () -> ()) in
+  List.iter
+    (fun (what, f, limit) ->
+      Alcotest.(check (float 0.)) (what ^ ": words") limit (words f -. baseline))
+    [ ("fetch 256 B", fetch, 6.); ("load 64 B", load, 0.); ("store 64 B", store, 8.) ]
+
 let suite =
   [
     Alcotest.test_case "cache hit/miss" `Quick test_cache_hit_miss;
@@ -442,4 +756,13 @@ let suite =
     Alcotest.test_case "framebuffer" `Quick test_framebuffer;
     Alcotest.test_case "irq spurious" `Quick test_irq_spurious;
     Alcotest.test_case "perf diff" `Quick test_perf_diff;
+    Alcotest.test_case "cache matches its reference" `Quick
+      test_cache_matches_reference;
+    Alcotest.test_case "tlb matches its reference" `Quick
+      test_tlb_matches_reference;
+    Alcotest.test_case "bus matches its reference" `Quick
+      test_bus_matches_reference;
+    Alcotest.test_case "geometry must be a power of two" `Quick
+      test_geometry_power_of_two;
+    Alcotest.test_case "hot path allocation" `Quick test_hot_path_allocation;
   ]
