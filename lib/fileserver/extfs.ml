@@ -54,6 +54,13 @@ type t = {
      the overlay is journalled, then applied to the cache; on error it
      is simply dropped — operation-level rollback. *)
   mutable txn : (int * bytes) list option;  (* newest first *)
+  (* Next-fit allocation hints: no free data block lies below
+     [block_hint] and no free inode below [inode_hint], in the volume as
+     the open transaction sees it.  A free lowers them, an allocation
+     scan that starts at one raises it to what it found, and a rolled
+     back transaction restores them with its blocks. *)
+  mutable block_hint : int;
+  mutable inode_hint : int;
 }
 
 (* Journal statistics live in the journal itself, which the cache can
@@ -130,12 +137,18 @@ let in_txn t j f =
   if t.txn <> None then f ()  (* nested: join the open txn *)
   else begin
     t.txn <- Some [];
+    let block_hint = t.block_hint and inode_hint = t.inode_hint in
+    let rollback () =
+      t.txn <- None;
+      t.block_hint <- block_hint;
+      t.inode_hint <- inode_hint
+    in
     match f () with
     | exception e ->
-        t.txn <- None;
+        rollback ();
         raise e
     | Error _ as r ->
-        t.txn <- None;
+        rollback ();
         r
     | Ok _ as r ->
         let ov = match t.txn with Some o -> List.rev o | None -> [] in
@@ -149,34 +162,63 @@ let in_txn t j f =
 
 (* --- bitmap -------------------------------------------------------------- *)
 
-let bitmap_locate t data_block =
-  let bit = data_block in
-  let block = t.g.start + t.g.bitmap_start + (bit / (block_size * 8)) in
-  let byte = bit / 8 mod block_size in
-  let mask = 1 lsl (bit mod 8) in
-  (block, byte, mask)
+let bits_per_block = block_size * 8
 
-let block_used t data_block =
-  let block, byte, mask = bitmap_locate t data_block in
-  let b = cache_read t block in
-  Char.code (Bytes.get b byte) land mask <> 0
+let bitmap_block t bit = t.g.start + t.g.bitmap_start + (bit / bits_per_block)
+
+let bit_set b bit =
+  Char.code (Bytes.get b (bit / 8 mod block_size)) land (1 lsl (bit mod 8)) <> 0
 
 let set_block t data_block used =
-  let block, byte, mask = bitmap_locate t data_block in
+  let block = bitmap_block t data_block in
+  let byte = data_block / 8 mod block_size in
+  let mask = 1 lsl (data_block mod 8) in
   let b = cache_read t block in
   let v = Char.code (Bytes.get b byte) in
   let v = if used then v lor mask else v land lnot mask in
   Bytes.set b byte (Char.chr (v land 0xff));
-  meta_write t block b
+  meta_write t block b;
+  if not used then t.block_hint <- min t.block_hint data_block
+  else if data_block = t.block_hint then t.block_hint <- data_block + 1
 
-(* first free data block at or after [from] *)
-let find_free t ~from =
-  let rec scan i =
-    if i >= t.g.data_blocks then None
-    else if not (block_used t i) then Some i
-    else scan (i + 1)
+(* The first clear bit in [lo, hi), reading each bitmap block once and
+   stepping over full bytes whole. *)
+let first_clear t ~lo ~hi =
+  let rec from_block bit =
+    if bit >= hi then None
+    else begin
+      let b = cache_read t (bitmap_block t bit) in
+      let stop = min hi ((bit / bits_per_block + 1) * bits_per_block) in
+      let rec probe i =
+        if i >= stop then from_block stop
+        else if i mod 8 = 0 && i + 8 <= stop
+                && Bytes.get b (i / 8 mod block_size) = '\xff'
+        then probe (i + 8)
+        else if not (bit_set b i) then Some i
+        else probe (i + 1)
+      in
+      probe bit
+    end
   in
-  match scan from with Some i -> Some i | None -> if from > 0 then scan 0 else None
+  from_block lo
+
+(* The first free data block at or after [from], else the first on the
+   volume.  The scan starts at [max from hint] and wraps to the hint,
+   which finds the same block: none lies below the hint.  A scan from
+   the hint moves the hint up to what it found. *)
+let find_free t ~from =
+  let hint = t.block_hint in
+  let lo = max from hint in
+  let found =
+    match first_clear t ~lo ~hi:t.g.data_blocks with
+    | Some _ as r -> r
+    | None -> first_clear t ~lo:hint ~hi:lo
+  in
+  (match found with
+  | Some i when i < lo || lo = hint -> t.block_hint <- i
+  | Some _ -> ()
+  | None -> t.block_hint <- t.g.data_blocks);
+  found
 
 (* --- inodes -------------------------------------------------------------- *)
 
@@ -192,26 +234,32 @@ let inode_location t ino =
   let byte = ino * inode_size in
   (t.g.start + t.g.itable_start + (byte / block_size), byte mod block_size)
 
+let inodes_per_block = block_size / inode_size
+
+let inode_used b off = get32 b off land 1 <> 0
+
+(* inode [ino], stored at [off] of its inode-table block [b] *)
+let decode_inode b off ino =
+  let flags = get32 b off in
+  let extents = ref [] in
+  for i = max_extents - 1 downto 0 do
+    let s = get32 b (off + 8 + (i * 8)) in
+    let l = get32 b (off + 12 + (i * 8)) in
+    if l > 0 then extents := (s, l) :: !extents
+  done;
+  {
+    ino;
+    i_used = flags land 1 <> 0;
+    i_dir = flags land 2 <> 0;
+    i_size = get32 b (off + 4);
+    i_extents = !extents;
+  }
+
 let read_inode t ino =
   if ino < 0 || ino >= t.g.inodes then Error E_bad_handle
   else begin
     let block, off = inode_location t ino in
-    let b = cache_read t block in
-    let flags = get32 b off in
-    let extents = ref [] in
-    for i = max_extents - 1 downto 0 do
-      let s = get32 b (off + 8 + (i * 8)) in
-      let l = get32 b (off + 12 + (i * 8)) in
-      if l > 0 then extents := (s, l) :: !extents
-    done;
-    Ok
-      {
-        ino;
-        i_used = flags land 1 <> 0;
-        i_dir = flags land 2 <> 0;
-        i_size = get32 b (off + 4);
-        i_extents = !extents;
-      }
+    Ok (decode_inode (cache_read t block) off ino)
   end
 
 let write_inode t (i : inode) =
@@ -230,24 +278,36 @@ let write_inode t (i : inode) =
   done;
   meta_write t block b
 
+(* The first unused inode, scanned from the hint one inode-table block
+   at a time. *)
 let alloc_inode t ~dir =
-  let rec scan ino =
-    if ino >= t.g.inodes then Error E_no_space
-    else
-      match read_inode t ino with
-      | Error e -> Error e
-      | Ok i ->
-          if not i.i_used then begin
-            i.i_used <- true;
-            i.i_dir <- dir;
-            i.i_size <- 0;
-            i.i_extents <- [];
-            write_inode t i;
-            Ok i
-          end
-          else scan (ino + 1)
+  let rec from_block ino =
+    if ino >= t.g.inodes then begin
+      t.inode_hint <- t.g.inodes;
+      Error E_no_space
+    end
+    else begin
+      let block, _ = inode_location t ino in
+      let b = cache_read t block in
+      let stop =
+        min t.g.inodes ((ino / inodes_per_block + 1) * inodes_per_block)
+      in
+      let rec probe ino =
+        if ino >= stop then from_block stop
+        else if inode_used b (snd (inode_location t ino)) then probe (ino + 1)
+        else begin
+          t.inode_hint <- ino + 1;
+          let i =
+            { ino; i_used = true; i_dir = dir; i_size = 0; i_extents = [] }
+          in
+          write_inode t i;
+          Ok i
+        end
+      in
+      probe ino
+    end
   in
-  scan 0
+  from_block t.inode_hint
 
 (* grow the inode by one data block; extends the last extent when the
    next block is adjacent, otherwise opens a new extent *)
@@ -297,7 +357,8 @@ let free_inode t (i : inode) =
   i.i_dir <- false;
   i.i_size <- 0;
   i.i_extents <- [];
-  write_inode t i
+  write_inode t i;
+  t.inode_hint <- min t.inode_hint i.ino
 
 (* --- file data ----------------------------------------------------------- *)
 
@@ -446,25 +507,29 @@ let fsck_scan t =
   if Bytes.sub_string sb 0 4 <> magic then add "superblock: bad magic";
   let claims = Array.make t.g.data_blocks 0 in
   let inodes = Array.make t.g.inodes None in
-  for ino = 0 to t.g.inodes - 1 do
-    match read_inode t ino with
-    | Error _ -> add "inode %d: unreadable" ino
-    | Ok i ->
-        if i.i_used then begin
-          inodes.(ino) <- Some i;
-          List.iter
-            (fun (s, l) ->
-              if s < 0 || l <= 0 || s + l > t.g.data_blocks then
-                add "inode %d: extent (%d,%d) out of range" ino s l
-              else
-                for b = s to s + l - 1 do
-                  claims.(b) <- claims.(b) + 1
-                done)
-            i.i_extents;
-          if i.i_size < 0 || i.i_size > blocks_held i * block_size then
-            add "inode %d: size %d exceeds %d held bytes" ino i.i_size
-              (blocks_held i * block_size)
-        end
+  (* one read per inode-table block, decoding each of its inodes *)
+  for blk = 0 to t.g.itable_blocks - 1 do
+    let b = cache_read t (t.g.start + t.g.itable_start + blk) in
+    let first = blk * inodes_per_block in
+    for slot = 0 to min inodes_per_block (t.g.inodes - first) - 1 do
+      let ino = first + slot in
+      let i = decode_inode b (slot * inode_size) ino in
+      if i.i_used then begin
+        inodes.(ino) <- Some i;
+        List.iter
+          (fun (s, l) ->
+            if s < 0 || l <= 0 || s + l > t.g.data_blocks then
+              add "inode %d: extent (%d,%d) out of range" ino s l
+            else
+              for b = s to s + l - 1 do
+                claims.(b) <- claims.(b) + 1
+              done)
+          i.i_extents;
+        if i.i_size < 0 || i.i_size > blocks_held i * block_size then
+          add "inode %d: size %d exceeds %d held bytes" ino i.i_size
+            (blocks_held i * block_size)
+      end
+    done
   done;
   Array.iteri
     (fun b c -> if c > 1 then add "block %d: cross-linked (%d claims)" b c)
@@ -556,6 +621,8 @@ let fsck_scan t =
    invalidating it would lose acknowledged writes that have no journal
    copy — and just reclaim the mapout pool before scanning. *)
 let recover t =
+  t.block_hint <- 0;
+  t.inode_hint <- 0;
   match t.journal with
   | None ->
       Block_cache.pool_reset t.cache;
@@ -727,8 +794,12 @@ let ops t =
       pfs_free_blocks =
         (fun () ->
           let free = ref 0 in
-          for b = 0 to t.g.data_blocks - 1 do
-            if not (block_used t b) then incr free
+          for bb = 0 to t.g.bitmap_blocks - 1 do
+            let b = cache_read t (t.g.start + t.g.bitmap_start + bb) in
+            for bit = bb * bits_per_block
+                to min t.g.data_blocks ((bb + 1) * bits_per_block) - 1 do
+              if not (bit_set b bit) then incr free
+            done
           done;
           !free);
       pfs_recover = (fun () -> recover t);
@@ -766,7 +837,9 @@ let mount cache cfg ?(start = 0) () =
       end
       else None
     in
-    Ok (ops { cache; cfg; g; journal; txn = None })
+    Ok
+      (ops
+         { cache; cfg; g; journal; txn = None; block_hint = 0; inode_hint = 0 })
   end
 
 (* Standalone invariant scan for tools and the crash-point enumerator:
@@ -778,5 +851,14 @@ let fsck cache cfg ?(start = 0) () =
     let blocks = get32 sb 4 in
     let inodes = get32 sb 8 in
     let g = geom_of cfg ~start ~blocks ~inodes in
-    fsck_scan { cache; cfg; g; journal = None; txn = None }
+    fsck_scan
+      {
+        cache;
+        cfg;
+        g;
+        journal = None;
+        txn = None;
+        block_hint = 0;
+        inode_hint = 0;
+      }
   end

@@ -32,6 +32,8 @@ type t = {
   g : geom;
   (* where each file's directory entry lives: cluster -> (block, slot) *)
   entries : (int, int * int) Hashtbl.t;
+  (* next-fit hint: no free cluster lies below it; a free lowers it *)
+  mutable free_hint : int;
 }
 
 let root_id = 1
@@ -109,20 +111,47 @@ let fat_set t cluster v =
   let block = t.g.start + t.g.fat_start + (byte / block_size) in
   let b = Block_cache.read t.cache block in
   set16 b (byte mod block_size) v;
-  Block_cache.write t.cache block b
+  Block_cache.write t.cache block b;
+  if v = 0 then t.free_hint <- min t.free_hint cluster
 
 let eof = 0xffff
+let entries_per_block = block_size / 2
 
+(* Each FAT block in [first, limit) once, with the clusters it holds
+   there: [f b lo hi] sees clusters [lo, hi) in block [b] and returns
+   [Some] to stop. *)
+let scan_fat t ~first ~limit f =
+  let rec from_block c =
+    if c >= limit then None
+    else begin
+      let block = t.g.start + t.g.fat_start + (c * 2 / block_size) in
+      let stop = min limit ((c / entries_per_block + 1) * entries_per_block) in
+      match f (Block_cache.read t.cache block) c stop with
+      | Some _ as r -> r
+      | None -> from_block stop
+    end
+  in
+  from_block first
+
+(* The lowest free cluster, scanned from the hint. *)
 let alloc_cluster t =
-  let rec scan c =
-    if c >= t.g.clusters + 2 then Error E_no_space
-    else if fat_get t c = 0 then begin
+  let limit = t.g.clusters + 2 in
+  let free_in b lo hi =
+    let rec probe c =
+      if c >= hi then None
+      else if get16 b (c * 2 mod block_size) = 0 then Some c
+      else probe (c + 1)
+    in
+    probe lo
+  in
+  match scan_fat t ~first:t.free_hint ~limit free_in with
+  | None ->
+      t.free_hint <- limit;
+      Error E_no_space
+  | Some c ->
+      t.free_hint <- c + 1;
       fat_set t c eof;
       Ok c
-    end
-    else scan (c + 1)
-  in
-  scan 2
 
 let cluster_block t c = t.g.start + t.g.data_start + (c - 2)
 
@@ -270,7 +299,7 @@ let rec mount cache ?(start = 0) () =
   else begin
     let total = get32 boot 4 in
     let g = geom_of ~start ~blocks:total in
-    let t = { cache; g; entries = Hashtbl.create 64 } in
+    let t = { cache; g; entries = Hashtbl.create 64; free_hint = 2 } in
     (* prime the cluster -> directory-entry map *)
     let rec scan_dir dir =
       iter_dirents t dir (fun de ->
@@ -496,9 +525,13 @@ and ops t =
     pfs_free_blocks =
       (fun () ->
         let free = ref 0 in
-        for c = 2 to t.g.clusters + 1 do
-          if fat_get t c = 0 then incr free
-        done;
+        ignore
+          (scan_fat t ~first:2 ~limit:(t.g.clusters + 2) (fun b lo hi ->
+               for c = lo to hi - 1 do
+                 if get16 b (c * 2 mod block_size) = 0 then incr free
+               done;
+               None)
+            : unit option);
         !free);
     pfs_recover = (fun () -> clean_recovery);
     pfs_lock = None;

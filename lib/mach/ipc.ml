@@ -59,7 +59,7 @@ let send (sys : Sched.t) port ?reply_to (mb : message_builder) =
         match
           Sched.wait sys ~q:port.waiting_senders th
             ~rdesc:"send-room" ~rname:port.pname
-            ~holders:(Mcheck.receiver_tids port) "msg-send-queue-full"
+            ~holders:(Mcheck.receiver_tids sys port) "msg-send-queue-full"
         with
         | Kern_success -> wait_for_room ()
         | err -> err

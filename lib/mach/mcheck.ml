@@ -61,11 +61,12 @@ let dead_rights sys (task : task) =
 
 (* The threads of a port's receiving task: the holders that could
    unblock a sender waiting for queue room or a caller waiting for its
-   RPC to be served. *)
-let receiver_tids (port : port) =
-  match port.receiver with
-  | None -> []
-  | Some task -> List.map (fun th -> th.tid) task.threads
+   RPC to be served.  Only an attached Machcheck reads them, so without
+   one the list is not built. *)
+let receiver_tids (sys : Sched.t) (port : port) =
+  match (sys.checks, port.receiver) with
+  | None, _ | Some _, None -> []
+  | Some _, Some task -> List.map (fun th -> th.tid) task.threads
 
 let retarget sys (th : thread) ~holders =
   on sys (fun c space -> Check.retarget c ~space ~tid:th.tid ~holders)

@@ -182,7 +182,7 @@ let call (sys : Sched.t) port ?deadline ?(commutes = false)
       match
         Sched.wait sys th
           ~rdesc:"rpc-call" ~rname:port.pname
-          ~holders:(Mcheck.receiver_tids port) "rpc-call"
+          ~holders:(Mcheck.receiver_tids sys port) "rpc-call"
       with
       | Kern_success -> (
           (* resumed by the server's reply; return to user *)

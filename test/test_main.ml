@@ -22,4 +22,5 @@ let () =
       ("mount-lock", Test_mount_lock.suite);
       ("rpc-local", Test_rpc_local.suite);
       ("net", Test_net.suite);
+      ("alloc", Test_alloc.suite);
     ]
