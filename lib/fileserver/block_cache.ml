@@ -90,22 +90,17 @@ let touch t s =
 
 (* the hash-probe itself: a touch of the cache's index structure *)
 let charge_lookup t =
-  Machine.execute t.kernel.Mach.Kernel.machine
-    [
-      Machine.Footprint.load
-        ~addr:(t.buf_region.Machine.Layout.base + 16) ~bytes:32;
-    ]
+  Machine.Cpu.load t.kernel.Mach.Kernel.machine.Machine.cpu
+    ~addr:(t.buf_region.Machine.Layout.base + 16) ~bytes:32
 
 let data_addr t block =
   t.buf_region.Machine.Layout.base + (block mod t.capacity * block_size t)
 
 let charge_data t block ~write =
+  let cpu = t.kernel.Mach.Kernel.machine.Machine.cpu in
   let addr = data_addr t block in
-  let op =
-    if write then Machine.Footprint.store ~addr ~bytes:(block_size t)
-    else Machine.Footprint.load ~addr ~bytes:(block_size t)
-  in
-  Machine.execute t.kernel.Mach.Kernel.machine [ op ]
+  if write then Machine.Cpu.store cpu ~addr ~bytes:(block_size t)
+  else Machine.Cpu.load cpu ~addr ~bytes:(block_size t)
 
 let evict_if_full t =
   if Hashtbl.length t.slots >= t.capacity then begin
@@ -306,8 +301,8 @@ let pool_acquire t ~pages ~pin =
 
 let pool_fill t ~dst block =
   let data = read t block in
-  Machine.execute t.kernel.Mach.Kernel.machine
-    [ Machine.Footprint.store ~addr:dst ~bytes:(block_size t) ];
+  Machine.Cpu.store t.kernel.Mach.Kernel.machine.Machine.cpu ~addr:dst
+    ~bytes:(block_size t);
   data
 
 let pool_release t ~addr ~pages =

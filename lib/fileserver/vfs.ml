@@ -113,11 +113,8 @@ let charge_probe t =
           (Mach.Ktext.text k.Mach.Kernel.ktext)
           ~offset:0x1400 ~bytes:48;
         let data = Mach.Ktext.data k.Mach.Kernel.ktext in
-        Machine.execute k.Mach.Kernel.machine
-          [
-            Machine.Footprint.load ~addr:(data.Machine.Layout.base + 0x40)
-              ~bytes:32;
-          ]
+        Machine.Cpu.load k.Mach.Kernel.machine.Machine.cpu
+          ~addr:(data.Machine.Layout.base + 0x40) ~bytes:32
       end
 
 (* A raw component lookup is the format's directory scan: dispatch,

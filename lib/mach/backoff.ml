@@ -15,7 +15,7 @@ open Ktypes
 type policy = { bo_base : int; bo_cap : int; bo_seed : int }
 
 let policy ?(seed = 0) ~base () =
-  let base = max 1 base in
+  let base = Int.max 1 base in
   (* the cap scales with the base — six doublings — so a caller sizing
      its base to span a known outage keeps its reach, while the old
      unbounded doubling (which could sleep past any recovery) is gone *)
@@ -30,13 +30,13 @@ let raw_delay p ~attempt =
   let rec go n acc =
     if n <= 1 || acc >= p.bo_cap then acc else go (n - 1) (acc * 2)
   in
-  min p.bo_cap (go (max 1 attempt) p.bo_base)
+  Int.min p.bo_cap (go (Int.max 1 attempt) p.bo_base)
 
 let delay p ~attempt =
   let wait = raw_delay p ~attempt in
   (* jitter in [0, wait/4): two generator steps mix seed and attempt so
      consecutive attempts of one waiter decorrelate too *)
-  let span = max 1 (wait / 4) in
+  let span = Int.max 1 (wait / 4) in
   let s = lcg (lcg ((p.bo_seed * 31) + attempt) land 0xFFFF_FFFF_FFFF) in
   wait + (s lsr 17) mod span
 

@@ -12,7 +12,7 @@ let sleep_for (sys : Sched.t) ~cycles =
   let th = Sched.self () in
   Trap.enter sys th [ Ktext.timer_service ];
   Machine.Event_queue.schedule sys.machine.Machine.events
-    ~at:(Machine.now sys.machine + max 1 cycles)
+    ~at:(Machine.now sys.machine + Int.max 1 cycles)
     (fun () ->
       Ktext.exec sys.ktext [ Ktext.irq_entry; Ktext.timer_service ];
       Sched.wake sys th);
@@ -23,7 +23,7 @@ let sleep_for (sys : Sched.t) ~cycles =
 let arm_oneshot (sys : Sched.t) ~after f =
   let t = { cancelled = false; fired = 0 } in
   Machine.Event_queue.schedule sys.machine.Machine.events
-    ~at:(Machine.now sys.machine + max 1 after)
+    ~at:(Machine.now sys.machine + Int.max 1 after)
     (fun () ->
       if not t.cancelled then begin
         Ktext.exec sys.ktext [ Ktext.irq_entry; Ktext.timer_service ];
@@ -34,7 +34,7 @@ let arm_oneshot (sys : Sched.t) ~after f =
 
 let arm_periodic (sys : Sched.t) ~every ?count f =
   let t = { cancelled = false; fired = 0 } in
-  let every = max 1 every in
+  let every = Int.max 1 every in
   let rec arm () =
     Machine.Event_queue.schedule sys.machine.Machine.events
       ~at:(Machine.now sys.machine + every)

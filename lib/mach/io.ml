@@ -60,7 +60,7 @@ let dma_transfer t ch ~bytes k =
   Ktext.exec sys.ktext [ Ktext.dma_setup ];
   ch.ch_busy <- true;
   (* ~4 bytes per bus cycle, and the bus traffic lands on completion *)
-  let cycles = max 1 (bytes / 4) in
+  let cycles = Int.max 1 (bytes / 4) in
   Machine.Event_queue.schedule sys.machine.Machine.events
     ~at:(Machine.now sys.machine + cycles)
     (fun () ->

@@ -19,7 +19,7 @@ let send (sys : Sched.t) port ?reply_to (mb : message_builder) =
     let k = sys.ktext in
     (* copy the inline body into a kernel buffer *)
     Ktext.exec1 k ~frame Ktext.msg_copyin;
-    let kbuf = Ktext.buffer_alloc k ~bytes:(max 64 mb.mb_inline_bytes) in
+    let kbuf = Ktext.buffer_alloc k ~bytes:(Int.max 64 mb.mb_inline_bytes) in
     let src = Option.value ~default:(default_buf sender) mb.mb_inline_src in
     Ktext.copy k ~src ~dst:kbuf ~bytes:mb.mb_inline_bytes;
     (* transfer rights one by one *)

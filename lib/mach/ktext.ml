@@ -361,7 +361,7 @@ let exec t ?frame chunks =
 
 let exec_n t ?frame n c =
   let frame = Option.value ~default:t.scratch_frame frame in
-  for _ = 1 to max 0 n do
+  for _ = 1 to Int.max 0 n do
     exec_chunk t ~frame c
   done
 
@@ -371,7 +371,7 @@ let copy t ~src ~dst ~bytes =
     let lines = (bytes + 31) / 32 in
     for i = 0 to lines - 1 do
       let off = i * 32 in
-      let n = min 32 (bytes - off) in
+      let n = Int.min 32 (bytes - off) in
       Machine.Cpu.fetch cpu t.text ~offset:copy_loop.ck_offset
         ~bytes:copy_loop.ck_bytes;
       Machine.Cpu.load cpu ~addr:(src + off) ~bytes:n;
@@ -481,7 +481,9 @@ let finish_alloc t ~off ~need ~recycled =
 
 let rec buffer_alloc t ~bytes =
   let size = t.buffers.Machine.Layout.size in
-  let need = min ((max granule bytes + granule - 1) / granule * granule) size in
+  let need =
+    Int.min ((Int.max granule bytes + granule - 1) / granule * granule) size
+  in
   let qkey = (quick_cpu t, need) in
   match Hashtbl.find_opt t.buf_quick qkey with
   | Some ({ contents = off :: rest } as offs) ->

@@ -5,7 +5,7 @@ open Ktypes
 let push_pending port rx =
   let n = port.npending in
   if n = Array.length port.pending then begin
-    let grown = Array.make (max 4 (2 * n)) None in
+    let grown = Array.make (Int.max 4 (2 * n)) None in
     Array.blit port.pending 0 grown 0 n;
     port.pending <- grown
   end;

@@ -146,7 +146,7 @@ let holder_tids l = List.init l.l_count (fun i -> l.l_holders.(i).tid)
 let grant l th ~shared =
   let n = l.l_count in
   if n = Array.length l.l_holders then begin
-    let cap = max 4 (2 * n) in
+    let cap = Int.max 4 (2 * n) in
     let holders = Array.make cap th and since = Array.make cap 0. in
     Array.blit l.l_holders 0 holders 0 n;
     Array.blit l.l_since 0 since 0 n;

@@ -130,14 +130,13 @@ let transactions t = t.transactions
    stall in a window telescopes to exactly (demand - capacity).
    Uniprocessor machines never stall and never book demand. *)
 let acquire t ~now ~bus_cycles =
-  if t.ncpus = 1 then 0.
+  if t.ncpus = 1 then 0
   else begin
     t.transactions <- t.transactions + 1;
     let w = int_of_float (now /. float_of_int window) in
     let before = Itbl.find t.occupied w ~absent:0 in
     Itbl.replace t.occupied w (before + bus_cycles);
-    float_of_int
-      (Int.max 0 (before + bus_cycles - window) - Int.max 0 (before - window))
+    Int.max 0 (before + bus_cycles - window) - Int.max 0 (before - window)
   end
 
 (* Coherence directory.  [note_access] returns [true] when the access is

@@ -18,7 +18,7 @@ val create : ncpus:int -> t
 
 val ncpus : t -> int
 
-val acquire : t -> now:float -> bus_cycles:int -> float
+val acquire : t -> now:float -> bus_cycles:int -> int
 (** [acquire t ~now ~bus_cycles] books a transaction of [bus_cycles]
     issued at CPU-clock [now] and returns the stall cycles the issuing
     CPU must absorb: zero while the surrounding capacity window has

@@ -29,7 +29,7 @@ let copy ~src ~dst ~bytes =
   let rec loop off acc =
     if off >= bytes then List.rev acc
     else
-      let n = min chunk (bytes - off) in
+      let n = Int.min chunk (bytes - off) in
       loop (off + chunk)
         (Store { addr = dst + off; bytes = n }
         :: Load { addr = src + off; bytes = n }

@@ -24,7 +24,7 @@ let round_up t n = (n + t.page_size - 1) / t.page_size * t.page_size
 let overlaps a b = a.base < b.base + b.size && b.base < a.base + a.size
 
 let alloc t ~name ~kind ~size =
-  let size = round_up t (max size 1) in
+  let size = round_up t (Int.max size 1) in
   match kind with
   | Device ->
       let r = { name; base = t.device_next; size; kind } in
@@ -42,14 +42,14 @@ let alloc t ~name ~kind ~size =
       r
 
 let alloc_at t ~name ~kind ~base ~size =
-  let size = round_up t (max size 1) in
+  let size = round_up t (Int.max size 1) in
   let r = { name; base; size; kind } in
   if List.exists (overlaps r) t.allocated then
     invalid_arg
       (Printf.sprintf "Layout.alloc_at: %S overlaps an existing region" name);
   t.allocated <- r :: t.allocated;
   if kind <> Device && base + size > t.next && base < t.memory_bytes then
-    t.next <- max t.next (base + size);
+    t.next <- Int.max t.next (base + size);
   r
 
 let used_bytes t = t.next

@@ -137,6 +137,10 @@ type Mach.Ktypes.payload +=
 
 let xshard_cost = 120  (* cycles: one cache-to-cache message handoff *)
 
+let xshard_stall t =
+  Machine.Cpu.execute_item (machine t).Machine.cpu
+    (Machine.Footprint.Stall xshard_cost)
+
 let registry_handle t (msg : Mach.Ktypes.payload) =
   match msg with
   | Net_bind { nb_port; nb_shard; nb_sock } ->
@@ -151,7 +155,7 @@ let registry_handle t (msg : Mach.Ktypes.payload) =
 let xshard_post t ~(from : shard) ~(target : int) msg =
   if from.sh_id <> target && nshards t > 1 then begin
     t.registry_msgs <- t.registry_msgs + 1;
-    Machine.execute (machine t) [ Machine.Footprint.Stall xshard_cost ]
+    xshard_stall t
   end;
   registry_handle t msg
 
@@ -683,7 +687,7 @@ let reincarnate_shard t ~shard =
     (fun port (s : socket) ->
       if s.s_home = shard && s.s_open then begin
         t.registry_msgs <- t.registry_msgs + 1;
-        Machine.execute (machine t) [ Machine.Footprint.Stall xshard_cost ];
+        xshard_stall t;
         Hashtbl.replace sh.sh_sockets port s;
         (match s.s_kind with
         | S_tcp conn ->
