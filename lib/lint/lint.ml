@@ -1,5 +1,5 @@
 (* Machlint driver: scan directories, parse every .ml and .mli with
-   compiler-libs, build the call graph once, run the five rules.
+   compiler-libs, build the call graph once, run the six rules.
 
    The rules and their dynamic Machcheck counterparts:
 
@@ -13,7 +13,10 @@
                      dynamic counterpart — this is the gap machlint
                      exists to close)
      unused-export   an interface val no other compilation unit
-                     names (no dynamic counterpart) *)
+                     names (no dynamic counterpart)
+     poly-compare    Stdlib's polymorphic max/min/compare in
+                     lib/machine or lib/mach (no dynamic counterpart:
+                     the answer is the same, only slower) *)
 
 module Report = Lint_report
 module Ast = Lint_ast
@@ -109,6 +112,7 @@ let run ~roots () =
     @ Lint_noblock.check g
     @ Lint_interface.check sources
     @ Lint_export.check sources interfaces
+    @ Lint_polycompare.check sources
   in
   let spans = allow_spans g in
   let findings = List.filter (fun f -> not (allowed spans f)) findings in

@@ -15,13 +15,14 @@ type finding = {
   f_msg : string;
 }
 
-(* The five rule names (plus parse failures), fixed here so the driver,
+(* The six rule names (plus parse failures), fixed here so the driver,
    the fixtures and the bench all agree on the spelling. *)
 let rule_linearity = "port-linearity"
 let rule_lockorder = "lock-order"
 let rule_noblock = "no-block"
 let rule_interface = "interface"
 let rule_export = "unused-export"
+let rule_polycompare = "poly-compare"
 let rule_syntax = "syntax"
 
 let all_rules =
@@ -31,6 +32,7 @@ let all_rules =
     rule_noblock;
     rule_interface;
     rule_export;
+    rule_polycompare;
     rule_syntax;
   ]
 

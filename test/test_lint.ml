@@ -57,6 +57,9 @@ let pairs =
     (* directories: the rule needs an interface, its own implementation
        and another unit *)
     ("bad_export", "clean_export", Lint.Report.rule_export);
+    (* the rule looks at lib/machine and lib/mach only, so these are
+       small trees *)
+    ("bad_polycompare", "clean_polycompare", Lint.Report.rule_polycompare);
   ]
 
 (* Each bad fixture packs several shapes of its violation (use-after-
@@ -77,6 +80,7 @@ let test_bad_counts () =
       ("bad_interface.ml", 2);
       ("bad_export", 2);
       ("bad_qualified", 1);
+      ("bad_polycompare", 4);
     ]
 
 (* Findings are deterministic: two runs over the same corpus agree. *)
