@@ -384,20 +384,21 @@ and write_file t id ~off data =
   else begin
     let len = Bytes.length data in
     let needed_blocks = (off + len + block_size - 1) / block_size in
-    (* grow the chain as needed *)
-    let rec grow () =
-      let cs = chain t id in
-      if List.length cs >= max 1 needed_blocks then Ok cs
+    (* grow the chain as needed: walk it once, then append at the tail
+       (a file always owns at least its first cluster) *)
+    let rec grow rev_cs n =
+      if n >= max 1 needed_blocks then Ok (List.rev rev_cs)
       else
         match alloc_cluster t with
         | Error e -> Error e
         | Ok c ->
-            (match List.rev cs with
+            (match rev_cs with
             | last :: _ -> fat_set t last c
             | [] -> assert false);
-            grow ()
+            grow (c :: rev_cs) (n + 1)
     in
-    let* cs = grow () in
+    let cs = chain t id in
+    let* cs = grow (List.rev cs) (List.length cs) in
     let clusters = Array.of_list cs in
     let rec copy pos =
       if pos < len then begin
