@@ -229,8 +229,10 @@ let wake t ?(result = Kern_success) th =
       if Array.length t.percpu = 1 || th.affinity = t.active then begin
         (* the waker runs on the thread's owning CPU: plain enqueue,
            stamped with that CPU's clock — and no earlier than the
-           waker's, for a device event that fires on the boot CPU while
-           [active] still names the CPU dispatched last *)
+           waker's, for a disk or timer event that fires on the boot CPU
+           while [active] still names the CPU dispatched last.  An
+           interrupt steered by [interrupt_on] names its own CPU in
+           both, so its wake is stamped with that CPU's clock alone. *)
         th.wake_result <- result;
         th.state <- Th_runnable;
         stamp_ready th
@@ -261,6 +263,16 @@ let next_event t =
   let ran = Machine.advance_to_next_event t.machine in
   if ran then t.active <- 0;
   ran
+
+(* A device interrupt steered to CPU [cpu] at [at]: the handler runs
+   as that CPU for the machine and for the scheduler alike, so a wake it
+   makes of a thread homed there is a local enqueue, not an IPI and a
+   message.  Both active CPUs are restored afterwards. *)
+let interrupt_on t ~cpu ~at handler =
+  let saved = t.active in
+  t.active <- cpu;
+  Machine.interrupt_on t.machine cpu ~at handler;
+  t.active <- saved
 
 (* Wait for one asynchronous completion: [start] gets the callback that
    stores the result and wakes us.  A wake from anything else finds no

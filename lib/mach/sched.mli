@@ -136,7 +136,19 @@ val wake : t -> ?result:kern_return -> thread -> unit
     owning CPU this is a plain enqueue; otherwise it posts an [X_wake]
     message (plus an IPI if the target's queue was empty) and the owning
     CPU flips the thread runnable at its first dispatch at or after the
-    send stamp.  No-op for running/terminated threads. *)
+    send stamp.  A disk or timer handler wakes from the boot CPU, under
+    whichever [active] the last dispatch left; a handler run through
+    {!interrupt_on} wakes from the CPU it was steered to.  No-op for
+    running/terminated threads. *)
+
+val interrupt_on : t -> cpu:int -> at:int -> (unit -> unit) -> unit
+(** [interrupt_on t ~cpu ~at handler] runs a device event's handler as
+    CPU [cpu], the way RSS steers a receive queue's interrupt: the
+    machine ({!Machine.interrupt_on}) and the scheduler both name [cpu]
+    active while [handler] runs, the CPU idles uncharged up to [at] when
+    it is behind, and both active CPUs are restored afterwards.  A wake
+    the handler makes of a thread homed on [cpu] is a local enqueue
+    stamped with [cpu]'s clock. *)
 
 val await : t -> string -> (('a -> unit) -> unit) -> 'a
 (** [await t reason start] calls [start k] to begin an asynchronous

@@ -84,7 +84,8 @@ let ipi t ~target =
 
 (* Device events fire on the boot CPU's timeline: idle time is skipped
    there, and any cross-CPU wakeups the handlers make travel as
-   scheduler messages stamped with the boot CPU's clock. *)
+   scheduler messages stamped with the boot CPU's clock.  A handler may
+   steer its own work to another CPU through [interrupt_on]. *)
 let advance_to_next_event t =
   match Event_queue.next_time t.events with
   | None -> false
@@ -93,6 +94,17 @@ let advance_to_next_event t =
       Cpu.advance_to t.cpu time;
       let (_ : int) = Event_queue.run_due t.events ~now:(Cpu.now t.cpu) in
       true
+
+(* An interrupt steered to CPU [i] at cycle [at], as RSS does with one
+   MSI-X vector per receive queue: [handler] runs with [i] active, after
+   the CPU idles (uncharged) up to [at] if it is behind, and the CPU
+   that was active before is active again afterwards. *)
+let interrupt_on t i ~at handler =
+  let saved = t.active in
+  set_active t i;
+  Cpu.advance_to t.cpu at;
+  handler ();
+  set_active t saved
 
 let pp_inventory ppf t =
   Format.fprintf ppf "@[<v>machine: %a@ %a@]" Config.pp t.config

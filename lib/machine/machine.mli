@@ -78,9 +78,20 @@ val ipi : t -> target:int -> unit
 
 val advance_to_next_event : t -> bool
 (** When every CPU is idle, jump the boot CPU's clock to the earliest
-    pending event and fire everything due (device events are delivered
-    on the boot CPU).  Sets the active CPU to 0.  [false] when no event
-    is pending (a deadlocked or finished system). *)
+    pending event and fire everything due at the boot CPU's clock.
+    Sets the active CPU to 0, so handlers run as the boot CPU: disk
+    completions and timers are delivered there.  A handler that steers
+    its work elsewhere (a sharded netserver's receive interrupt) does so
+    through {!interrupt_on}.  [false] when no event is pending (a
+    deadlocked or finished system). *)
+
+val interrupt_on : t -> int -> at:int -> (unit -> unit) -> unit
+(** [interrupt_on t i ~at handler] runs [handler] as CPU [i], as an
+    interrupt steered to that CPU at cycle [at] (RSS with a per-queue
+    MSI-X vector): CPU [i] becomes active, idles uncharged up to [at]
+    when its clock is behind it, runs [handler], and the CPU active
+    before is active again afterwards.  The scheduler keeps its own
+    active CPU; [Mach.Sched.interrupt_on] sets both. *)
 
 val pp_inventory : Format.formatter -> t -> unit
 (** Print the physical layout — the machine-level part of Figure 1. *)

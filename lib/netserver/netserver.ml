@@ -252,13 +252,16 @@ let conn_decr sh conn =
 
 let conn_live sh conn = Option.value ~default:0 (Hashtbl.find_opt sh.sh_conns conn)
 
+(* The CPU a shard's netisr is bound to, and its receive interrupt
+   steered to. *)
+let shard_cpu t (sh : shard) = sh.sh_id mod Machine.ncpus (machine t)
+
 (* The home shard's CPU-local clock.  Latency probes stamp and read this
    one clock, so the interval is the cycles that CPU spent between
    rx-ring entry and socket delivery — ring wait plus protocol work —
    independent of how far other CPUs' clocks have drifted. *)
 let shard_clock t (sh : shard) =
-  let m = machine t in
-  Machine.Cpu.now (Machine.nth_cpu m (sh.sh_id mod Machine.ncpus m))
+  Machine.Cpu.now (Machine.nth_cpu (machine t) (shard_cpu t sh))
 
 (* Process one packet inside its home shard: the protocol walk, the
    socket-table lookup and every socket mutation happen here and only
@@ -318,16 +321,17 @@ and[@machlint.no_block] drain t (sh : shard) =
     decr budget
   done
 
-(* Wire arrival.  One shard: the pre-netisr direct path, cycle-identical
-   to the original single-loop server.  Sharded: enqueue on the home
-   shard's ring and ring the doorbell only on the empty->pending
-   transition (one wakeup covers a burst, after LWKT's IPI batching).
-   The latency stamp is taken here, at rx-ring entry, against the home
-   shard's own CPU clock: the probe measures the portion the netserver
+(* Wire arrival at the home shard.  One shard: the pre-netisr direct
+   path, cycle-identical to the original single-loop server.  Sharded:
+   enqueue on the home shard's ring and ring the doorbell only on the
+   empty->pending transition (one wakeup covers a burst, after LWKT's
+   IPI batching).  The receive interrupt already runs on the shard's CPU
+   ([arrive]), so the doorbell is a local enqueue stamped with that
+   CPU's clock.  The latency stamp is taken here, at rx-ring entry,
+   against the same clock: the probe measures the portion the netserver
    owns (ring wait plus protocol processing), not simulated wire
    travel. *)
-and deliver t (pkt : packet) =
-  let sh = steer t pkt in
+and deliver t (sh : shard) (pkt : packet) =
   if sh.sh_dead then
     (* mid micro-reboot: the wire keeps arriving, the shard isn't there.
        Count the loss — closed-loop clients re-drive via their retry
@@ -347,9 +351,22 @@ and deliver t (pkt : packet) =
     end
   end
 
+(* The receive interrupt of a packet arriving at cycle [at].  A sharded
+   server steers it to the home shard's CPU, as RSS steers each receive
+   queue's MSI-X vector: the handler runs as that CPU, idled up to [at]
+   if it is behind, so the netisr's wake is neither an IPI nor a
+   message stamped with the boot CPU's clock.  One shard keeps the
+   wire-context path: the handler runs where the event fired. *)
+and[@machlint.no_block] arrive t pkt ~at =
+  let sh = steer t pkt in
+  if nshards t = 1 then deliver t sh pkt
+  else
+    Mach.Sched.interrupt_on (sys t) ~cpu:(shard_cpu t sh) ~at (fun () ->
+        deliver t sh pkt)
+
 (* The wire hop: a fault-injection point (an installed plan may drop or
    delay packets — SYN storms ride this; with no plan the hook is one
-   None match), then delivery after the segment's fixed latency.
+   None match), then arrival after the segment's fixed latency.
    [transmit] charges the local sender's stack walk before entering
    here; raw injection ([inject_udp] / [inject_syn]) enters directly —
    an external client's transmit cost is not this machine's to pay. *)
@@ -361,16 +378,15 @@ and wire_send t pkt =
     | Some f ->
         Mach.Fault.on_send f ~port:(Printf.sprintf "net:%d" pkt.p_dst)
   in
+  let arrive_after delay =
+    let at = Machine.now m + wire_latency + delay in
+    Machine.Event_queue.schedule m.Machine.events ~at (fun () ->
+        arrive t pkt ~at)
+  in
   match decision with
   | Mach.Fault.M_drop -> t.wire_drops <- t.wire_drops + 1
-  | Mach.Fault.M_pass ->
-      Machine.Event_queue.schedule m.Machine.events
-        ~at:(Machine.now m + wire_latency)
-        (fun () -> deliver t pkt)
-  | Mach.Fault.M_delay d ->
-      Machine.Event_queue.schedule m.Machine.events
-        ~at:(Machine.now m + wire_latency + d)
-        (fun () -> deliver t pkt)
+  | Mach.Fault.M_pass -> arrive_after 0
+  | Mach.Fault.M_delay d -> arrive_after d
 
 and transmit t pkt =
   walk_stack t (cpu_shard t) ~bytes:pkt.p_bytes ~zc:pkt.p_zc;
@@ -399,7 +415,7 @@ let spawn_netisr t task (sh : shard) =
   in
   let th =
     Mach.Kernel.thread_spawn t.kernel task ~name
-      ~affinity:(sh.sh_id mod Machine.ncpus (machine t))
+      ~affinity:(shard_cpu t sh)
       ~bound:true (netisr_loop t sh)
   in
   (* protocol threads outrank user threads on their CPU: a woken
