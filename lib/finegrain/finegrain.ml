@@ -97,17 +97,15 @@ let method_offset t k slot =
   let span = t.text.Machine.Layout.size - 1024 in
   (k.k_offset_seed * 37 + slot * 193) * 61 mod span
 
-(* Dispatch runs for every unit of framework work, so it drives the
-   CPU's direct execution entry points rather than building Footprint
-   lists: a warm call allocates only what the cycle charges box.  A
-   fine-grained step is a vtable pointer load, an indirect branch stall
-   and the short body, then a super-chain delegation per inheritance
-   level. *)
+(* Dispatch runs for every unit of framework work: a warm call
+   allocates only what the cycle charges box.  A fine-grained step is a
+   vtable pointer load, an indirect branch stall and the short body,
+   then a super-chain delegation per inheritance level. *)
 let rec fine_chain t cpu k slot =
   Machine.Cpu.load cpu
     ~addr:(t.vtables.Machine.Layout.base + (k.k_offset_seed mod 8192))
     ~bytes:8;
-  Machine.Cpu.execute_item cpu (Machine.Footprint.Stall 5);
+  Machine.Cpu.stall cpu 5;
   Machine.Cpu.fetch cpu t.text ~offset:(method_offset t k slot)
     ~bytes:(k.k_method_bytes + 32);
   match k.k_super with Some s -> fine_chain t cpu s (slot + 1) | None -> ()

@@ -330,8 +330,8 @@ let resolve t cpu ~frame = function
   | Frame off -> frame + off
 
 (* Chunk replay runs on every kernel interaction the simulation models;
-   it drives the CPU's direct execution entry points instead of building
-   Footprint lists, so a warm path allocates nothing on the host. *)
+   it charges through the CPU's calls alone, so a warm path allocates
+   nothing on the host beyond the clock values those charges box. *)
 
 let rec run_loads t cpu frame = function
   | [] -> ()

@@ -418,8 +418,7 @@ let charge_dispatch t (pc : percpu) th =
         Ktext.exec1 k ~frame:th.stack_base Ktext.context_switch;
         if prev.t_task.task_id <> th.t_task.task_id then begin
           Ktext.exec1 k ~frame:th.stack_base Ktext.pmap_switch;
-          Machine.Cpu.execute_item t.machine.Machine.cpu
-            Machine.Footprint.Switch_address_space
+          Machine.Cpu.switch_address_space t.machine.Machine.cpu
         end
     | None -> Ktext.exec1 k ~frame:th.stack_base Ktext.context_switch
   end
@@ -499,7 +498,7 @@ let has_runnable pc =
 
 (* One message's effect on the receiving CPU, after a short decode. *)
 let[@machlint.no_block] deliver t pc cpu msg =
-  Machine.Cpu.execute_item cpu (Machine.Footprint.Stall xmsg_cycles);
+  Machine.Cpu.stall cpu xmsg_cycles;
   pc.pc_xmsgs <- pc.pc_xmsgs + 1;
   match msg with
   | X_wake { xth; xresult; _ } -> (
@@ -532,9 +531,7 @@ let[@machlint.no_block] rec drain_ipiq t i =
     then begin
       observe_cpu cpu pc.pc_next_at;
       let limit = Machine.Cpu.now_exact cpu in
-      Machine.Cpu.execute_item cpu
-        (Machine.Footprint.Stall
-           t.machine.Machine.config.Machine.Config.ipi_cycles);
+      Machine.Cpu.stall cpu t.machine.Machine.config.Machine.Config.ipi_cycles;
       let next = ref infinity in
       for _ = 1 to Queue.length pc.pc_ipiq do
         let msg = Queue.pop pc.pc_ipiq in
@@ -662,12 +659,11 @@ let rec select t =
               th.affinity <- !thief;
               let pc = t.percpu.(!thief) in
               pc.pc_steals <- pc.pc_steals + 1;
-              Machine.Cpu.execute_item
+              Machine.Cpu.stall
                 (Machine.nth_cpu t.machine !thief)
-                (Machine.Footprint.Stall
-                   (2
-                   * t.machine.Machine.config
-                       .Machine.Config.coherence_miss_cycles));
+                (2
+                * t.machine.Machine.config
+                    .Machine.Config.coherence_miss_cycles);
               Queue.add th pc.pc_runq;
               stole := true
       end

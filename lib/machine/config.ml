@@ -76,6 +76,40 @@ let with_ncpus t ~n =
 
 let pages t = t.memory_bytes / t.page_size
 
+(* Machine-state accounting: the bytes of hardware bookkeeping state the
+   simulated machine itself carries.  Caches and TLBs are per-CPU
+   structures, so an SMP machine multiplies them by [ncpus] — a density
+   measurement that counted one copy would undercount the machine's real
+   footprint on every added processor. *)
+
+type machine_state = {
+  ms_ncpus : int;
+  ms_cache_bytes_per_cpu : int;  (* I$ + D$ data plus tag/state arrays *)
+  ms_tlb_bytes_per_cpu : int;
+  ms_bus_directory_bytes : int;  (* coherence directory, one per machine *)
+  ms_total_bytes : int;
+}
+
+let cache_state_bytes g =
+  (* data array plus a tag/state word per line *)
+  let lines = g.size / g.line in
+  g.size + (lines * 4)
+
+let machine_state t =
+  let cache_bytes = cache_state_bytes t.icache + cache_state_bytes t.dcache in
+  (* one TLB entry: virtual page tag, physical frame, permission bits *)
+  let tlb_bytes = t.tlb_entries * 8 in
+  (* the write-invalidate directory exists only on multiprocessors; its
+     shadow is sized like a page-table leaf per tracked line window *)
+  let dir_bytes = if t.ncpus > 1 then 4096 * 8 else 0 in
+  {
+    ms_ncpus = t.ncpus;
+    ms_cache_bytes_per_cpu = cache_bytes;
+    ms_tlb_bytes_per_cpu = tlb_bytes;
+    ms_bus_directory_bytes = dir_bytes;
+    ms_total_bytes = (t.ncpus * (cache_bytes + tlb_bytes)) + dir_bytes;
+  }
+
 let pp ppf t =
   Format.fprintf ppf
     "%s: %d MHz x%d CPU%s, I$ %dK/%d-way, D$ %dK/%d-way, %d MB RAM" t.name

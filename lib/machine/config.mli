@@ -61,4 +61,21 @@ val with_ncpus : t -> n:int -> t
 val pages : t -> int
 (** Number of physical page frames. *)
 
+(** {1 Machine-state accounting}
+
+    The bytes of hardware bookkeeping state the machine itself carries.
+    Caches and TLBs replicate per CPU, so density measurements over an
+    SMP machine must scale them by [ncpus]; the coherence directory is
+    shared and counted once (zero on a uniprocessor). *)
+
+type machine_state = {
+  ms_ncpus : int;
+  ms_cache_bytes_per_cpu : int;  (** I$ + D$ data plus tag/state arrays *)
+  ms_tlb_bytes_per_cpu : int;
+  ms_bus_directory_bytes : int;  (** write-invalidate directory, shared *)
+  ms_total_bytes : int;
+}
+
+val machine_state : t -> machine_state
+
 val pp : Format.formatter -> t -> unit

@@ -112,9 +112,9 @@ let lines_and_pages t cache addr bytes ~is_icache =
     p := !p + c.page_size
   done
 
-(* Direct execution entry points.  [Footprint.item] lists describe the
-   same traffic declaratively, but building them allocates; the kernel
-   cost-replay paths (Ktext) call these instead. *)
+(* The charge calls.  Each bills one kind of simulated work to this
+   CPU's caches, TLB, counters and clock; a caller charges a stretch of
+   software as the sequence of calls it makes. *)
 
 let fetch t (region : Layout.region) ~offset ~bytes =
   if offset + bytes > region.Layout.size then
@@ -161,27 +161,23 @@ let tlb_shootdown t ~addr ~pages =
     charge t 2.
   done
 
-let execute_item t (item : Footprint.item) =
+(* The frame buffer's aperture is uncacheable: every stored word is a
+   bus transaction, and the store costs one cycle per word to issue.  The
+   address has no effect on the charge, since no cache or TLB sees it. *)
+let uncached_write t ~addr:_ ~bytes =
   let c = t.config in
-  match item with
-  | Fetch { region; offset; bytes } -> fetch t region ~offset ~bytes
-  | Load { addr; bytes } -> load t ~addr ~bytes
-  | Store { addr; bytes } -> store t ~addr ~bytes
-  | Uncached_read { bytes; _ } ->
-      let words = Int.max 1 ((bytes + 3) / 4) in
-      charge_bus t (words * c.write_bus_cycles);
-      charge t (float_of_int (words * c.write_bus_cycles))
-  | Uncached_write { bytes; _ } ->
-      let words = Int.max 1 ((bytes + 3) / 4) in
-      charge_bus t (words * c.write_bus_cycles);
-      charge t (float_of_int words)
-  | Switch_address_space ->
-      Perf.address_space_switch t.perf;
-      Tlb.flush t.tlb;
-      charge t (float_of_int c.address_space_switch_cycles)
-  | Stall n -> charge t (float_of_int n)
+  let words = Int.max 1 ((bytes + 3) / 4) in
+  charge_bus t (words * c.write_bus_cycles);
+  charge t (float_of_int words)
 
-let execute t fp = List.iter (execute_item t) fp
+(* A CR3 write: a fixed pipeline cost plus a flush of every
+   translation, which the next touches pay back as page walks. *)
+let switch_address_space t =
+  Perf.address_space_switch t.perf;
+  Tlb.flush t.tlb;
+  charge t (float_of_int t.config.address_space_switch_cycles)
+
+let stall t n = charge t (float_of_int n)
 
 let advance_to t time =
   let time = float_of_int time in

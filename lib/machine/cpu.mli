@@ -1,8 +1,9 @@
-(** The simulated processor: replays {!Footprint.t} values against the
-    cache and TLB models and charges {!Perf} counters and the cycle clock.
+(** The simulated processor: charges each fetch, load, store, device
+    write, address-space switch and stall against the cache and TLB
+    models, the {!Perf} counters and the cycle clock.
 
-    One [Cpu.t] models one processor.  The clock only moves when footprints
-    execute or when {!advance_to} skips idle time to the next device
+    One [Cpu.t] models one processor.  The clock only moves when a charge
+    call runs or when {!advance_to} skips idle time to the next device
     event. *)
 
 type t
@@ -25,18 +26,34 @@ val now : t -> int
 val now_exact : t -> float
 (** The unrounded clock. *)
 
-val execute : t -> Footprint.t -> unit
-val execute_item : t -> Footprint.item -> unit
+(** {1 Charges}
 
-(** {1 Direct execution}
-
-    The same cost charging as {!execute}, without building footprint
-    lists — the kernel-path replay (Ktext) uses these so a warm
-    simulated hot path performs no host allocation. *)
+    A caller bills a stretch of simulated software as the sequence of
+    calls below, one per fetch run, data access or architectural event,
+    in program order.  A warm charge allocates at most its new clock
+    value. *)
 
 val fetch : t -> Layout.region -> offset:int -> bytes:int -> unit
+(** Straight-line execution of [bytes] of instructions starting at
+    [region.base + offset]: instructions retire at the base CPI and the
+    I-cache and TLB are consulted per line and page.
+    @raise Invalid_argument when the run leaves the region. *)
+
 val load : t -> addr:int -> bytes:int -> unit
+
 val store : t -> addr:int -> bytes:int -> unit
+(** A load's cache and TLB walk, plus a bus write per stored word: the
+    data cache is write-through. *)
+
+val uncached_write : t -> addr:int -> bytes:int -> unit
+(** A device store to the uncacheable aperture: a bus transaction per
+    word, no cache or TLB access. *)
+
+val switch_address_space : t -> unit
+(** A CR3 write: a fixed cost plus a TLB flush. *)
+
+val stall : t -> int -> unit
+(** Raw stall cycles (pipeline drain, I/O wait, a message decode). *)
 
 val tlb_shootdown : t -> addr:int -> pages:int -> unit
 (** Charge one TLB shootdown covering [pages] pages starting at [addr]:

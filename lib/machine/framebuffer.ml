@@ -23,7 +23,7 @@ let check t ~x ~y =
 
 let store_span t ~x ~y ~len =
   let addr = t.region.Layout.base + (y * t.width) + x in
-  Cpu.execute t.cpu [ Footprint.Uncached_write { addr; bytes = len } ]
+  Cpu.uncached_write t.cpu ~addr ~bytes:len
 
 (* the pixel array to record a store in, allocated on the first one *)
 let stored t =

@@ -3,8 +3,9 @@
     Handlers are registered per line; raising a line dispatches the
     handler immediately (the simulation has no instruction-granular
     preemption — the handler runs at the next simulation point, which is
-    where the event fired).  The controller charges the interrupt-entry
-    cost through the footprint its owner supplies at registration. *)
+    where the event fired).  Raising a line counts one interrupt on the
+    controller's CPU and charges nothing: any entry cost is the handler's
+    to bill. *)
 
 type t
 

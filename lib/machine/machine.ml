@@ -3,7 +3,6 @@ module Perf = Perf
 module Cache = Cache
 module Tlb = Tlb
 module Layout = Layout
-module Footprint = Footprint
 module Bus = Bus
 module Cpu = Cpu
 module Event_queue = Event_queue
@@ -57,7 +56,6 @@ let set_active t i =
 let active t = t.active
 
 let now t = Cpu.now t.cpu
-let execute t fp = Cpu.execute t.cpu fp
 
 (* Wall-clock of the whole machine: the furthest-ahead CPU.  Equal to
    [now] on a uniprocessor. *)
@@ -77,7 +75,7 @@ let global_now t =
 let ipi t ~target =
   let sender = t.cpu in
   Perf.ipi_sent (Cpu.perf sender);
-  Cpu.execute_item sender (Footprint.Stall t.config.Config.ipi_cycles);
+  Cpu.stall sender t.config.Config.ipi_cycles;
   let dst = t.cpus.(target) in
   Perf.ipi_received (Cpu.perf dst);
   Perf.interrupt (Cpu.perf dst)

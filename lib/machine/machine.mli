@@ -8,7 +8,8 @@
     coherence directory, a physical address-space layout, a discrete-event
     queue, an interrupt controller and standard devices.  Everything above
     — the microkernel, the servers, the monolithic comparator — executes
-    by submitting {!Footprint.t} values to the active CPU.
+    by charging its fetches, loads, stores and stalls to the active CPU
+    through {!Cpu}'s charge calls.
 
     With [Config.ncpus = 1] (the default) the machine is byte-identical
     to the pre-SMP uniprocessor model: the bus never arbitrates, the
@@ -19,7 +20,6 @@ module Perf = Perf
 module Cache = Cache
 module Tlb = Tlb
 module Layout = Layout
-module Footprint = Footprint
 module Bus = Bus
 module Cpu = Cpu
 module Event_queue = Event_queue
@@ -67,8 +67,6 @@ val now : t -> int
 val global_now : t -> int
 (** Wall-clock of the whole machine: the furthest-ahead CPU's clock.
     Equal to {!now} on a uniprocessor. *)
-
-val execute : t -> Footprint.t -> unit
 
 val ipi : t -> target:int -> unit
 (** Raise an inter-processor interrupt from the active CPU to [target]:

@@ -137,9 +137,7 @@ type Mach.Ktypes.payload +=
 
 let xshard_cost = 120  (* cycles: one cache-to-cache message handoff *)
 
-let xshard_stall t =
-  Machine.Cpu.execute_item (machine t).Machine.cpu
-    (Machine.Footprint.Stall xshard_cost)
+let xshard_stall t = Machine.Cpu.stall (machine t).Machine.cpu xshard_cost
 
 let registry_handle t (msg : Mach.Ktypes.payload) =
   match msg with

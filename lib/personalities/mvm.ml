@@ -119,36 +119,27 @@ let compute t v n =
                bytes and emit native code *)
             Hashtbl.replace v.v_tcache pc ();
             v.v_translated <- v.v_translated + 1;
-            Machine.execute (machine t)
-              [
-                Machine.Footprint.fetch translator ~offset:0x100
-                  ~bytes:(this * 20) ();
-                Machine.Footprint.load
-                  ~addr:(v.v_code.Machine.Layout.base
-                         + (pc * guest_bytes_per_instr mod 8192))
-                  ~bytes:(this * guest_bytes_per_instr);
-                Machine.Footprint.store
-                  ~addr:(trans.Machine.Layout.base
-                         + (pc * native_bytes_per_instr mod 16384))
-                  ~bytes:(this * native_bytes_per_instr);
-              ]
+            let cpu = (machine t).Machine.cpu in
+            Machine.Cpu.fetch cpu translator ~offset:0x100 ~bytes:(this * 20);
+            Machine.Cpu.load cpu
+              ~addr:(v.v_code.Machine.Layout.base
+                     + (pc * guest_bytes_per_instr mod 8192))
+              ~bytes:(this * guest_bytes_per_instr);
+            Machine.Cpu.store cpu
+              ~addr:(trans.Machine.Layout.base
+                     + (pc * native_bytes_per_instr mod 16384))
+              ~bytes:(this * native_bytes_per_instr)
           end;
           (* run the translated code: ~1.3 native instructions per guest
              instruction *)
-          Machine.execute (machine t)
-            [
-              Machine.Footprint.fetch trans
-                ~offset:(pc * native_bytes_per_instr mod 16384)
-                ~bytes:(this * native_bytes_per_instr * 13 / 10) ();
-            ]
+          Machine.Cpu.fetch (machine t).Machine.cpu trans
+            ~offset:(pc * native_bytes_per_instr mod 16384)
+            ~bytes:(this * native_bytes_per_instr * 13 / 10)
       | _ ->
           (* native x86: fetch the guest bytes directly *)
-          Machine.execute (machine t)
-            [
-              Machine.Footprint.fetch v.v_code
-                ~offset:(pc * guest_bytes_per_instr mod 8192)
-                ~bytes:(this * guest_bytes_per_instr) ();
-            ]);
+          Machine.Cpu.fetch (machine t).Machine.cpu v.v_code
+            ~offset:(pc * guest_bytes_per_instr mod 8192)
+            ~bytes:(this * guest_bytes_per_instr));
       blocks (remaining - this)
     end
   in
@@ -196,7 +187,7 @@ let run_op t v = function
   | G_int21_write n -> vdm_file t v `Write n
   | G_dpmi_switch ->
       reflect t ~handler_bytes:512 ();
-      Machine.execute (machine t) [ Machine.Footprint.Stall 200 ]
+      Machine.Cpu.stall (machine t).Machine.cpu 200
 
 let run_program t v ops =
   (* programs start at the image base; re-running one reuses the

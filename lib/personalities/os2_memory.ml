@@ -25,11 +25,9 @@ let create kernel task =
    process's data segment *)
 let charge t =
   let addr = t.task.data.Machine.Layout.base + 0x700 in
-  Machine.execute t.kernel.Mach.Kernel.machine
-    [
-      Machine.Footprint.load ~addr ~bytes:64;
-      Machine.Footprint.store ~addr:(addr + 64) ~bytes:32;
-    ]
+  let cpu = t.kernel.Mach.Kernel.machine.Machine.cpu in
+  Machine.Cpu.load cpu ~addr ~bytes:64;
+  Machine.Cpu.store cpu ~addr:(addr + 64) ~bytes:32
 
 let dos_alloc_mem t ~bytes =
   charge t;

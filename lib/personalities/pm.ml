@@ -46,11 +46,9 @@ let charge_pm t ?(bytes = 224) () =
 
 (* queue traffic goes through the shared arena *)
 let charge_shared t slot ~write =
-  let op =
-    if write then Machine.Footprint.store ~addr:slot ~bytes:32
-    else Machine.Footprint.load ~addr:slot ~bytes:32
-  in
-  Machine.execute t.kernel.Mach.Kernel.machine [ op ]
+  let cpu = t.kernel.Mach.Kernel.machine.Machine.cpu in
+  if write then Machine.Cpu.store cpu ~addr:slot ~bytes:32
+  else Machine.Cpu.load cpu ~addr:slot ~bytes:32
 
 let win_create t owner ~x ~y ~w ~h =
   charge_pm t ~bytes:512 ();
@@ -119,8 +117,8 @@ let gpi_bitblt t w ~src_bytes =
   let rows = min ch (max 1 (src_bytes / max 1 cw)) in
   charge_pm t ~bytes:(64 + (rows * 24)) ();
   (* source pixels stream through the cache, then out to the aperture *)
-  Machine.execute t.kernel.Mach.Kernel.machine
-    [ Machine.Footprint.load ~addr:w.w_shared_slot ~bytes:(min src_bytes 4096) ];
+  Machine.Cpu.load t.kernel.Mach.Kernel.machine.Machine.cpu
+    ~addr:w.w_shared_slot ~bytes:(min src_bytes 4096);
   for row = 0 to rows - 1 do
     Machine.Framebuffer.blit_row fb ~x:w.w_x ~y:(w.w_y + row)
       (String.make cw 'b')

@@ -127,22 +127,6 @@ let umutex_unlock t u =
 
 let umutex_contentions u = u.um_contentions
 
-let memcpy t ~dst ~src ~bytes =
-  let machine = t.kernel.Mach.Kernel.machine in
-  let rec loop off =
-    if off < bytes then begin
-      let n = min 32 (bytes - off) in
-      Machine.execute machine
-        [
-          Machine.Footprint.fetch t.lib_text ~offset:0x600 ~bytes:64 ();
-          Machine.Footprint.load ~addr:(src + off) ~bytes:n;
-          Machine.Footprint.store ~addr:(dst + off) ~bytes:n;
-        ];
-      loop (off + 32)
-    end
-  in
-  if bytes > 0 then loop 0
-
 let format_cost t ~chars =
   (* formatting is branchy scalar code: ~12 bytes of code per character;
      re-fetching the same loop body models the (cache-resident) iteration *)

@@ -48,8 +48,5 @@ val umutex_contentions : umutex -> int
 
 (** {1 ANSI C odds and ends} *)
 
-val memcpy : t -> dst:int -> src:int -> bytes:int -> unit
-(** User-level copy loop (distinct from the kernel's copy path). *)
-
 val format_cost : t -> chars:int -> unit
 (** The cost of printf-style formatting of [chars] output characters. *)

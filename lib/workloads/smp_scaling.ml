@@ -64,7 +64,7 @@ type result = {
   r_clients : int;
   r_sessions : int;
   r_points : point list;
-  r_state : Machine.Footprint.machine_state list;
+  r_state : Machine.Config.machine_state list;
       (* per-CPU machine-state bytes at each CPU count (density) *)
 }
 
@@ -229,7 +229,7 @@ let run ?(cpus = default_cpus) ?(pairs = 8) ?(iters = 150) ?(bytes = 512)
     r_points = with_speedups points;
     r_state =
       List.map
-        (fun n -> Machine.Footprint.machine_state (Rig.config ~ncpus:n))
+        (fun n -> Machine.Config.machine_state (Rig.config ~ncpus:n))
         cpus;
   }
 
@@ -247,8 +247,8 @@ let ipc_speedup r ~ncpus =
 
 let to_json r =
   let open Bench_json in
-  let state (ms : Machine.Footprint.machine_state) =
-    let open Machine.Footprint in
+  let state (ms : Machine.Config.machine_state) =
+    let open Machine.Config in
     Obj
       [ ("ncpus", int ms.ms_ncpus);
         ("cache_bytes_per_cpu", int ms.ms_cache_bytes_per_cpu);

@@ -47,7 +47,7 @@ type result = {
   r_clients : int;
   r_sessions : int;
   r_points : point list;
-  r_state : Machine.Footprint.machine_state list;
+  r_state : Machine.Config.machine_state list;
       (** per-CPU machine-state bytes at each CPU count (density) *)
 }
 

@@ -85,7 +85,7 @@ let test_honest_hold () =
   let read _ ~off:_ ~len =
     let cpu = Machine.nth_cpu m (Machine.active m) in
     let t0 = Machine.Cpu.now_exact cpu in
-    Machine.execute m [ Machine.Footprint.Stall 2_000 ];
+    Machine.Cpu.stall m.Machine.cpu 2_000;
     sections := (t0, Machine.Cpu.now_exact cpu) :: !sections;
     Ok (Bytes.make len 'r')
   in
@@ -190,7 +190,7 @@ let test_no_barging () =
 let timed_read m sections ~cycles _ ~off:_ ~len =
   let cpu = Machine.nth_cpu m (Machine.active m) in
   let t0 = Machine.Cpu.now_exact cpu in
-  Machine.execute m [ Machine.Footprint.Stall cycles ];
+  Machine.Cpu.stall m.Machine.cpu cycles;
   sections := ((Mach.Sched.self ()).tname, t0, Machine.Cpu.now_exact cpu)
               :: !sections;
   Ok (Bytes.make len 'r')
@@ -341,8 +341,8 @@ let ring_rule_read k sections ~cycles =
       let now = clock () in
       match List.find_opt (fun (f, u) -> f <= now && now < u) !holds with
       | Some (_, u) ->
-          Machine.execute m
-            [ Machine.Footprint.Stall (int_of_float (Float.ceil (u -. now))) ];
+          Machine.Cpu.stall m.Machine.cpu
+            (int_of_float (Float.ceil (u -. now)));
           stall ()
       | None -> ()
     in

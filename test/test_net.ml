@@ -343,7 +343,7 @@ let steered_run ~prepare ~send =
     (Mach.Kernel.thread_spawn k task ~name:"tx" ~affinity:0 ~bound:true
        (fun () ->
          send m net ~port;
-         Machine.execute m [ Machine.Footprint.Stall 1_000_000 ];
+         Machine.Cpu.stall m.Machine.cpu 1_000_000;
          cpu0_end := Machine.now m)
       : Mach.Ktypes.thread);
   Mach.Kernel.run k;

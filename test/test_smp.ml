@@ -62,8 +62,7 @@ let test_work_stealing_balances () =
          ~affinity:0
          (fun () ->
            for _ = 1 to 3 do
-             Machine.execute k.Mach.Kernel.machine
-               [ Machine.Footprint.Stall 2000 ];
+             Machine.Cpu.stall k.Mach.Kernel.machine.Machine.cpu 2000;
              Mach.Sched.yield ()
            done;
            ran.(i) <- true)
@@ -83,7 +82,7 @@ let test_bound_threads_stay_put () =
   let task = Mach.Kernel.task_create k ~name:"pinned" () in
   let body () =
     for _ = 1 to 4 do
-      Machine.execute k.Mach.Kernel.machine [ Machine.Footprint.Stall 1500 ];
+      Machine.Cpu.stall k.Mach.Kernel.machine.Machine.cpu 1500;
       Mach.Sched.yield ()
     done
   in
@@ -127,7 +126,7 @@ let test_ipi_wakes_remote_cpu () =
          do
            Mach.Sched.yield ()
          done;
-         Machine.execute m [ Machine.Footprint.Stall 500 ];
+         Machine.Cpu.stall m.Machine.cpu 500;
          sent := clock 0;
          Mach.Sched.wake sys sleeper)
       : thread);
@@ -161,12 +160,12 @@ let test_busy_cpu_runs_before_later_wake () =
   ignore
     (Mach.Kernel.thread_spawn k task ~name:"a" ~affinity:1 ~bound:true
        (fun () ->
-         Machine.execute m [ Machine.Footprint.Stall 5000 ];
+         Machine.Cpu.stall m.Machine.cpu 5000;
          order := "a" :: !order)
       : thread);
   ignore
     (Mach.Kernel.thread_spawn k task ~name:"waker" ~affinity:0 (fun () ->
-         Machine.execute m [ Machine.Footprint.Stall 2000 ];
+         Machine.Cpu.stall m.Machine.cpu 2000;
          Mach.Sched.wake sys b)
       : thread);
   Mach.Kernel.run k;
@@ -207,7 +206,7 @@ let test_stolen_thread_waits_for_ready_stamp () =
     (Mach.Kernel.thread_spawn k task ~name:"a" ~affinity:0 ~bound:true
        (fun () ->
          let burn = int_of_float (t_ready -. clock 0) in
-         Machine.execute m [ Machine.Footprint.Stall burn ];
+         Machine.Cpu.stall m.Machine.cpu burn;
          Mach.Sched.wake sys b;
          Mach.Sched.wake sys c)
       : thread);
@@ -244,7 +243,7 @@ let test_zero_cost_yield_loop_terminates () =
   Mach.Sched.with_uncharged sys (fun () ->
       ignore
         (Mach.Kernel.thread_spawn k task ~name:"waker" ~affinity:0 (fun () ->
-             Machine.execute m [ Machine.Footprint.Stall 2000 ];
+             Machine.Cpu.stall m.Machine.cpu 2000;
              Mach.Sched.wake sys s)
           : thread);
       ignore
@@ -292,7 +291,7 @@ let test_idle_cpu_skips_uncharged () =
   ignore
     (Mach.Kernel.thread_spawn k task ~name:"waker" ~affinity:0 ~bound:true
        (fun () ->
-         Machine.execute m [ Machine.Footprint.Stall 1_000_000 ];
+         Machine.Cpu.stall m.Machine.cpu 1_000_000;
          sent := here m;
          Mach.Sched.wake sys sleeper)
       : thread);
@@ -317,7 +316,7 @@ let test_semaphore_unit_stamp () =
   ignore
     (Mach.Kernel.thread_spawn k task ~name:"signaller" ~affinity:0 ~bound:true
        (fun () ->
-         Machine.execute m [ Machine.Footprint.Stall 1_000_000 ];
+         Machine.Cpu.stall m.Machine.cpu 1_000_000;
          signalled := here m;
          Mach.Sync.semaphore_signal sys sem)
       : thread);
@@ -348,7 +347,7 @@ let test_rpc_pending_call_stamp () =
     (match msg.msg_payload with
     | P_int i -> Hashtbl.replace started i (here m)
     | _ -> ());
-    Machine.execute m [ Machine.Footprint.Stall 20_000 ];
+    Machine.Cpu.stall m.Machine.cpu 20_000;
     Mach.Sched.yield ();
     Mach.Sched.yield ();
     simple_message ()
@@ -362,9 +361,9 @@ let test_rpc_pending_call_stamp () =
   ignore
     (Mach.Kernel.thread_spawn k clients ~name:"late" ~affinity:0 ~bound:true
        (fun () ->
-         Machine.execute m [ Machine.Footprint.Stall 10_000 ];
+         Machine.Cpu.stall m.Machine.cpu 10_000;
          Mach.Sched.yield ();
-         Machine.execute m [ Machine.Footprint.Stall 1_000_000 ];
+         Machine.Cpu.stall m.Machine.cpu 1_000_000;
          sent := here m;
          ignore (Mach.Rpc.call sys port (simple_message ~payload:(P_int 2) ())))
       : thread);
@@ -392,7 +391,7 @@ let test_ipc_message_stamp () =
   ignore
     (Mach.Kernel.thread_spawn k task ~name:"sender" ~affinity:0 ~bound:true
        (fun () ->
-         Machine.execute m [ Machine.Footprint.Stall 1_000_000 ];
+         Machine.Cpu.stall m.Machine.cpu 1_000_000;
          sent := here m;
          ignore (Mach.Ipc.send sys port (simple_message ()) : kern_return))
       : thread);
@@ -427,7 +426,7 @@ let test_mutex_holds_do_not_overlap () =
          (fun () ->
            Mach.Sync.mutex_lock sys mx;
            let from = here m in
-           Machine.execute m [ Machine.Footprint.Stall stall ];
+           Machine.Cpu.stall m.Machine.cpu stall;
            holds := (from, here m) :: !holds;
            Mach.Sync.mutex_unlock sys mx)
         : thread)
@@ -512,9 +511,9 @@ let[@machlint.allow "lock-order"] test_cross_cpu_deadlock_annotated () =
 (* --- machine-state accounting -------------------------------------------- *)
 
 let test_machine_state_scales_per_cpu () =
-  let s1 = Machine.Footprint.machine_state (smp_config 1) in
-  let s4 = Machine.Footprint.machine_state (smp_config 4) in
-  let open Machine.Footprint in
+  let s1 = Machine.Config.machine_state (smp_config 1) in
+  let s4 = Machine.Config.machine_state (smp_config 4) in
+  let open Machine.Config in
   checki "uniprocessor has no directory" 0 s1.ms_bus_directory_bytes;
   checki "uniprocessor total = one copy"
     (s1.ms_cache_bytes_per_cpu + s1.ms_tlb_bytes_per_cpu)
