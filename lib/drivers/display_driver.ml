@@ -19,7 +19,8 @@ let start (kernel : Mach.Kernel.t) rm =
 let fill t ~x ~y ~w ~h ~pixel =
   t.fill_count <- t.fill_count + 1;
   Mach.Trap.service t.kernel.Mach.Kernel.sys ();
-  Machine.Framebuffer.fill_rect t.fb ~x ~y ~w ~h ~pixel
+  Machine.Framebuffer.fill_rect t.fb t.kernel.Mach.Kernel.machine.Machine.cpu
+    ~x ~y ~w ~h ~pixel
 
 let framebuffer t = t.fb
 let fills t = t.fill_count

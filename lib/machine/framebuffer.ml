@@ -1,5 +1,4 @@
 type t = {
-  cpu : Cpu.t;
   region : Layout.region;
   width : int;
   height : int;
@@ -7,12 +6,12 @@ type t = {
   mutable written : int;
 }
 
-let create cpu layout ~width ~height =
+let create layout ~width ~height =
   let region =
     Layout.alloc layout ~name:"framebuffer" ~kind:Layout.Device
       ~size:(width * height)
   in
-  { cpu; region; width; height; pixels = Bytes.empty; written = 0 }
+  { region; width; height; pixels = Bytes.empty; written = 0 }
 
 let region t = t.region
 let width t = t.width
@@ -21,9 +20,9 @@ let check t ~x ~y =
   if x < 0 || y < 0 || x >= t.width || y >= t.height then
     invalid_arg (Printf.sprintf "Framebuffer: (%d,%d) out of bounds" x y)
 
-let store_span t ~x ~y ~len =
+let store_span t cpu ~x ~y ~len =
   let addr = t.region.Layout.base + (y * t.width) + x in
-  Cpu.uncached_write t.cpu ~addr ~bytes:len
+  Cpu.uncached_write cpu ~addr ~bytes:len
 
 (* the pixel array to record a store in, allocated on the first one *)
 let stored t =
@@ -31,23 +30,23 @@ let stored t =
     t.pixels <- Bytes.make (t.width * t.height) '\000';
   t.pixels
 
-let fill_rect t ~x ~y ~w ~h ~pixel =
+let fill_rect t cpu ~x ~y ~w ~h ~pixel =
   if w > 0 && h > 0 then begin
     check t ~x ~y;
     check t ~x:(x + w - 1) ~y:(y + h - 1);
     for row = y to y + h - 1 do
-      store_span t ~x ~y:row ~len:w;
+      store_span t cpu ~x ~y:row ~len:w;
       Bytes.fill (stored t) ((row * t.width) + x) w pixel
     done;
     t.written <- t.written + (w * h)
   end
 
-let blit_row t ~x ~y s =
+let blit_row t cpu ~x ~y s =
   let len = String.length s in
   if len > 0 then begin
     check t ~x ~y;
     check t ~x:(x + len - 1) ~y;
-    store_span t ~x ~y ~len;
+    store_span t cpu ~x ~y ~len;
     Bytes.blit_string s 0 (stored t) ((y * t.width) + x) len;
     t.written <- t.written + len
   end

@@ -8,16 +8,18 @@
 
 type t
 
-val create : Cpu.t -> Layout.t -> width:int -> height:int -> t
+val create : Layout.t -> width:int -> height:int -> t
 
 val region : t -> Layout.region
 val width : t -> int
 
-val fill_rect : t -> x:int -> y:int -> w:int -> h:int -> pixel:char -> unit
-(** Executes the uncached stores for the rectangle and records the pixels
-    (one byte per pixel). *)
+val fill_rect :
+  t -> Cpu.t -> x:int -> y:int -> w:int -> h:int -> pixel:char -> unit
+(** Executes the uncached stores for the rectangle on the given CPU, the
+    one executing the drawing code, and records the pixels (one byte per
+    pixel). *)
 
-val blit_row : t -> x:int -> y:int -> string -> unit
+val blit_row : t -> Cpu.t -> x:int -> y:int -> string -> unit
 
 val pixel : t -> x:int -> y:int -> char
 (** @raise Invalid_argument when out of bounds. *)

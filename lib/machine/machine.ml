@@ -33,15 +33,16 @@ let create config =
   let cpu = cpus.(0) in
   let layout = Layout.create config in
   let events = Event_queue.create () in
-  (* devices — interrupt controller, disk, frame buffer — live on the
-     boot CPU: device completions are delivered there and cross to other
-     CPUs only through scheduler messages *)
+  (* devices — interrupt controller, disk — live on the boot CPU: device
+     completions are delivered there and cross to other CPUs only through
+     scheduler messages.  The frame buffer is plain memory: each store
+     bills the CPU that executes it. *)
   let irq = Irq.create cpu ~lines:16 in
   let disk =
     Disk.create cpu events irq ~line:disk_irq_line ~name:"hd0"
       Disk.default_geometry
   in
-  let framebuffer = Framebuffer.create cpu layout ~width:640 ~height:480 in
+  let framebuffer = Framebuffer.create layout ~width:640 ~height:480 in
   { config; cpu; cpus; bus; active = 0; layout; events; irq; disk; framebuffer }
 
 let ncpus t = Array.length t.cpus

@@ -159,12 +159,12 @@ let of_wpos (w : Wpos.t) =
 
 let of_monolithic (m : Monolithic.t) =
   let kernel = Monolithic.kernel m in
-  let fb = (Monolithic.machine m).Machine.framebuffer in
+  let machine = Monolithic.machine m in
   let next_q = ref 0 in
   let rec api =
     {
       api_name = "native-os2";
-      machine = Monolithic.machine m;
+      machine;
       spawn =
         (fun ~name body ->
           ignore (Monolithic.spawn_process m ~name (fun () -> body api)));
@@ -200,7 +200,8 @@ let of_monolithic (m : Monolithic.t) =
           (* native PM: also a user-level library over the frame buffer *)
           compute_in_current_task kernel ~units:(2 + (h / 4));
           let w = max 1 (min w (639 - x)) and h = max 1 (min h (479 - y)) in
-          Machine.Framebuffer.fill_rect fb ~x ~y ~w ~h ~pixel:'n');
+          Machine.Framebuffer.fill_rect machine.Machine.framebuffer
+            machine.Machine.cpu ~x ~y ~w ~h ~pixel:'n');
       make_queue =
         (fun ~name ->
           ignore name;

@@ -54,10 +54,10 @@ let test_disk_write_bad_length () =
 let test_framebuffer_blit_row_bounds () =
   let m = Test_util.pentium () in
   let fb = m.Machine.framebuffer in
-  Machine.Framebuffer.blit_row fb ~x:0 ~y:479 (String.make 640 'r');
+  Machine.Framebuffer.blit_row fb m.Machine.cpu ~x:0 ~y:479 (String.make 640 'r');
   Alcotest.(check char) "last row" 'r' (Machine.Framebuffer.pixel fb ~x:639 ~y:479);
   Alcotest.check_raises "off screen" (Invalid_argument "oob") (fun () ->
-      try Machine.Framebuffer.blit_row fb ~x:1 ~y:479 (String.make 640 'r')
+      try Machine.Framebuffer.blit_row fb m.Machine.cpu ~x:1 ~y:479 (String.make 640 'r')
       with Invalid_argument _ -> raise (Invalid_argument "oob"))
 
 let test_cache_probe_pure () =
