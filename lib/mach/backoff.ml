@@ -21,9 +21,6 @@ let policy ?(seed = 0) ~base () =
      unbounded doubling (which could sleep past any recovery) is gone *)
   { bo_base = base; bo_cap = base * 64; bo_seed = seed }
 
-(* drand48 step, as in [Fault]: bit-exact, process-independent. *)
-let lcg state = (state * 0x5DEECE66D + 0xB) land 0xFFFF_FFFF_FFFF
-
 (* Capped exponential: base * 2^(attempt-1), saturating at the cap
    without ever overflowing on large attempt numbers. *)
 let raw_delay p ~attempt =
@@ -37,7 +34,7 @@ let delay p ~attempt =
   (* jitter in [0, wait/4): two generator steps mix seed and attempt so
      consecutive attempts of one waiter decorrelate too *)
   let span = Int.max 1 (wait / 4) in
-  let s = lcg (lcg ((p.bo_seed * 31) + attempt) land 0xFFFF_FFFF_FFFF) in
+  let s = Fault.step (Fault.step ((p.bo_seed * 31) + attempt)) in
   wait + (s lsr 17) mod span
 
 (* The client retry loop: only the call differs between Ipc and Rpc. *)

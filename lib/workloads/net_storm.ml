@@ -276,7 +276,7 @@ let measure_synflood ~ncpus ~flood_syns ~victim_ops =
   let net = Netserver.create ~backlog:16 k ~style:Finegrain.Coarse in
   let plan = Mach.Fault.create ~seed:42 () in
   (* one send in eight vanishes on the wire *)
-  Mach.Fault.set_rates plan ~drop_ppm:125_000 ();
+  Mach.Fault.set_rate plan ~ppm:125_000 Mach.Fault.Drop_message;
   sys.Mach.Sched.faults <- Some plan;
   let lat = lats_create net in
   Netserver.set_delivery_probe net (lats_note lat);

@@ -225,7 +225,7 @@ let run_crash_point ~seed ~ops ~n =
   let sys = k.Mach.Kernel.sys in
   Drivers.Disk_driver.arm_faults k disk;
   let plan = Mach.Fault.create ~seed () in
-  Mach.Fault.at_disk_write plan ~disk:(Machine.Disk.name disk) ~n
+  Mach.Fault.script plan ~site:(Machine.Disk.name disk) ~n
     Mach.Fault.Power_cut;
   sys.Mach.Sched.faults <- Some plan;
   let expect = ref [] in

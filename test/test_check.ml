@@ -172,7 +172,7 @@ let test_fault_kill_clears_edges () =
      port-death; its wait-for edge must go with it *)
   let k, sys, chk = checked_kernel () in
   let plan = Mach.Fault.create ~seed:3 () in
-  Mach.Fault.at_request plan ~port:"svc" ~n:1 Mach.Fault.Crash_server;
+  Mach.Fault.script plan ~site:"svc" ~n:1 Mach.Fault.Crash_server;
   sys.Mach.Sched.faults <- Some plan;
   let srv = Mach.Sched.task_create sys ~name:"srv" () in
   let cl = Mach.Sched.task_create sys ~name:"cl" () in
@@ -439,7 +439,7 @@ let test_restart_zero_residual_rights () =
   let fs = F.File_server.start k runtime vfs () in
   let sup = Mk_services.Supervisor.create k runtime ns in
   let plan = Mach.Fault.create ~seed:5 () in
-  Mach.Fault.at_request plan ~port:"file-service" ~n:4 Mach.Fault.Crash_server;
+  Mach.Fault.script plan ~site:"file-service" ~n:4 Mach.Fault.Crash_server;
   sys.Mach.Sched.faults <- Some plan;
   let old_port = F.File_server.port fs in
   let cached = ref (Some old_port) in

@@ -171,7 +171,7 @@ let test_flush_power_cut_mid_cluster () =
   let cache = F.Block_cache.create k disk () in
   Drivers.Disk_driver.arm_faults k disk;
   let plan = Mach.Fault.create ~seed:5 () in
-  Mach.Fault.at_disk_write plan ~disk:(Machine.Disk.name disk) ~n:2
+  Mach.Fault.script plan ~site:(Machine.Disk.name disk) ~n:2
     Mach.Fault.Power_cut;
   k.Mach.Kernel.sys.Mach.Sched.faults <- Some plan;
   let data b = Bytes.make 512 (Char.chr (64 + b)) in

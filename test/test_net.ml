@@ -405,8 +405,8 @@ let test_delayed_and_dropped_arrivals_on_home_cpu () =
     steered_run
       ~prepare:(fun k net ->
         let plan = Mach.Fault.create () in
-        Mach.Fault.at_send plan
-          ~port:(Printf.sprintf "net:%d" (port_on net ~shard:2))
+        Mach.Fault.script plan
+          ~site:(Printf.sprintf "net:%d" (port_on net ~shard:2))
           ~n:1 (Mach.Fault.Delay_message delay);
         k.Mach.Kernel.sys.Mach.Sched.faults <- Some plan)
       ~send:(fun m net ~port ->

@@ -227,7 +227,8 @@ let rights_conservation =
       (* seeded faults: drop a fifth of the echo traffic in transit so the
          timeout/error paths churn reply ports too *)
       let plan = Mach.Fault.create ~seed () in
-      Mach.Fault.set_rates plan ~port:"echo" ~drop_ppm:200_000 ();
+      Mach.Fault.set_rate plan ~site:"echo" ~ppm:200_000
+        Mach.Fault.Drop_message;
       sys.Mach.Sched.faults <- Some plan;
       let owner = Mach.Kernel.task_create k ~name:"owner" () in
       let ta = Mach.Kernel.task_create k ~name:"ta" () in

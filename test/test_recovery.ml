@@ -26,7 +26,7 @@ let gather_write_rig ?fault elems =
   let plan = Mach.Fault.create ~seed:5 () in
   Option.iter
     (fun (n, action) ->
-      Mach.Fault.at_disk_write plan ~disk:(Machine.Disk.name disk) ~n action)
+      Mach.Fault.script plan ~site:(Machine.Disk.name disk) ~n action)
     fault;
   sys.Mach.Sched.faults <- Some plan;
   let before = Machine.Disk.writes_applied disk in
@@ -59,7 +59,7 @@ let test_torn_write_lands_prefix () =
     gather_write_rig ~fault:(1, Mach.Fault.Torn_write) [ data ]
   in
   Alcotest.(check int) "the tear was injected" 1
-    (Mach.Fault.injected_torn_writes plan);
+    (Mach.Fault.injected plan ~site:"hd0" Mach.Fault.Torn_write);
   check_torn "sector" data (List.hd landed)
 
 (* Each element of a gather list is its own media write: it counts, and
@@ -78,7 +78,8 @@ let test_gather_write_per_element_faults () =
   let plan, _, landed =
     gather_write_rig ~fault:(2, Mach.Fault.Torn_write) elems
   in
-  Alcotest.(check int) "one tear" 1 (Mach.Fault.injected_torn_writes plan);
+  Alcotest.(check int) "one tear" 1
+    (Mach.Fault.injected plan ~site:"hd0" Mach.Fault.Torn_write);
   Alcotest.(check bytes) "element 1 whole" (List.nth elems 0) (List.nth landed 0);
   check_torn "element 2" (List.nth elems 1) (List.nth landed 1);
   Alcotest.(check bytes) "element 3 whole" (List.nth elems 2) (List.nth landed 2)
@@ -89,8 +90,9 @@ let drive_seeded_disk_faults ~seed =
   let disk = k.Mach.Kernel.machine.Machine.disk in
   Drivers.Disk_driver.arm_faults k disk;
   let plan = Mach.Fault.create ~seed () in
-  Mach.Fault.set_disk_rates plan ~disk:(Machine.Disk.name disk)
-    ~torn_ppm:120_000 ~bit_rot_ppm:120_000 ~reorder_ppm:120_000 ();
+  let site = Machine.Disk.name disk in
+  let actions = Mach.Fault.[ Torn_write; Bit_rot; Reorder ] in
+  List.iter (Mach.Fault.set_rate plan ~site ~ppm:120_000) actions;
   sys.Mach.Sched.faults <- Some plan;
   Test_util.run_in_thread k (fun () ->
       for i = 0 to 39 do
@@ -103,7 +105,9 @@ let drive_seeded_disk_faults ~seed =
   for i = 0 to 39 do
     Buffer.add_bytes image (Machine.Disk.read_image disk ~block:(100 + i) ~count:1)
   done;
-  (Buffer.contents image, Mach.Fault.injected_disk_faults plan)
+  ( Buffer.contents image,
+    List.fold_left (fun n a -> n + Mach.Fault.injected plan ~site a) 0 actions
+  )
 
 let test_disk_faults_replay_deterministically () =
   let image_a, faults_a = drive_seeded_disk_faults ~seed:9 in
@@ -221,7 +225,7 @@ let test_power_cut_recovery () =
       let cache = F.Block_cache.create k disk () in
       let pfs = ok "mount" (F.Jfs.mount cache ()) in
       let plan = Mach.Fault.create ~seed:11 () in
-      Mach.Fault.at_disk_write plan ~disk:(Machine.Disk.name disk) ~n:12
+      Mach.Fault.script plan ~site:(Machine.Disk.name disk) ~n:12
         Mach.Fault.Power_cut;
       sys.Mach.Sched.faults <- Some plan;
       let acked = ref [] in
@@ -287,7 +291,7 @@ let boot_replay ?cut image =
   let plan = Mach.Fault.create ~seed:13 () in
   Option.iter
     (fun n ->
-      Mach.Fault.at_disk_write plan ~disk:(Machine.Disk.name disk) ~n
+      Mach.Fault.script plan ~site:(Machine.Disk.name disk) ~n
         Mach.Fault.Power_cut)
     cut;
   sys.Mach.Sched.faults <- Some plan;
@@ -442,7 +446,7 @@ let jfs_txn_rig ?fault after =
         let plan = Mach.Fault.create ~seed:3 () in
         Option.iter
           (fun (n, action) ->
-            Mach.Fault.at_disk_write plan ~disk:(Machine.Disk.name disk) ~n
+            Mach.Fault.script plan ~site:(Machine.Disk.name disk) ~n
               action)
           fault;
         sys.Mach.Sched.faults <- Some plan;
@@ -630,7 +634,7 @@ let churn_rig ?fault () =
         let plan = Mach.Fault.create ~seed:7 () in
         Option.iter
           (fun n ->
-            Mach.Fault.at_disk_write plan ~disk:(Machine.Disk.name disk) ~n
+            Mach.Fault.script plan ~site:(Machine.Disk.name disk) ~n
               Mach.Fault.Power_cut)
           fault;
         sys.Mach.Sched.faults <- Some plan;

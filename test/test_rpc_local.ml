@@ -132,7 +132,7 @@ let test_wedged_home () =
   let k = Test_util.kernel_on ~config:(smp_config 2) () in
   let sys = k.Mach.Kernel.sys in
   let plan = Mach.Fault.create ~seed:1 () in
-  Mach.Fault.at_request plan ~port:"svc" ~n:1 (Mach.Fault.Wedge_server 1_000_000);
+  Mach.Fault.script plan ~site:"svc" ~n:1 (Mach.Fault.Wedge_server 1_000_000);
   sys.Mach.Sched.faults <- Some plan;
   let beat = Mach.Health.beat () in
   let port, log = serve_on k ~beat [ 0; 1 ] ~hold:(fun _ -> 0) in
@@ -150,7 +150,8 @@ let test_wedged_home () =
   client "c" 3 (fun () -> sleep k 200_000);
   Mach.Kernel.run k;
   sys.Mach.Sched.faults <- None;
-  checki "one wedge" 1 (Mach.Fault.injected_wedges plan);
+  checki "one wedge" 1
+    (Mach.Fault.injected plan ~site:"svc" (Mach.Fault.Wedge_server 0));
   List.iter
     (fun id ->
       checki (Printf.sprintf "call %d: the sibling on CPU 1 served it" id) 1

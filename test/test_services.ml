@@ -280,7 +280,7 @@ let test_sup_wedge_watchdog () =
   let sup = S.Supervisor.create k b.S.Bootstrap.runtime ns in
   let port, health, restart = spawn_echo_server b ~name:"svc" in
   let plan = Mach.Fault.create ~seed:7 () in
-  Mach.Fault.at_request plan ~port:"svc-port" ~n:3
+  Mach.Fault.script plan ~site:"svc-port" ~n:3
     (Mach.Fault.Wedge_server 500_000);
   sys.Mach.Sched.faults <- Some plan;
   let done_ops = ref 0 in
@@ -323,7 +323,8 @@ let test_sup_wedge_watchdog () =
       S.Supervisor.stop sup);
   Mach.Kernel.run k;
   sys.Mach.Sched.faults <- None;
-  Alcotest.(check int) "one wedge injected" 1 (Mach.Fault.injected_wedges plan);
+  Alcotest.(check int) "one wedge injected" 1
+    (Mach.Fault.injected plan ~site:"svc-port" (Mach.Fault.Wedge_server 0));
   Alcotest.(check int) "one wedge kill" 1 (S.Supervisor.wedge_kills sup);
   Alcotest.(check int) "per-path wedge kill" 1
     (S.Supervisor.path_wedge_kills sup ~path:"/services/svc");
@@ -365,7 +366,7 @@ let test_sup_wedge_beside_live_sibling () =
     !port
   in
   let plan = Mach.Fault.create ~seed:7 () in
-  Mach.Fault.at_request plan ~port:"pair-port" ~n:3
+  Mach.Fault.script plan ~site:"pair-port" ~n:3
     (Mach.Fault.Wedge_server 5_000_000);
   sys.Mach.Sched.faults <- Some plan;
   let done_ops = ref 0 in
@@ -409,7 +410,8 @@ let test_sup_wedge_beside_live_sibling () =
       S.Supervisor.stop sup);
   Mach.Kernel.run k;
   sys.Mach.Sched.faults <- None;
-  Alcotest.(check int) "one wedge injected" 1 (Mach.Fault.injected_wedges plan);
+  Alcotest.(check int) "one wedge injected" 1
+    (Mach.Fault.injected plan ~site:"pair-port" (Mach.Fault.Wedge_server 0));
   Alcotest.(check int) "the wedged thread is killed" 1
     (S.Supervisor.path_wedge_kills sup ~path:"/services/pair");
   Alcotest.(check int) "every op completed" 40 !done_ops
