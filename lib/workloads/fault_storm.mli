@@ -34,6 +34,8 @@
 type point = {
   fp_scenario : string;
   fp_crash_ppm : int option;  (** fs-crash's injected crash rate *)
+  fp_injected : (string * int) list;
+      (** fs-crash: crashes and reorders the plan injected, by JSON key *)
   fp_ops : int;  (** operations attempted (or packets injected) *)
   fp_completed : int;
   fp_lost : int;  (** attempted ops that never completed: must be 0 *)
