@@ -33,8 +33,9 @@ module Framebuffer = Framebuffer
     [cpu] is the {e active} CPU — the one whose context is currently
     executing; the scheduler repoints it at each dispatch.  Code that
     charges costs through [machine.cpu] therefore bills the processor
-    that is actually running.  Devices are wired to [cpus.(0)] (the boot
-    CPU) and deliver their completions on its timeline. *)
+    that is actually running.  The interrupt controller and the disk are
+    wired to [cpus.(0)] (the boot CPU) and deliver their completions on
+    its timeline; frame buffer stores bill the CPU that draws. *)
 type t = {
   config : Config.t;
   mutable cpu : Cpu.t;
